@@ -7,8 +7,7 @@ import parastar as ps
 
 print(f"{'entry':32s} {'closed form':>16s} {'oracle root':>16s} {'gap':>9s}")
 for entry in ps.default_entries():
-    method = "golden" if entry.root_only else "bisect"
-    root = ps.oracle_root(entry, method=method)
+    root = ps.oracle_root(entry)
     gap = abs(entry.closed_form - root)
     print(f"{entry.label:32s} {entry.closed_form:16.12f} {root:16.12f} {gap:9.2e}")
 

@@ -13,10 +13,8 @@ import sys
 from . import plots, radii, verify
 from .errors import ParastarError
 from .maps import TargetId, eval_target, parabola_map
-from .oracle import certify_sufficient_condition
+from .oracle import SCHEMA, certify_sufficient_condition
 from .series import PowerSeries, extremal_lower, extremal_upper, p0_coefficients
-
-SCHEMA = 1
 
 
 def _write(text: str, out: str | None) -> None:
@@ -70,8 +68,7 @@ def _entry_params(args) -> dict:
 
 def _cmd_radius(args) -> int:
     entry = radii.get_entry(args.id, **_entry_params(args))
-    method = "golden" if entry.root_only else "bisect"
-    root = radii.oracle_root(entry, method=method)
+    root = radii.oracle_root(entry)
     payload = {"schema": SCHEMA, "id": entry.entry_id, "params": entry.params,
                "closed_form": entry.closed_form, "oracle_root": root,
                "gap": abs(entry.closed_form - root)}
@@ -82,8 +79,7 @@ def _cmd_radius(args) -> int:
 def _cmd_radius_table(args) -> int:
     rows = []
     for entry in radii.default_entries():
-        method = "golden" if entry.root_only else "bisect"
-        root = radii.oracle_root(entry, method=method)
+        root = radii.oracle_root(entry)
         rows.append((entry.label, entry.closed_form, root, abs(entry.closed_form - root)))
     if args.format == "md":
         lines = ["| id | closed form | oracle root | gap |",
@@ -142,7 +138,8 @@ def _cmd_plot(args) -> int:
         curves = plots.map_image_figure(args.target, r=args.r,
                                         samples=args.samples, **params)
     elif args.kind == "discs":
-        curves = plots.discs_figure(args.discs or [0.0, 1.0], samples=args.samples)
+        curves = plots.region_figure(disc_centers=args.discs or [0.0, 1.0],
+                                     samples=args.samples)
     else:
         curves = plots.corollary_figure(args.entry, samples=args.samples)
     text = (plots.curves_to_svg(curves) if args.format == "svg"

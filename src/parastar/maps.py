@@ -137,66 +137,28 @@ class TargetId(str, enum.Enum):
     LEFT_PARABOLA = "left_parabola"              # the region's own map
 
 
-def _need_alpha(params):
-    alpha = params.pop("alpha", None)
-    if alpha is None or not 0.0 <= alpha < 1.0:
-        raise ParamRange("alpha must lie in [0, 1)")
-    return alpha
-
-
 def validate_janowski(A: float, B: float) -> None:
     """Check -1 <= B < A <= 1 for the Janowski parameters."""
     if not (-1.0 <= B < A <= 1.0):
         raise ParamRange("Janowski parameters require -1 <= B < A <= 1")
 
 
-def _janowski_factory(params):
-    A = params.pop("A", None)
-    B = params.pop("B", None)
+def _check_alpha(alpha) -> None:
+    if alpha is None or not 0.0 <= alpha < 1.0:
+        raise ParamRange("alpha must lie in [0, 1)")
+
+
+def _check_janowski(A, B) -> None:
     if A is None or B is None:
         raise ParamRange("janowski target needs A and B")
     validate_janowski(A, B)
 
-    def phi(z):
-        z = _as_complex(z)
-        _check_disc(z)
-        den = 1.0 + B * z
-        if np.any(np.abs(den) < SINGULAR_TOL):
-            raise SingularPoint("Janowski map pole at z = -1/B")
-        return _ret((1.0 + A * z) / den)
 
-    return phi
-
-
-def _alpha_exp_factory(params):
-    alpha = _need_alpha(params)
-
-    def phi(z):
-        z = _as_complex(z)
-        _check_disc(z)
-        return _ret(alpha + (1.0 - alpha) * np.exp(z))
-
-    return phi
-
-
-def _alpha_sqrt_factory(params):
-    alpha = _need_alpha(params)
-
-    def phi(z):
-        z = _as_complex(z)
-        _check_disc(z)
-        return _ret(alpha + (1.0 - alpha) * np.sqrt(1.0 + z))
-
-    return phi
-
-
-def _plain(fn):
-    def phi(z):
-        z = _as_complex(z)
-        _check_disc(z)
-        return _ret(fn(z))
-
-    return phi
+def _janowski(z, A, B):
+    den = 1.0 + B * z
+    if np.any(np.abs(den) < SINGULAR_TOL):
+        raise SingularPoint("Janowski map pole at z = -1/B")
+    return (1.0 + A * z) / den
 
 
 def _reverse_lemniscate(z):
@@ -205,16 +167,25 @@ def _reverse_lemniscate(z):
     return _SQRT2 - eta * np.sqrt((1.0 - z) / (1.0 + 2.0 * eta * z))
 
 
-_PLAIN_TARGETS = {
-    TargetId.CARDIOID: lambda z: 1.0 + z * np.exp(z),
-    TargetId.SIGMOID: lambda z: 2.0 / (1.0 + np.exp(-z)),
-    TargetId.SINE: lambda z: 1.0 + np.sin(z),
-    TargetId.ASINH: lambda z: 1.0 + np.arcsinh(z),
-    TargetId.COSH_SQRT: lambda z: np.cosh(_sqrt_upper(z)),
-    TargetId.LUNE: lambda z: z + np.sqrt(1.0 + z * z),
-    TargetId.LEMNISCATE: lambda z: np.sqrt(1.0 + z),
-    TargetId.NEPHROID: lambda z: 1.0 + z - z**3 / 3.0,
-    TargetId.REVERSE_LEMNISCATE: _reverse_lemniscate,
+_TARGETS = {
+    # target: (formula in z and the parameters, parameter names, parameter check);
+    # the two parabola maps check their own input and are returned as they are
+    TargetId.ALPHA_EXP: (lambda z, alpha: alpha + (1.0 - alpha) * np.exp(z),
+                         ("alpha",), _check_alpha),
+    TargetId.ALPHA_SQRT: (lambda z, alpha: alpha + (1.0 - alpha) * np.sqrt(1.0 + z),
+                          ("alpha",), _check_alpha),
+    TargetId.JANOWSKI: (_janowski, ("A", "B"), _check_janowski),
+    TargetId.CARDIOID: (lambda z: 1.0 + z * np.exp(z), (), None),
+    TargetId.SIGMOID: (lambda z: 2.0 / (1.0 + np.exp(-z)), (), None),
+    TargetId.SINE: (lambda z: 1.0 + np.sin(z), (), None),
+    TargetId.ASINH: (lambda z: 1.0 + np.arcsinh(z), (), None),
+    TargetId.COSH_SQRT: (lambda z: np.cosh(_sqrt_upper(z)), (), None),
+    TargetId.LUNE: (lambda z: z + np.sqrt(1.0 + z * z), (), None),
+    TargetId.LEMNISCATE: (lambda z: np.sqrt(1.0 + z), (), None),
+    TargetId.NEPHROID: (lambda z: 1.0 + z - z**3 / 3.0, (), None),
+    TargetId.REVERSE_LEMNISCATE: (_reverse_lemniscate, (), None),
+    TargetId.RONNING_PARABOLA: (ronning_parabola, None, None),
+    TargetId.LEFT_PARABOLA: (left_parabola, None, None),
 }
 
 
@@ -229,21 +200,21 @@ def target_map(target, **params):
         tid = TargetId(target)
     except ValueError:
         raise UnknownTarget(f"unknown target map: {target!r}") from None
+    formula, names, check = _TARGETS[tid]
     params = dict(params)
-    if tid is TargetId.JANOWSKI:
-        phi = _janowski_factory(params)
-    elif tid is TargetId.ALPHA_EXP:
-        phi = _alpha_exp_factory(params)
-    elif tid is TargetId.ALPHA_SQRT:
-        phi = _alpha_sqrt_factory(params)
-    elif tid is TargetId.RONNING_PARABOLA:
-        phi = ronning_parabola
-    elif tid is TargetId.LEFT_PARABOLA:
-        phi = left_parabola
-    else:
-        phi = _plain(_PLAIN_TARGETS[tid])
+    args = tuple(params.pop(name, None) for name in names or ())
+    if check is not None:
+        check(*args)
     if params:
         raise ParamRange(f"unexpected parameters for {tid.value}: {sorted(params)}")
+    if names is None:
+        return formula
+
+    def phi(z):
+        z = _as_complex(z)
+        _check_disc(z)
+        return _ret(formula(z, *args))
+
     return phi
 
 

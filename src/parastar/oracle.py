@@ -3,14 +3,13 @@
 Everything here re-derives quantities that also have closed forms
 elsewhere in the package, so agreement between the two routes is a real
 check rather than a tautology.  Sampling loops are deterministic for a
-fixed seed regardless of the parallelism degree (ordered reduction).
+fixed seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 
@@ -31,6 +30,9 @@ from .errors import (
 )
 from .maps import parabola_map
 from .series import PowerSeries, integrate_over_t, p0_coefficients
+
+# version of every JSON and CSV output format
+SCHEMA = 1
 
 _PI_SQ = math.pi**2
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -66,16 +68,19 @@ class VerificationReport:
 
     @classmethod
     def from_pair(cls, check_id, closed_form, oracle_value, tolerance,
-                  samples=0, notes=""):
+                  samples=0, notes="", passed=None):
+        """Report on the gap between two values; passes iff gap <= tolerance
+        unless ``passed`` gives the outcome of a check the gap does not decide."""
         gap = abs(closed_form - oracle_value)
         return cls(check_id=check_id, closed_form=float(closed_form),
                    oracle_value=float(oracle_value), gap=float(gap),
                    tolerance=float(tolerance), samples=int(samples),
-                   passed=bool(gap <= tolerance), notes=notes)
+                   passed=bool(gap <= tolerance if passed is None else passed),
+                   notes=notes)
 
     def as_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA,
             "id": self.check_id,
             "closed_form": self.closed_form,
             "oracle_value": self.oracle_value,
@@ -90,13 +95,21 @@ class VerificationReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
+def _value(f, x: float) -> float:
+    fx = f(x)
+    if math.isnan(fx):
+        raise DomainError(f"condition is NaN at {x!r}")
+    return fx
+
+
 def bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None) -> float:
     """Bisection root of f on [lo, hi]; needs a sign change at the ends.
 
     Returns r with bracket width and |f(r)| both below ``cfg.abs_tol``.
+    A NaN value of f raises ``DomainError`` at once.
     """
     cfg = cfg or _DEFAULT_CFG
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = _value(f, lo), _value(f, hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -105,7 +118,7 @@ def bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None
         raise NoSignChange(f"no sign change on [{lo}, {hi}]")
     for _ in range(cfg.max_iter):
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
+        fmid = _value(f, mid)
         if fmid == 0.0 or (hi - lo <= cfg.abs_tol and abs(fmid) <= cfg.abs_tol):
             return mid
         if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
@@ -118,7 +131,7 @@ def bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None
 def golden_bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None) -> float:
     """Root by golden-ratio bracket shrinking; an independent second solver."""
     cfg = cfg or _DEFAULT_CFG
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = _value(f, lo), _value(f, hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -128,10 +141,10 @@ def golden_bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None
     for _ in range(cfg.max_iter):
         if hi - lo <= cfg.abs_tol:
             mid = 0.5 * (lo + hi)
-            if abs(f(mid)) <= cfg.abs_tol:
+            if abs(_value(f, mid)) <= cfg.abs_tol:
                 return mid
         cut = hi - _GOLDEN * (hi - lo)
-        fcut = f(cut)
+        fcut = _value(f, cut)
         if fcut == 0.0:
             return cut
         if math.copysign(1.0, fcut) == math.copysign(1.0, flo):
@@ -224,8 +237,7 @@ def extremize_on_circle(map_fn, r: float, functional: str = "re",
 
 
 def _lower_integrand(t: float) -> float:
-    s = math.sqrt(t)
-    return -(2.0 / _PI_SQ) * math.log((1.0 + s) / (1.0 - s)) ** 2 / t
+    return -region.kernel_modulus(t) / t
 
 
 def _upper_integrand(t: float) -> float:
@@ -310,18 +322,9 @@ def covering_constant(tol: float = 1e-8, max_refinements: int = 48) -> CoveringE
 # --- containment and certification ---------------------------------------
 
 
-def _chunked_map(map_fn, z: np.ndarray, parallelism: int | None):
-    if not parallelism or parallelism <= 1:
-        return np.asarray(map_fn(z))
-    chunks = np.array_split(z, parallelism)
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        parts = list(pool.map(lambda c: np.asarray(map_fn(c)), chunks))
-    return np.concatenate(parts)
-
-
 def check_subordination_inclusion(map_fn, r: float, margin_fns=None,
-                                  samples: int = 4096, check_id: str = "inclusion",
-                                  parallelism: int | None = None) -> VerificationReport:
+                                  samples: int = 4096,
+                                  check_id: str = "inclusion") -> VerificationReport:
     """Sample-based containment of map(|z| = r) in a region.
 
     ``margin_fns`` are signed margins, positive inside; by default both
@@ -335,7 +338,7 @@ def check_subordination_inclusion(map_fn, r: float, margin_fns=None,
         margin_fns = (region.margin, region.support_margin)
     theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
     try:
-        w = _chunked_map(map_fn, r * np.exp(1j * theta), parallelism)
+        w = np.asarray(map_fn(r * np.exp(1j * theta)))
     except ParastarError as exc:
         raise SingularOnCircle(f"map failed on |z| = {r}: {exc}") from exc
     if not np.all(np.isfinite(w)):
@@ -344,17 +347,16 @@ def check_subordination_inclusion(map_fn, r: float, margin_fns=None,
     passed = worst > 0.0
     note = (f"verified at {samples} samples (necessary-condition check)"
             if passed else f"violated at {samples}-sample sweep")
-    return VerificationReport(check_id=check_id, closed_form=0.0, oracle_value=worst,
-                              gap=abs(worst), tolerance=0.0, samples=samples,
-                              passed=passed, notes=note)
+    return VerificationReport.from_pair(check_id, 0.0, worst, 0.0, samples=samples,
+                                        notes=note, passed=passed)
 
 
 _CERTIFY_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 
 
 def certify_sufficient_condition(f: PowerSeries, t: float, radii=None,
-                                 n_angles: int = 1024, check_id: str = "certify",
-                                 parallelism: int | None = None) -> VerificationReport:
+                                 n_angles: int = 1024,
+                                 check_id: str = "certify") -> VerificationReport:
     """Sample check of |t(1 + z f''/f') + (1-t) z f'/f - 1| < (3+2t)/6.
 
     ``f`` must be normalised (f(0) = 0, f'(0) = 1).  When the inequality
@@ -372,9 +374,9 @@ def certify_sufficient_condition(f: PowerSeries, t: float, radii=None,
     z = rings.ravel()
     fp = f.derivative()
     fpp = fp.derivative()
-    fv = _chunked_map(f, z, parallelism)
-    fpv = _chunked_map(fp, z, parallelism)
-    fppv = _chunked_map(fpp, z, parallelism)
+    fv = np.asarray(f(z))
+    fpv = np.asarray(fp(z))
+    fppv = np.asarray(fpp(z))
     if np.any(np.abs(fv) < 1e-14) or np.any(np.abs(fpv) < 1e-14):
         raise DerivativeVanishes("f or f' vanishes on the sample grid")
     lhs = np.abs(t * (1.0 + z * fppv / fpv) + (1.0 - t) * z * fpv / fv - 1.0)
@@ -390,21 +392,17 @@ def certify_sufficient_condition(f: PowerSeries, t: float, radii=None,
         passed = passed and conclusion_ok
         notes += (f"; conclusion margins: disc {disc_margin:.3e}, "
                   f"region {region_margin:.3e}")
-    return VerificationReport(check_id=check_id, closed_form=bound, oracle_value=sup,
-                              gap=abs(bound - sup), tolerance=0.0, samples=z.size,
-                              passed=passed, notes=notes)
+    return VerificationReport.from_pair(check_id, bound, sup, 0.0, samples=z.size,
+                                        notes=notes, passed=passed)
 
 
 def caratheodory_order_check(p_fn, alpha: float, r: float, n_grid: int = 4096,
                              check_id: str = "caratheodory") -> VerificationReport:
     """Is min Re p on |z| = r at least alpha?  (p normalised to p(0) = 1.)"""
     ext = extremize_on_circle(p_fn, r, "re", n_grid=n_grid)
-    passed = ext.min_value >= alpha
-    return VerificationReport(check_id=check_id, closed_form=float(alpha),
-                              oracle_value=ext.min_value,
-                              gap=abs(ext.min_value - alpha), tolerance=0.0,
-                              samples=n_grid, passed=passed,
-                              notes=f"argmin angle {ext.argmin_angle:.6f}")
+    return VerificationReport.from_pair(check_id, alpha, ext.min_value, 0.0, samples=n_grid,
+                                        notes=f"argmin angle {ext.argmin_angle:.6f}",
+                                        passed=ext.min_value >= alpha)
 
 
 # --- disc bounds for Carathéodory-type functions --------------------------

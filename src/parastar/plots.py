@@ -14,8 +14,7 @@ import numpy as np
 from . import radii, region
 from .errors import DomainError
 from .maps import left_parabola, target_map
-
-SCHEMA = 1
+from .oracle import SCHEMA
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -60,36 +59,16 @@ def map_image_figure(target: str = "left_parabola", r: float = 0.9,
             Curve(f"{target}_r={r:g}", np.asarray(phi(z)))]
 
 
-def discs_figure(disc_centers, samples: int = 256) -> list[Curve]:
-    if not disc_centers:
-        raise DomainError("need at least one disc center")
-    return region_figure(disc_centers=disc_centers, samples=samples)
-
-
-# corollary entry -> the target class whose region the image must sit in
-_COROLLARY_TARGETS = {
-    "r1_exp": ("alpha_exp", {"alpha": 0.0}),
-    "r2_sine": ("sine", {}),
-    "r3_cosh_sqrt": ("cosh_sqrt", {}),
-    "r4_cardioid": ("cardioid", {}),
-    "r5_asinh": ("asinh", {}),
-    "r6_sigmoid": ("sigmoid", {}),
-    "r7_nephroid": ("nephroid", {}),
-    "r8_lemniscate": ("lemniscate", {}),
-    "r9_reverse_lemniscate": ("reverse_lemniscate", {}),
-}
-
-
 def corollary_figure(entry_id: str = "r7_nephroid", samples: int = 256) -> list[Curve]:
     """Target-class boundary with the class image circle at the sharp radius."""
-    if entry_id not in _COROLLARY_TARGETS:
+    if entry_id not in radii._COROLLARY:
         raise DomainError(f"no corollary figure for {entry_id!r}")
-    target, params = _COROLLARY_TARGETS[entry_id]
-    r = radii.corollary_radius(entry_id).closed_form
+    closed_fn, target, params = radii._COROLLARY[entry_id]
+    r = closed_fn()
     phi = target_map(target, **params)
     zb = np.exp(1j * _circle_angles(samples))
     zi = r * np.exp(1j * _circle_angles(samples))
-    return [Curve(f"{target}_boundary", np.asarray(phi(zb))),
+    return [Curve(f"{target.value}_boundary", np.asarray(phi(zb))),
             Curve(f"image_r={r:.6f}", np.asarray(left_parabola(zi)))]
 
 

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
-from . import oracle
+from . import oracle, region
 from .errors import ParamRange, UnknownTarget
-from .maps import TargetId, left_parabola, ronning_parabola, target_map, validate_janowski
+from .maps import TargetId, left_parabola, target_map, validate_janowski
+from .region import kernel_modulus, log_ratio
 from .series import extremal_upper
 
 _PI = math.pi
@@ -38,14 +39,9 @@ def _tanh_sq(x: float) -> float:
     return math.tanh(x) ** 2
 
 
-def _log_ratio(r: float) -> float:
-    s = math.sqrt(r)
-    return math.log((1.0 + s) / (1.0 - s))
-
-
-def _abs_kernel(r: float) -> float:
-    """|k(r)| = (2/pi^2) log^2((1+sqrt r)/(1-sqrt r)) on (0, 1)."""
-    return (2.0 / _PI_SQ) * _log_ratio(r) ** 2
+def _kernel_level_radius(x: float) -> float:
+    """tanh^2(pi sqrt(x)/(2 sqrt 2)), the root of |k(r)| = x."""
+    return _tanh_sq(_PI * math.sqrt(x) / (2.0 * math.sqrt(2.0)))
 
 
 @dataclass
@@ -67,6 +63,12 @@ class RadiusEntry:
         self._param_items = tuple(sorted(self.params.items()))
 
     @property
+    def route(self) -> str:
+        """Default oracle solver: golden for root-only entries, whose closed
+        form is itself a bisection root, so the oracle stays independent."""
+        return "golden" if self.root_only else "bisect"
+
+    @property
     def label(self) -> str:
         # semicolon-separated so labels stay a single CSV field
         if not self.params:
@@ -75,9 +77,15 @@ class RadiusEntry:
         return f"{self.entry_id}({inner})"
 
 
-def oracle_root(entry: RadiusEntry, method: str = "bisect",
+def oracle_root(entry: RadiusEntry, method: str | None = None,
                 cfg: oracle.BracketSolverConfig | None = None) -> float:
-    """Independent root of the entry's condition (1.0 for capped entries)."""
+    """Independent root of the entry's condition (1.0 for capped entries).
+
+    ``method`` is ``"bisect"`` or ``"golden"``; by default ``entry.route``.
+    """
+    method = method or entry.route
+    if method not in ("bisect", "golden"):
+        raise ParamRange(f"unknown oracle method {method!r}; use 'bisect' or 'golden'")
     if entry.capped:
         if entry.condition(entry.bracket[1]) > 0.0:
             raise ParamRange(f"{entry.label}: capped entry with positive condition near 1")
@@ -96,8 +104,6 @@ def _circle_max_condition(phi) -> Callable[[float], float]:
 def _vertex_witness(phi, radius: float) -> Callable[[], float]:
     # the extremal construction puts z f'/f = phi at z0 = radius, which
     # lands on the region boundary; the boundary margin should vanish
-    from . import region
-
     return lambda: float(region.margin(phi(radius)))
 
 
@@ -111,6 +117,20 @@ def _cardioid_root() -> float:
     return oracle.bracket_root(lambda r: r * math.exp(r) - 0.5, 0.0, 1.0)
 
 
+_CIRCLE_MAX = {
+    # class id: (closed form, target map whose max Re on |z| = r reaches 3/2)
+    "sp": (lambda: _tanh_sq(_PI / 4.0), TargetId.RONNING_PARABOLA),
+    "sine": (lambda: _PI / 6.0, TargetId.SINE),
+    "lune": (lambda: 5.0 / 12.0, TargetId.LUNE),
+    "cosh_sqrt": (lambda: math.acosh(1.5) ** 2, TargetId.COSH_SQRT),
+    "asinh": (lambda: math.sinh(0.5), TargetId.ASINH),
+    "cardioid": (_cardioid_root, TargetId.CARDIOID),
+}
+# the radius of these classes has no closed form, only a memoized root
+_ROOT_ONLY_NOTES = {"cardioid": "no closed form; memoized root of r e^r = 1/2"}
+_PARAM_CLASSES = ("bs", "alpha_exp", "janowski")
+
+
 def membership_radius(class_id: str, **params) -> RadiusEntry:
     """Largest r such that the named class sits in the parabolic class on |z| < r.
 
@@ -119,36 +139,14 @@ def membership_radius(class_id: str, **params) -> RadiusEntry:
     needs ``alpha``), ``alpha_exp`` (needs ``alpha``) and ``janowski``
     (needs ``A`` and ``B``).
     """
-    if class_id == "sp":
-        closed = _tanh_sq(_PI / 4.0)
-        return RadiusEntry("sp", {}, closed, _circle_max_condition(ronning_parabola),
-                           witness_margin=_vertex_witness(ronning_parabola, closed))
-    if class_id == "sine":
-        phi = target_map(TargetId.SINE)
-        closed = _PI / 6.0
-        return RadiusEntry("sine", {}, closed, _circle_max_condition(phi),
-                           witness_margin=_vertex_witness(phi, closed))
-    if class_id == "lune":
-        phi = target_map(TargetId.LUNE)
-        closed = 5.0 / 12.0
-        return RadiusEntry("lune", {}, closed, _circle_max_condition(phi),
-                           witness_margin=_vertex_witness(phi, closed))
-    if class_id == "cosh_sqrt":
-        phi = target_map(TargetId.COSH_SQRT)
-        closed = math.acosh(1.5) ** 2
-        return RadiusEntry("cosh_sqrt", {}, closed, _circle_max_condition(phi),
-                           witness_margin=_vertex_witness(phi, closed))
-    if class_id == "asinh":
-        phi = target_map(TargetId.ASINH)
-        closed = math.sinh(0.5)
-        return RadiusEntry("asinh", {}, closed, _circle_max_condition(phi),
-                           witness_margin=_vertex_witness(phi, closed))
-    if class_id == "cardioid":
-        phi = target_map(TargetId.CARDIOID)
-        closed = _cardioid_root()
-        return RadiusEntry("cardioid", {}, closed, _circle_max_condition(phi),
-                           witness_margin=_vertex_witness(phi, closed), root_only=True,
-                           notes="no closed form; memoized root of r e^r = 1/2")
+    if class_id in _CIRCLE_MAX:
+        closed_fn, target = _CIRCLE_MAX[class_id]
+        phi = target_map(target)
+        closed = closed_fn()
+        return RadiusEntry(class_id, {}, closed, _circle_max_condition(phi),
+                           witness_margin=_vertex_witness(phi, closed),
+                           root_only=class_id in _ROOT_ONLY_NOTES,
+                           notes=_ROOT_ONLY_NOTES.get(class_id, ""))
     if class_id == "bs":
         alpha = params.get("alpha")
         if alpha is None or not 0.0 <= alpha < 1.0:
@@ -205,7 +203,7 @@ def caratheodory_order_radius(alpha: float) -> RadiusEntry:
     """
     if not 0.0 <= alpha < 1.0:
         raise ParamRange("alpha must lie in [0, 1)")
-    closed = _tanh_sq(_PI * math.sqrt(1.0 - alpha) / (2.0 * math.sqrt(2.0)))
+    closed = _kernel_level_radius(1.0 - alpha)
 
     def condition(r: float) -> float:
         return left_parabola(r).real - alpha
@@ -222,10 +220,10 @@ def disc_class_radius(alpha: float) -> RadiusEntry:
     """
     if not 0.0 < alpha <= 1.0:
         raise ParamRange("alpha must lie in (0, 1]")
-    closed = _tanh_sq(_PI * math.sqrt(alpha) / (2.0 * math.sqrt(2.0)))
+    closed = _kernel_level_radius(alpha)
 
     def condition(r: float) -> float:
-        return 2.0 * _log_ratio(r) ** 2 - alpha * _PI_SQ
+        return 2.0 * log_ratio(r) ** 2 - alpha * _PI_SQ
 
     return RadiusEntry("disc_class", {"alpha": alpha}, closed, condition,
                        witness_margin=lambda: abs(left_parabola(closed) - 1.0) - alpha)
@@ -239,10 +237,10 @@ def beta_disc_radius(beta: float) -> RadiusEntry:
     """
     if not 0.0 < beta < 1.0:
         raise ParamRange("beta must lie in (0, 1)")
-    closed = _tanh_sq(_PI * math.sqrt(beta) / (2.0 * math.sqrt(2.0)))
+    closed = _kernel_level_radius(beta)
 
     def condition(r: float) -> float:
-        return _abs_kernel(r) - beta
+        return kernel_modulus(r) - beta
 
     return RadiusEntry("beta_disc", {"beta": beta}, closed, condition,
                        witness_margin=lambda: abs(left_parabola(closed) - 1.0) - beta)
@@ -277,12 +275,11 @@ _COROLLARY = {
                     TargetId.CARDIOID, {}),
     "r5_asinh": (lambda: _tanh_sq(_PI * math.sqrt(0.5 * math.asinh(1.0)) / 2.0),
                  TargetId.ASINH, {}),
-    "r6_sigmoid": (lambda: _tanh_sq(_PI * math.sqrt((math.e - 1.0) / (math.e + 1.0))
-                                    / (2.0 * math.sqrt(2.0))),
+    "r6_sigmoid": (lambda: _kernel_level_radius((math.e - 1.0) / (math.e + 1.0)),
                    TargetId.SIGMOID, {}),
     "r7_nephroid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(3.0))),
                     TargetId.NEPHROID, {}),
-    "r8_lemniscate": (lambda: _tanh_sq(_PI * math.sqrt(_SQRT2 - 1.0) / (2.0 * math.sqrt(2.0))),
+    "r8_lemniscate": (lambda: _kernel_level_radius(_SQRT2 - 1.0),
                       TargetId.LEMNISCATE, {}),
     "r9_reverse_lemniscate": (
         lambda: _tanh_sq(_PI * (math.sqrt(2.0 * (_SQRT2 - 1.0))
@@ -305,7 +302,7 @@ def corollary_radius(entry_id: str) -> RadiusEntry:
     constant = inner_disc_radius(target.value, **tparams)
 
     def condition(r: float) -> float:
-        return _abs_kernel(r) - constant
+        return kernel_modulus(r) - constant
 
     return RadiusEntry(entry_id, {}, closed_fn(), condition,
                        notes=f"inner-disc constant {constant:.12g}")
@@ -330,8 +327,6 @@ def ratio_class_radius(A: float) -> RadiusEntry:
         return (5.0 + A) * r / (1.0 - rr) - (1.5 - (1.0 + A * rr) / (1.0 - rr))
 
     def witness_margin() -> float:
-        from . import region
-
         r = closed
         w = 1.0 + 2.0 * r / (1.0 + r) + (3.0 + A) * r / (1.0 - r)
         return float(region.margin(w))
@@ -397,7 +392,7 @@ def _upper_extremal_64():
 
 def _peng_zhong_condition(r: float) -> float:
     g = _upper_extremal_64()
-    return float(g(r).real) * _abs_kernel(r) - 0.5
+    return float(g(r).real) * kernel_modulus(r) - 0.5
 
 
 @cache
@@ -421,13 +416,10 @@ def peng_zhong_radius() -> RadiusEntry:
 
 # --- registry ----------------------------------------------------------------
 
-_MEMBERSHIP_IDS = ("sp", "sine", "lune", "cosh_sqrt", "asinh", "cardioid",
-                   "bs", "alpha_exp", "janowski")
-
 
 def get_entry(entry_id: str, **params) -> RadiusEntry:
     """Look up any catalog entry by id, with class parameters as needed."""
-    if entry_id in _MEMBERSHIP_IDS:
+    if entry_id in _CIRCLE_MAX or entry_id in _PARAM_CLASSES:
         return membership_radius(entry_id, **params)
     if entry_id in _COROLLARY:
         return corollary_radius(entry_id)
@@ -449,13 +441,8 @@ def get_entry(entry_id: str, **params) -> RadiusEntry:
 
 def default_entries() -> list[RadiusEntry]:
     """Representative catalog used by the table and verification runs."""
-    entries = [
-        membership_radius("sp"),
-        membership_radius("sine"),
-        membership_radius("lune"),
-        membership_radius("cosh_sqrt"),
-        membership_radius("asinh"),
-        membership_radius("cardioid"),
+    entries = [membership_radius(cid) for cid in _CIRCLE_MAX]
+    entries += [
         membership_radius("bs", alpha=0.5),
         membership_radius("alpha_exp", alpha=0.0),
         membership_radius("janowski", A=0.5, B=-0.5),

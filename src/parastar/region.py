@@ -41,6 +41,17 @@ def support_margin(w):
     return m if m.ndim else float(m)
 
 
+def log_ratio(r: float) -> float:
+    """log((1+sqrt r)/(1-sqrt r)), the kernel's logarithm on 0 <= r < 1."""
+    s = math.sqrt(r)
+    return math.log((1.0 + s) / (1.0 - s))
+
+
+def kernel_modulus(r: float) -> float:
+    """|k(r)| = (2/pi^2) log^2((1+sqrt r)/(1-sqrt r)) on 0 <= r < 1."""
+    return (2.0 / _PI_SQ) * log_ratio(r) ** 2
+
+
 def real_part_bounds(r: float) -> tuple[float, float]:
     """Sharp (min, max) of the real part of the parabola kernel on |z| = r.
 
@@ -52,10 +63,8 @@ def real_part_bounds(r: float) -> tuple[float, float]:
         raise DomainError("radius must lie in [0, 1)")
     if r == 0.0:
         return 0.0, 0.0
-    s = math.sqrt(r)
-    lo = -(2.0 / _PI_SQ) * math.log((1.0 + s) / (1.0 - s)) ** 2
-    hi = (2.0 / _PI_SQ) * math.atan(2.0 * s / (1.0 - r)) ** 2
-    return lo, hi
+    hi = (2.0 / _PI_SQ) * math.atan(2.0 * math.sqrt(r) / (1.0 - r)) ** 2
+    return -kernel_modulus(r), hi
 
 
 def real_part_profile(r: float, c: float) -> float:

@@ -13,20 +13,12 @@ import math
 import numpy as np
 
 from . import oracle, radii, region
+from .errors import ParastarError
 from .maps import parabola_map
 from .oracle import VerificationReport
 from .series import PowerSeries, extremal_lower, extremal_upper, p0_coefficients
 
 _PI = math.pi
-
-
-def _report(check_id, passed, oracle_value, closed_form=0.0, tolerance=0.0,
-            samples=0, notes=""):
-    return VerificationReport(check_id=check_id, closed_form=closed_form,
-                              oracle_value=float(oracle_value),
-                              gap=abs(closed_form - oracle_value),
-                              tolerance=tolerance, samples=samples,
-                              passed=bool(passed), notes=notes)
 
 
 def _verification_catalog() -> list[radii.RadiusEntry]:
@@ -49,11 +41,10 @@ def _verification_catalog() -> list[radii.RadiusEntry]:
 def radius_reports(tol: float = 1e-9) -> list[VerificationReport]:
     reports = []
     for entry in _verification_catalog():
-        method = "golden" if entry.root_only else "bisect"
-        root = radii.oracle_root(entry, method=method)
+        root = radii.oracle_root(entry)
         reports.append(VerificationReport.from_pair(
             f"radius/{entry.label}", entry.closed_form, root, tol,
-            notes=(entry.notes + "; " if entry.notes else "") + f"oracle={method}"))
+            notes=(entry.notes + "; " if entry.notes else "") + f"oracle={entry.route}"))
     return reports
 
 
@@ -111,8 +102,9 @@ def region_reports(seed: int = 0) -> list[VerificationReport]:
         prev = (lo, hi)
     reports.append(VerificationReport.from_pair("region/real_part_bounds", 0.0, worst, 1e-8,
                                                 samples=4096, notes="19-radius grid"))
-    reports.append(_report("region/profile_monotone", monotone_ok, 0.0,
-                           notes="max increasing, min decreasing in r"))
+    reports.append(VerificationReport.from_pair("region/profile_monotone", 0.0, 0.0, 0.0,
+                                                notes="max increasing, min decreasing in r",
+                                                passed=monotone_ok))
 
     # inscribed discs: inner probe holds, outer probe fails
     ok = True
@@ -123,14 +115,16 @@ def region_reports(seed: int = 0) -> list[VerificationReport]:
         outer = a + disc.radius * (1.0 + 1e-3) * np.exp(1j * phis)
         ok &= bool(np.all(region.margin(inner) > 0.0))
         ok &= bool(np.any(region.margin(outer) <= 0.0))
-    reports.append(_report("region/inscribed_disc_probes", ok, 0.0, samples=256))
+    reports.append(VerificationReport.from_pair("region/inscribed_disc_probes", 0.0, 0.0, 0.0,
+                                                samples=256, passed=ok))
 
     # interior points satisfy the sharp argument sector
     xs = 1.5 - rng.exponential(2.0, 20000)
     ys = rng.uniform(-1.0, 1.0, 20000) * np.sqrt(3.0 - 2.0 * xs)
     sector_ok = all(region.argument_sector_check(complex(x, y))
                     for x, y in zip(xs * 0.9999 + 0.00005, ys * 0.9999))
-    reports.append(_report("region/argument_sector", sector_ok, 0.0, samples=20000))
+    reports.append(VerificationReport.from_pair("region/argument_sector", 0.0, 0.0, 0.0,
+                                                samples=20000, passed=sector_ok))
     return reports
 
 
@@ -153,15 +147,15 @@ def growth_reports(samples: int = 20, seed: int = 0) -> list[VerificationReport]
             lo, hi = oracle.growth_bounds(r)
             val = oracle.member_growth_modulus(w_fn, r)
             violation = max(violation, lo - val, val - hi)
-    reports.append(_report("growth/random_members", violation <= 1e-8, violation,
-                           samples=samples, tolerance=1e-8,
-                           notes=f"worst sandwich violation, seed={seed}"))
+    reports.append(VerificationReport.from_pair(
+        "growth/random_members", 0.0, violation, 1e-8, samples=samples,
+        notes=f"worst sandwich violation, seed={seed}", passed=violation <= 1e-8))
 
     est = oracle.covering_constant()
-    reports.append(_report("growth/covering_constant", est.last_delta < 1e-8,
-                           est.value, samples=est.refinements, tolerance=1e-8,
-                           notes=f"extrapolated at k={est.refinements}, "
-                                 f"delta={est.last_delta:.3e}"))
+    reports.append(VerificationReport.from_pair(
+        "growth/covering_constant", 0.0, est.value, 1e-8, samples=est.refinements,
+        notes=f"extrapolated at k={est.refinements}, delta={est.last_delta:.3e}",
+        passed=est.last_delta < 1e-8))
     return reports
 
 
@@ -169,18 +163,18 @@ def certify_reports(samples: int = 50, seed: int = 0) -> list[VerificationReport
     reports = []
     passing = certify_sample_members(n_members=samples, t=0.0, seed=seed)
     contained = sum(1 for rep in passing if rep.passed)
-    reports.append(_report("certify/implication_t0", contained == len(passing),
-                           len(passing) - contained, samples=len(passing),
-                           notes=f"{contained}/{len(passing)} certified members "
-                                 f"inside the region, seed={seed}"))
+    reports.append(VerificationReport.from_pair(
+        "certify/implication_t0", 0.0, len(passing) - contained, 0.0, samples=len(passing),
+        notes=f"{contained}/{len(passing)} certified members inside the region, seed={seed}",
+        passed=contained == len(passing)))
 
     for c, expect in ((0.3, True), (0.4, False)):
         f = PowerSeries([0.0, 1.0, c])
         rep = oracle.certify_sufficient_condition(f, 0.0)
-        reports.append(_report(f"certify/quadratic_c{c:g}", rep.passed == expect,
-                               rep.oracle_value, closed_form=rep.closed_form,
-                               samples=rep.samples,
-                               notes=f"expected {'pass' if expect else 'fail'}"))
+        reports.append(VerificationReport.from_pair(
+            f"certify/quadratic_c{c:g}", rep.closed_form, rep.oracle_value, 0.0,
+            samples=rep.samples, notes=f"expected {'pass' if expect else 'fail'}",
+            passed=rep.passed == expect))
     return reports
 
 
@@ -214,7 +208,7 @@ def certify_sample_members(n_members: int, t: float, seed: int = 0):
         f = random_polynomial_members(rng, 1)[0]
         try:
             rep = oracle.certify_sufficient_condition(f, t)
-        except Exception:
+        except ParastarError:
             continue
         if rep.oracle_value < rep.closed_form:  # inequality held at all samples
             passing.append(rep)

@@ -150,10 +150,27 @@ class TestPlot:
         assert "left_parabola_r=0.5" in capsys.readouterr().out
 
     def test_corollary_figure(self, capsys):
-        assert main(["plot", "corollary-figure", "--entry", "r7_nephroid",
-                     "--format", "csv"]) == 0
-        out = capsys.readouterr().out
-        assert "nephroid_boundary" in out
+        from parastar import corollary_radius
+
+        for entry, target in (
+                ("r1_exp", "alpha_exp"), ("r2_sine", "sine"), ("r3_cosh_sqrt", "cosh_sqrt"),
+                ("r4_cardioid", "cardioid"), ("r5_asinh", "asinh"), ("r6_sigmoid", "sigmoid"),
+                ("r7_nephroid", "nephroid"), ("r8_lemniscate", "lemniscate"),
+                ("r9_reverse_lemniscate", "reverse_lemniscate")):
+            assert main(["plot", "corollary-figure", "--entry", entry,
+                         "--format", "csv"]) == 0
+            out = capsys.readouterr().out
+            assert f"\n{target}_boundary,0," in out
+            assert f"\nimage_r={corollary_radius(entry).closed_form:.6f},0," in out
+
+    def test_discs_default_and_given_centres(self, capsys):
+        assert main(["plot", "discs", "--format", "csv"]) == 0
+        default = capsys.readouterr().out
+        curves = {line.split(",")[0] for line in default.splitlines()[2:]}
+        assert curves == {"boundary", "tangent_plus", "tangent_minus",
+                          "disc_a=0", "disc_a=1"}
+        assert main(["plot", "discs", "--discs", "0,1", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_image_fills_out_to_boundary(self):
         # every boundary point in a bounded window gets approached by the

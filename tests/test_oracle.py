@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parastar import (
     BracketSolverConfig,
     DerivativeVanishes,
+    DomainError,
     MaxIterExceeded,
     NoSignChange,
     ParamRange,
@@ -74,6 +77,36 @@ class TestBracketRoot:
     def test_config_validation(self):
         with pytest.raises(ParamRange):
             BracketSolverConfig(abs_tol=0.0)
+
+    @pytest.mark.parametrize("solver", [bracket_root, golden_bracket_root])
+    def test_nan_inside_bracket_raises_at_once(self, solver):
+        # NaN for 0.3 < r < 0.9: the first interior step lands there
+        calls = []
+
+        def cond(r):
+            calls.append(r)
+            return math.nan if 0.3 < r < 0.9 else r - 0.5
+
+        with pytest.raises(DomainError):
+            solver(cond, 0.0, 1.0)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("solver", [bracket_root, golden_bracket_root])
+    def test_nan_at_bracket_end_raises(self, solver):
+        with pytest.raises(DomainError):
+            solver(lambda r: math.nan if r > 0.3 else r - 0.5, 0.0, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(slope=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]),
+           lo=st.floats(-2.0, 1.0), width=st.floats(0.01, 3.0),
+           frac=st.floats(0.01, 0.99), tol_exp=st.integers(-12, -4))
+    def test_affine_root_within_tolerance(self, slope, sign, lo, width, frac, tol_exp):
+        hi = lo + width
+        root = lo + frac * width
+        cfg = BracketSolverConfig(abs_tol=10.0**tol_exp)
+        f = lambda x: sign * slope * (x - root)
+        for solver in (bracket_root, golden_bracket_root):
+            assert abs(solver(f, lo, hi, cfg) - root) <= cfg.abs_tol
 
 
 class TestExtremize:
@@ -182,13 +215,6 @@ class TestInclusion:
                                              margin_fns=halfplane).passed
         assert not check_subordination_inclusion(left_parabola, r * (1 + 1e-3),
                                                  margin_fns=halfplane).passed
-
-    def test_parallel_matches_serial(self):
-        phi = target_map("cosh_sqrt")
-        r = 0.5
-        a = check_subordination_inclusion(phi, r, samples=2048)
-        b = check_subordination_inclusion(phi, r, samples=2048, parallelism=4)
-        assert a.oracle_value == b.oracle_value
 
 
 class TestCertify:

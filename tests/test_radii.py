@@ -42,8 +42,7 @@ class TestCatalogContract:
 
     @pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e.label)
     def test_oracle_agreement(self, entry):
-        method = "golden" if entry.root_only else "bisect"
-        assert abs(entry.closed_form - oracle_root(entry, method=method)) < 1e-9
+        assert abs(entry.closed_form - oracle_root(entry)) < 1e-9
 
     @pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e.label)
     def test_condition_sign_crossing(self, entry):
@@ -292,3 +291,25 @@ class TestRegistry:
 
     def test_default_catalog_size(self):
         assert len(default_entries()) >= 20
+
+
+class TestOracleRoute:
+    @pytest.mark.parametrize("entry_id, route", [
+        ("cardioid", "golden"), ("majorization", "golden"), ("sp", "bisect")])
+    def test_default_route_is_entry_route(self, monkeypatch, entry_id, route):
+        import parastar.oracle as oracle
+
+        entry = get_entry(entry_id)
+        assert entry.route == route
+        used = []
+        for name, attr in (("bisect", "bracket_root"), ("golden", "golden_bracket_root")):
+            solver = getattr(oracle, attr)
+            monkeypatch.setattr(oracle, attr,
+                                lambda *args, _n=name, _s=solver: used.append(_n) or _s(*args))
+        root = oracle_root(entry)
+        assert used == [route]
+        assert root == oracle_root(entry, method=route)
+
+    def test_unknown_method(self):
+        with pytest.raises(ParamRange):
+            oracle_root(get_entry("sine"), method="brent")
