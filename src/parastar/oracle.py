@@ -166,23 +166,6 @@ def scan_for_sign_change(f, lo: float, hi: float, n: int = 256) -> tuple[float, 
     raise NoSignChange(f"no sign change found on [{lo}, {hi}] with {n} samples")
 
 
-def _golden_minimize(g, a: float, b: float, tol: float) -> tuple[float, float]:
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > tol:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - _GOLDEN * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _GOLDEN * (b - a)
-            gd = g(d)
-    x = 0.5 * (a + b)
-    return x, g(x)
-
-
 @dataclass(frozen=True)
 class ExtremeResult:
     min_value: float
@@ -198,36 +181,56 @@ _FUNCTIONALS = {
 }
 
 
-def extremize_on_circle(map_fn, r: float, functional: str = "re",
-                        n_grid: int = 4096, angle_tol: float = 1e-10) -> ExtremeResult:
-    """Extremes of a functional of ``map_fn`` over the circle |z| = r.
-
-    A uniform angular grid (which contains 0 and -pi) is refined around
-    the best grid points by golden-section search down to ``angle_tol``.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError("circle radius must lie in [0, 1]")
-    if functional not in _FUNCTIONALS:
-        raise DomainError(f"unknown functional {functional!r}")
-    fun = _FUNCTIONALS[functional]
-    theta = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
+def _circle_values(map_fn, r: float, theta: np.ndarray) -> np.ndarray:
+    """Map values at r e^{i theta}; a failing or non-finite map is singular."""
     try:
         w = np.asarray(map_fn(r * np.exp(1j * theta)))
     except ParastarError as exc:
         raise SingularOnCircle(f"map failed on |z| = {r}: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise SingularOnCircle(f"non-finite map value on |z| = {r}")
-    vals = fun(w)
+    return w
 
-    def scalar(th: float) -> float:
-        return float(fun(map_fn(r * complex(math.cos(th), math.sin(th)))))
 
-    h = 2.0 * math.pi / n_grid
+# Points per refinement window (odd, so each window keeps its centre); each
+# round shrinks the half-width by (K - 1)/2 = 16 and costs one map call.
+_REFINE_POINTS = 33
+
+
+def extremize_on_circle(map_fn, r: float, functional: str = "re",
+                        n_grid: int = 4096, angle_tol: float = 1e-10) -> ExtremeResult:
+    """Extremes of a functional of ``map_fn`` over the circle |z| = r.
+
+    A uniform angular grid (which contains 0 and -pi) is refined around
+    the best grid points by nested local grids: each round samples both
+    windows in one map call, re-centres each on its best point and
+    shrinks it to one step, until the step is at most ``angle_tol``.
+    """
+    if not 0.0 <= r <= 1.0:
+        raise DomainError("circle radius must lie in [0, 1]")
+    if functional not in _FUNCTIONALS:
+        raise DomainError(f"unknown functional {functional!r}")
+    if not angle_tol > 0.0:
+        raise DomainError("angle_tol must be positive")
+    fun = _FUNCTIONALS[functional]
+    theta = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
+    vals = fun(_circle_values(map_fn, r, theta))
     i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
-    th_min, v_min = _golden_minimize(scalar, theta[i_min] - h, theta[i_min] + h, angle_tol)
-    th_max, v_max = _golden_minimize(lambda t: -scalar(t), theta[i_max] - h, theta[i_max] + h, angle_tol)
-    return ExtremeResult(min_value=v_min, max_value=-v_max,
-                         argmin_angle=th_min, argmax_angle=th_max)
+    th_min, v_min = theta[i_min], vals[i_min]
+    th_max, v_max = theta[i_max], vals[i_max]
+
+    k = _REFINE_POINTS
+    offsets = np.linspace(-1.0, 1.0, k)
+    h = 2.0 * math.pi / n_grid
+    while h > angle_tol:
+        angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
+        vals = fun(_circle_values(map_fn, r, angles))
+        j_min, j_max = int(np.argmin(vals[:k])), k + int(np.argmax(vals[k:]))
+        th_min, v_min = angles[j_min], vals[j_min]
+        th_max, v_max = angles[j_max], vals[j_max]
+        h *= 2.0 / (k - 1)
+    return ExtremeResult(min_value=float(v_min), max_value=float(v_max),
+                         argmin_angle=float(th_min), argmax_angle=float(th_max))
 
 
 # --- growth bounds -------------------------------------------------------
@@ -337,12 +340,7 @@ def check_subordination_inclusion(map_fn, r: float, margin_fns=None,
     if margin_fns is None:
         margin_fns = (region.margin, region.support_margin)
     theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
-    try:
-        w = np.asarray(map_fn(r * np.exp(1j * theta)))
-    except ParastarError as exc:
-        raise SingularOnCircle(f"map failed on |z| = {r}: {exc}") from exc
-    if not np.all(np.isfinite(w)):
-        raise SingularOnCircle(f"non-finite map value on |z| = {r}")
+    w = _circle_values(map_fn, r, theta)
     worst = min(float(np.min(np.asarray(mf(w)))) for mf in margin_fns)
     passed = worst > 0.0
     note = (f"verified at {samples} samples (necessary-condition check)"

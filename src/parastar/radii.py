@@ -128,7 +128,14 @@ _CIRCLE_MAX = {
 }
 # the radius of these classes has no closed form, only a memoized root
 _ROOT_ONLY_NOTES = {"cardioid": "no closed form; memoized root of r e^r = 1/2"}
-_PARAM_CLASSES = ("bs", "alpha_exp", "janowski")
+# parameterised classes and the parameters they take
+_PARAM_CLASSES = {"bs": ("alpha",), "alpha_exp": ("alpha",), "janowski": ("A", "B")}
+
+
+def _reject_unexpected(entry_id: str, params: dict, names=()) -> None:
+    extra = sorted(set(params) - set(names))
+    if extra:
+        raise ParamRange(f"unexpected parameters for {entry_id}: {extra}")
 
 
 def membership_radius(class_id: str, **params) -> RadiusEntry:
@@ -139,6 +146,9 @@ def membership_radius(class_id: str, **params) -> RadiusEntry:
     needs ``alpha``), ``alpha_exp`` (needs ``alpha``) and ``janowski``
     (needs ``A`` and ``B``).
     """
+    if class_id not in _CIRCLE_MAX and class_id not in _PARAM_CLASSES:
+        raise UnknownTarget(f"unknown membership class: {class_id!r}")
+    _reject_unexpected(class_id, params, _PARAM_CLASSES.get(class_id, ()))
     if class_id in _CIRCLE_MAX:
         closed_fn, target = _CIRCLE_MAX[class_id]
         phi = target_map(target)
@@ -170,25 +180,23 @@ def membership_radius(class_id: str, **params) -> RadiusEntry:
                            _circle_max_condition(phi),
                            witness_margin=None if capped else _vertex_witness(phi, closed),
                            capped=capped)
-    if class_id == "janowski":
-        A, B = params.get("A"), params.get("B")
-        if A is None or B is None:
-            raise ParamRange("janowski needs A and B")
-        validate_janowski(A, B)
-        if not -1.0 < B:
-            raise ParamRange("janowski radius needs -1 < B")
+    A, B = params.get("A"), params.get("B")
+    if A is None or B is None:
+        raise ParamRange("janowski needs A and B")
+    validate_janowski(A, B)
+    if not -1.0 < B:
+        raise ParamRange("janowski radius needs -1 < B")
 
-        def condition(r: float) -> float:
-            # disc bound of the Janowski value set on |z| = r against 3/2
-            return ((A - B) * r + 1.0 - A * B * r * r) / (1.0 - B * B * r * r) - 1.5
+    def condition(r: float) -> float:
+        # disc bound of the Janowski value set on |z| = r against 3/2
+        return ((A - B) * r + 1.0 - A * B * r * r) / (1.0 - B * B * r * r) - 1.5
 
-        capped = 2.0 * A - 3.0 * B <= 1.0
-        closed = 1.0 if capped else 1.0 / (2.0 * A - 3.0 * B)
-        phi = target_map(TargetId.JANOWSKI, A=A, B=B)
-        return RadiusEntry("janowski", {"A": A, "B": B}, closed, condition,
-                           witness_margin=None if capped else _vertex_witness(phi, closed),
-                           capped=capped)
-    raise UnknownTarget(f"unknown membership class: {class_id!r}")
+    capped = 2.0 * A - 3.0 * B <= 1.0
+    closed = 1.0 if capped else 1.0 / (2.0 * A - 3.0 * B)
+    phi = target_map(TargetId.JANOWSKI, A=A, B=B)
+    return RadiusEntry("janowski", {"A": A, "B": B}, closed, condition,
+                       witness_margin=None if capped else _vertex_witness(phi, closed),
+                       capped=capped)
 
 
 # --- order and disc radii (parabolic class -> classical class) --------------
@@ -417,25 +425,36 @@ def peng_zhong_radius() -> RadiusEntry:
 # --- registry ----------------------------------------------------------------
 
 
+# single-parameter entries: constructor and the parameter it takes
+_ONE_PARAM = {
+    "caratheodory": (caratheodory_order_radius, "alpha"),
+    "disc_class": (disc_class_radius, "alpha"),
+    "beta_disc": (beta_disc_radius, "beta"),
+    "ratio": (ratio_class_radius, "A"),
+    "mbeta": (m_class_radius, "beta"),
+}
+_FIXED = {"majorization": majorization_radius, "peng_zhong": peng_zhong_radius}
+
+
 def get_entry(entry_id: str, **params) -> RadiusEntry:
-    """Look up any catalog entry by id, with class parameters as needed."""
+    """Look up any catalog entry by id, with class parameters as needed.
+
+    A missing or unexpected parameter raises ``ParamRange``.
+    """
     if entry_id in _CIRCLE_MAX or entry_id in _PARAM_CLASSES:
         return membership_radius(entry_id, **params)
+    if entry_id in _ONE_PARAM:
+        make, name = _ONE_PARAM[entry_id]
+        _reject_unexpected(entry_id, params, (name,))
+        if name not in params:
+            raise ParamRange(f"{entry_id} needs {name}")
+        return make(params[name])
     if entry_id in _COROLLARY:
+        _reject_unexpected(entry_id, params)
         return corollary_radius(entry_id)
-    simple = {
-        "caratheodory": caratheodory_order_radius,
-        "disc_class": disc_class_radius,
-        "beta_disc": beta_disc_radius,
-        "ratio": ratio_class_radius,
-        "mbeta": m_class_radius,
-    }
-    if entry_id in simple:
-        return simple[entry_id](**params)
-    if entry_id == "majorization":
-        return majorization_radius()
-    if entry_id == "peng_zhong":
-        return peng_zhong_radius()
+    if entry_id in _FIXED:
+        _reject_unexpected(entry_id, params)
+        return _FIXED[entry_id]()
     raise UnknownTarget(f"unknown radius entry: {entry_id!r}")
 
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import oracle, radii, region
-from .errors import ParastarError
+from .errors import ParamRange, ParastarError
 from .maps import parabola_map
 from .oracle import VerificationReport
 from .series import PowerSeries, extremal_lower, extremal_upper, p0_coefficients
@@ -227,15 +227,21 @@ def duality_reports() -> list[VerificationReport]:
 
 def run_all(only: str | None = None, tol: float = 1e-9, samples: int | None = None,
             seed: int = 0) -> list[VerificationReport]:
-    """Run every registered check (optionally substring-filtered)."""
+    """Run every registered check (optionally substring-filtered).
+
+    ``samples`` sets the random-member counts of the growth and certify
+    families (default 20 and 50); it must be at least 1.
+    """
+    if samples is not None and samples < 1:
+        raise ParamRange(f"samples must be at least 1, got {samples}")
     reports = []
     reports += radius_reports(tol)
     reports += witness_reports(tol)
     reports += duality_reports()
     reports += series_reports()
     reports += region_reports(seed=seed)
-    reports += growth_reports(samples=samples or 20, seed=seed)
-    reports += certify_reports(samples=samples or 50, seed=seed)
+    reports += growth_reports(samples=20 if samples is None else samples, seed=seed)
+    reports += certify_reports(samples=50 if samples is None else samples, seed=seed)
     if only is not None:
         reports = [r for r in reports if only in r.check_id]
     return reports

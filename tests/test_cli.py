@@ -69,6 +69,21 @@ class TestRadius:
     def test_unknown_id(self):
         assert main(["radius", "bogus"]) == 2
 
+    @pytest.mark.parametrize("entry_id", ["caratheodory", "disc_class", "beta_disc",
+                                          "ratio", "mbeta"])
+    def test_missing_parameter_is_usage_error(self, entry_id, capsys):
+        assert main(["radius", entry_id]) == 2
+        assert f"{entry_id} needs" in capsys.readouterr().err
+
+    def test_unexpected_parameter_is_usage_error(self, capsys):
+        assert main(["radius", "sp", "--alpha", "0.3"]) == 2
+        assert "unexpected parameters for sp: ['alpha']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry_id", ["sp", "r7_nephroid"])
+    def test_parameter_free_entries(self, entry_id, capsys):
+        assert main(["radius", entry_id]) == 0
+        assert json.loads(capsys.readouterr().out)["gap"] < 1e-9
+
 
 class TestRadiusTable:
     def test_contains_expected_rows(self, capsys):
@@ -106,6 +121,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify"])
         assert err.value.code == 2
+
+    def test_zero_samples_is_usage_error(self, capsys):
+        assert main(["verify", "--only", "growth/random", "--samples", "0"]) == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+
+    def test_samples_passed_through(self, capsys):
+        assert main(["verify", "--only", "growth/random", "--samples", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 1
 
     def test_impossible_tolerance_fails(self, capsys):
         # below double precision the refined circle-max root cannot match

@@ -138,6 +138,40 @@ class TestExtremize:
         with pytest.raises(SingularOnCircle):
             extremize_on_circle(left_parabola, 1.0)
 
+    def test_extremum_off_grid_and_off_axis(self):
+        # Re(1 + sin(e^{ia} z)) peaks where e^{ia} z is real and positive,
+        # at angle -a, which is no multiple of the grid step 2 pi / 4096
+        alpha, r = 0.3 + 0.37 * 2.0 * PI / 4096, 0.4
+        res = extremize_on_circle(lambda z: 1.0 + np.sin(np.exp(1j * alpha) * z), r, "re")
+        assert abs(res.max_value - (1.0 + math.sin(r))) < 1e-12
+        off = (res.argmax_angle + alpha + PI) % (2.0 * PI) - PI
+        assert abs(off) < 1e-6
+
+    def test_refinement_failure_is_singular(self):
+        # the map fails only on the refinement batches, never on the grid
+        def phi(z):
+            if np.size(z) != 4096:
+                raise DomainError("refinement point rejected")
+            return left_parabola(z)
+
+        with pytest.raises(SingularOnCircle):
+            extremize_on_circle(phi, 0.5)
+
+    def test_map_call_budget(self):
+        calls = []
+
+        def phi(z):
+            calls.append(np.size(z))
+            return left_parabola(z)
+
+        extremize_on_circle(phi, 0.5)
+        assert len(calls) <= 8
+        assert all(n > 1 for n in calls)
+
+    def test_nonpositive_angle_tol_rejected(self):
+        with pytest.raises(DomainError):
+            extremize_on_circle(left_parabola, 0.5, angle_tol=0.0)
+
 
 class TestGrowthBounds:
     def test_degenerate_at_zero(self):

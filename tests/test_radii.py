@@ -289,6 +289,26 @@ class TestRegistry:
         with pytest.raises(UnknownTarget):
             get_entry("nope")
 
+    @pytest.mark.parametrize("entry_id, name", [
+        ("caratheodory", "alpha"), ("disc_class", "alpha"), ("beta_disc", "beta"),
+        ("ratio", "A"), ("mbeta", "beta")])
+    def test_missing_parameter(self, entry_id, name):
+        with pytest.raises(ParamRange, match=f"{entry_id} needs {name}"):
+            get_entry(entry_id)
+
+    @pytest.mark.parametrize("entry_id, params", [
+        ("sp", {"alpha": 0.3}), ("r7_nephroid", {"beta": 0.5}),
+        ("majorization", {"A": 0.1}), ("bs", {"alpha": 0.5, "B": 0.1}),
+        ("janowski", {"A": 0.5, "B": -0.5, "alpha": 0.2}),
+        ("caratheodory", {"alpha": 0.2, "beta": 0.5})])
+    def test_unexpected_parameters(self, entry_id, params):
+        with pytest.raises(ParamRange, match=f"unexpected parameters for {entry_id}"):
+            get_entry(entry_id, **params)
+
+    def test_membership_radius_rejects_unexpected(self):
+        with pytest.raises(ParamRange, match=r"unexpected parameters for sine: \['alpha'\]"):
+            membership_radius("sine", alpha=0.3)
+
     def test_default_catalog_size(self):
         assert len(default_entries()) >= 20
 
