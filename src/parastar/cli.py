@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import plots, radii, verify
-from .errors import ParastarError
+from .errors import ParamRange, ParastarError
 from .maps import TargetId, eval_target, parabola_map
 from .oracle import SCHEMA, certify_sufficient_condition
 from .series import PowerSeries, extremal_lower, extremal_upper, p0_coefficients
@@ -27,16 +27,13 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_eval(args) -> int:
     z = complex(args.z)
-    params = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.A is not None:
-        params["A"] = args.A
-    if args.B is not None:
-        params["B"] = args.B
+    params = _entry_params(args)
     if args.target == "parabola":
-        value = parabola_map(z, tau=args.tau, theta=args.theta)
-        params = {"tau": args.tau, "theta": args.theta}
+        extra = sorted(set(params) - {"tau", "theta"})
+        if extra:
+            raise ParamRange(f"unexpected parameters for parabola: {extra}")
+        params = {"tau": params.get("tau", 0.0), "theta": params.get("theta", 0.0)}
+        value = parabola_map(z, **params)
     else:
         value = eval_target(args.target, z, **params)
     payload = {"schema": SCHEMA, "target": args.target, "params": params,
@@ -59,7 +56,7 @@ def _cmd_series(args) -> int:
 
 def _entry_params(args) -> dict:
     params = {}
-    for name in ("alpha", "beta", "A", "B"):
+    for name in ("alpha", "beta", "A", "B", "tau", "theta"):
         val = getattr(args, name, None)
         if val is not None:
             params[name] = val
@@ -94,12 +91,7 @@ def _cmd_radius_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.all:
-        only = None
-    elif args.id:
-        only = f"radius/{args.id}"
-    else:
-        only = args.only
+    only = f"radius/{args.id}" if args.id else args.only
     reports = verify.run_all(only=only, tol=args.tol, samples=args.samples,
                              seed=args.seed)
     text = "".join(rep.to_json() + "\n" for rep in reports)
@@ -133,10 +125,8 @@ def _cmd_plot(args) -> int:
     if args.kind == "region":
         curves = plots.region_figure(disc_centers=args.discs, samples=args.samples)
     elif args.kind == "map-image":
-        params = _entry_params(args)
-        params.pop("beta", None)
         curves = plots.map_image_figure(args.target, r=args.r,
-                                        samples=args.samples, **params)
+                                        samples=args.samples, **_entry_params(args))
     elif args.kind == "discs":
         curves = plots.region_figure(disc_centers=args.discs or [0.0, 1.0],
                                      samples=args.samples)
@@ -164,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--alpha", type=float)
     pe.add_argument("--A", type=float)
     pe.add_argument("--B", type=float)
-    pe.add_argument("--tau", type=float, default=0.0)
-    pe.add_argument("--theta", type=float, default=0.0)
+    pe.add_argument("--tau", type=float)
+    pe.add_argument("--theta", type=float)
     pe.add_argument("--out")
     pe.set_defaults(func=_cmd_eval)
 
@@ -190,10 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_radius_table)
 
     pv = sub.add_parser("verify", help="run verification checks as JSONL")
-    pv.add_argument("id", nargs="?",
-                    help="radius id shortcut, same as --only radius/<id>")
-    pv.add_argument("--all", action="store_true")
-    pv.add_argument("--only", help="substring filter on check ids")
+    scope = pv.add_mutually_exclusive_group(required=True)
+    scope.add_argument("id", nargs="?",
+                       help="radius id shortcut, same as --only radius/<id>")
+    scope.add_argument("--all", action="store_true")
+    scope.add_argument("--only", help="substring filter on check ids")
     pv.add_argument("--tol", type=float, default=1e-9)
     pv.add_argument("--samples", type=int)
     pv.add_argument("--seed", type=int, default=0)
@@ -225,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not (args.all or args.only or args.id):
-        parser.error("verify needs a radius id, --only or --all")
     try:
         return args.func(args)
     except ParastarError as exc:

@@ -177,7 +177,6 @@ class ExtremeResult:
 _FUNCTIONALS = {
     "re": lambda w: np.real(w),
     "abs": lambda w: np.abs(w),
-    "arg_shifted": lambda w: np.abs(np.angle(w - 2.0)),
 }
 
 
@@ -192,28 +191,28 @@ def _circle_values(map_fn, r: float, theta: np.ndarray) -> np.ndarray:
     return w
 
 
+# Uniform angular grid of the first pass, and the angle step refinement stops at.
+_N_GRID = 4096
+_ANGLE_TOL = 1e-10
 # Points per refinement window (odd, so each window keeps its centre); each
 # round shrinks the half-width by (K - 1)/2 = 16 and costs one map call.
 _REFINE_POINTS = 33
 
 
-def extremize_on_circle(map_fn, r: float, functional: str = "re",
-                        n_grid: int = 4096, angle_tol: float = 1e-10) -> ExtremeResult:
+def extremize_on_circle(map_fn, r: float, functional: str = "re") -> ExtremeResult:
     """Extremes of a functional of ``map_fn`` over the circle |z| = r.
 
-    A uniform angular grid (which contains 0 and -pi) is refined around
-    the best grid points by nested local grids: each round samples both
-    windows in one map call, re-centres each on its best point and
-    shrinks it to one step, until the step is at most ``angle_tol``.
+    A uniform 4096-point angular grid (which contains 0 and -pi) is refined
+    around the best grid points by nested local grids: each round samples
+    both windows in one map call, re-centres each on its best point and
+    shrinks it to one step, until the step is at most 1e-10.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("circle radius must lie in [0, 1]")
     if functional not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {functional!r}")
-    if not angle_tol > 0.0:
-        raise DomainError("angle_tol must be positive")
     fun = _FUNCTIONALS[functional]
-    theta = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
+    theta = np.linspace(-math.pi, math.pi, _N_GRID, endpoint=False)
     vals = fun(_circle_values(map_fn, r, theta))
     i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
     th_min, v_min = theta[i_min], vals[i_min]
@@ -221,8 +220,8 @@ def extremize_on_circle(map_fn, r: float, functional: str = "re",
 
     k = _REFINE_POINTS
     offsets = np.linspace(-1.0, 1.0, k)
-    h = 2.0 * math.pi / n_grid
-    while h > angle_tol:
+    h = 2.0 * math.pi / _N_GRID
+    while h > _ANGLE_TOL:
         angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
         vals = fun(_circle_values(map_fn, r, angles))
         j_min, j_max = int(np.argmin(vals[:k])), k + int(np.argmax(vals[k:]))
@@ -295,7 +294,10 @@ class CoveringEstimate:
     evaluations: tuple[float, ...]
 
 
-def covering_constant(tol: float = 1e-8, max_refinements: int = 48) -> CoveringEstimate:
+_MAX_REFINEMENTS = 48
+
+
+def covering_constant(tol: float = 1e-8) -> CoveringEstimate:
     """Radius of the disc covered by every class member's image.
 
     Evaluates the upper growth bound at r = 1 - 2^{-k}; the raw sequence
@@ -310,7 +312,7 @@ def covering_constant(tol: float = 1e-8, max_refinements: int = 48) -> CoveringE
 
     evals = [upper(1.0 - 0.5**k) for k in (2, 3)]
     prev = 2.0 * evals[-1] - evals[-2]
-    for k in range(4, max_refinements + 1):
+    for k in range(4, _MAX_REFINEMENTS + 1):
         evals.append(upper(1.0 - 0.5**k))
         extrap = 2.0 * evals[-1] - evals[-2]
         delta = abs(extrap - prev)
@@ -318,7 +320,7 @@ def covering_constant(tol: float = 1e-8, max_refinements: int = 48) -> CoveringE
             return CoveringEstimate(value=extrap, refinements=k, last_delta=delta,
                                     evaluations=tuple(evals))
         prev = extrap
-    raise NoConvergence(f"covering sequence not stable after {max_refinements} refinements: "
+    raise NoConvergence(f"covering sequence not stable after {_MAX_REFINEMENTS} refinements: "
                         f"{evals}")
 
 
@@ -326,8 +328,7 @@ def covering_constant(tol: float = 1e-8, max_refinements: int = 48) -> CoveringE
 
 
 def check_subordination_inclusion(map_fn, r: float, margin_fns=None,
-                                  samples: int = 4096,
-                                  check_id: str = "inclusion") -> VerificationReport:
+                                  samples: int = 4096) -> VerificationReport:
     """Sample-based containment of map(|z| = r) in a region.
 
     ``margin_fns`` are signed margins, positive inside; by default both
@@ -345,7 +346,7 @@ def check_subordination_inclusion(map_fn, r: float, margin_fns=None,
     passed = worst > 0.0
     note = (f"verified at {samples} samples (necessary-condition check)"
             if passed else f"violated at {samples}-sample sweep")
-    return VerificationReport.from_pair(check_id, 0.0, worst, 0.0, samples=samples,
+    return VerificationReport.from_pair("inclusion", 0.0, worst, 0.0, samples=samples,
                                         notes=note, passed=passed)
 
 
@@ -353,8 +354,7 @@ _CERTIFY_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 
 
 def certify_sufficient_condition(f: PowerSeries, t: float, radii=None,
-                                 n_angles: int = 1024,
-                                 check_id: str = "certify") -> VerificationReport:
+                                 n_angles: int = 1024) -> VerificationReport:
     """Sample check of |t(1 + z f''/f') + (1-t) z f'/f - 1| < (3+2t)/6.
 
     ``f`` must be normalised (f(0) = 0, f'(0) = 1).  When the inequality
@@ -390,15 +390,15 @@ def certify_sufficient_condition(f: PowerSeries, t: float, radii=None,
         passed = passed and conclusion_ok
         notes += (f"; conclusion margins: disc {disc_margin:.3e}, "
                   f"region {region_margin:.3e}")
-    return VerificationReport.from_pair(check_id, bound, sup, 0.0, samples=z.size,
+    return VerificationReport.from_pair("certify", bound, sup, 0.0, samples=z.size,
                                         notes=notes, passed=passed)
 
 
-def caratheodory_order_check(p_fn, alpha: float, r: float, n_grid: int = 4096,
-                             check_id: str = "caratheodory") -> VerificationReport:
+def caratheodory_order_check(p_fn, alpha: float, r: float) -> VerificationReport:
     """Is min Re p on |z| = r at least alpha?  (p normalised to p(0) = 1.)"""
-    ext = extremize_on_circle(p_fn, r, "re", n_grid=n_grid)
-    return VerificationReport.from_pair(check_id, alpha, ext.min_value, 0.0, samples=n_grid,
+    ext = extremize_on_circle(p_fn, r, "re")
+    return VerificationReport.from_pair("caratheodory", alpha, ext.min_value, 0.0,
+                                        samples=_N_GRID,
                                         notes=f"argmin angle {ext.argmin_angle:.6f}",
                                         passed=ext.min_value >= alpha)
 
@@ -440,15 +440,14 @@ def caratheodory_log_derivative_bound(r: float) -> float:
 # --- random class members --------------------------------------------------
 
 
-def sample_schwarz_function(rng: np.random.Generator, max_factors: int = 3,
-                            max_modulus: float = 0.8):
-    """Random Schwarz function z * product of Blaschke factors.
+def sample_schwarz_function(rng: np.random.Generator):
+    """Random Schwarz function z * product of one to three Blaschke factors.
 
-    Factor zeros are drawn with modulus at most ``max_modulus``; the
-    factors themselves are returned so the draw can be recorded.
+    Factor zeros are drawn with modulus at most 0.8; the factors
+    themselves are returned so the draw can be recorded.
     """
-    k = int(rng.integers(1, max_factors + 1))
-    zeros = rng.uniform(0.0, max_modulus, k) * np.exp(1j * rng.uniform(-math.pi, math.pi, k))
+    k = int(rng.integers(1, 4))
+    zeros = rng.uniform(0.0, 0.8, k) * np.exp(1j * rng.uniform(-math.pi, math.pi, k))
 
     def w(z):
         z = np.asarray(z, dtype=np.complex128)

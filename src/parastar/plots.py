@@ -31,12 +31,12 @@ def _circle_angles(samples: int) -> np.ndarray:
     return -math.pi + (k + 0.5) * (2.0 * math.pi / samples)
 
 
-def region_figure(disc_centers=(), samples: int = 256, y_max: float = 3.0) -> list[Curve]:
-    """Boundary parabola, tangent rays and any requested inscribed discs."""
+def region_figure(disc_centers=(), samples: int = 256) -> list[Curve]:
+    """Boundary parabola (|Im w| <= 3), tangent rays and any requested inscribed discs."""
     if samples < 64:
         raise DomainError("need at least 64 samples")
-    curves = [Curve("boundary", region.boundary_points(samples, y_max))]
-    x = np.linspace((3.0 - y_max**2) / 2.0, 2.0, samples)
+    curves = [Curve("boundary", region.boundary_points(samples))]
+    x = np.linspace(-3.0, 2.0, samples)
     curves.append(Curve("tangent_plus", x + 1j * (x - 2.0)))
     curves.append(Curve("tangent_minus", x - 1j * (x - 2.0)))
     phis = _circle_angles(samples)
@@ -80,7 +80,10 @@ def curves_to_csv(curves) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curves_to_svg(curves, width: int = 800, height: int = 600) -> str:
+_WIDTH, _HEIGHT = 800, 600  # SVG canvas in pixels
+
+
+def curves_to_svg(curves) -> str:
     xs = np.concatenate([c.points.real for c in curves])
     ys = np.concatenate([c.points.imag for c in curves])
     x0, x1 = float(xs.min()), float(xs.max())
@@ -89,14 +92,14 @@ def curves_to_svg(curves, width: int = 800, height: int = 600) -> str:
     pad_y = 0.05 * (y1 - y0 or 1.0)
     x0, x1 = x0 - pad_x, x1 + pad_x
     y0, y1 = y0 - pad_y, y1 + pad_y
-    sx = width / (x1 - x0)
-    sy = height / (y1 - y0)
+    sx = _WIDTH / (x1 - x0)
+    sy = _HEIGHT / (y1 - y0)
 
     def tx(p):
         return (p.real - x0) * sx, (y1 - p.imag) * sy  # flip y for SVG
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">']
     for i, curve in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
         coords = " L ".join(f"{x:.3f},{y:.3f}" for x, y in map(tx, curve.points))

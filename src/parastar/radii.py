@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import Callable
 
 from . import oracle, region
@@ -77,8 +77,7 @@ class RadiusEntry:
         return f"{self.entry_id}({inner})"
 
 
-def oracle_root(entry: RadiusEntry, method: str | None = None,
-                cfg: oracle.BracketSolverConfig | None = None) -> float:
+def oracle_root(entry: RadiusEntry, method: str | None = None) -> float:
     """Independent root of the entry's condition (1.0 for capped entries).
 
     ``method`` is ``"bisect"`` or ``"golden"``; by default ``entry.route``.
@@ -91,7 +90,7 @@ def oracle_root(entry: RadiusEntry, method: str | None = None,
             raise ParamRange(f"{entry.label}: capped entry with positive condition near 1")
         return 1.0
     solver = oracle.golden_bracket_root if method == "golden" else oracle.bracket_root
-    return solver(entry.condition, *entry.bracket, cfg)
+    return solver(entry.condition, *entry.bracket)
 
 
 def _circle_max_condition(phi) -> Callable[[float], float]:
@@ -118,71 +117,52 @@ def _cardioid_root() -> float:
 
 
 _CIRCLE_MAX = {
-    # class id: (closed form, target map whose max Re on |z| = r reaches 3/2)
-    "sp": (lambda: _tanh_sq(_PI / 4.0), TargetId.RONNING_PARABOLA),
-    "sine": (lambda: _PI / 6.0, TargetId.SINE),
-    "lune": (lambda: 5.0 / 12.0, TargetId.LUNE),
-    "cosh_sqrt": (lambda: math.acosh(1.5) ** 2, TargetId.COSH_SQRT),
-    "asinh": (lambda: math.sinh(0.5), TargetId.ASINH),
-    "cardioid": (_cardioid_root, TargetId.CARDIOID),
+    # class id: (closed form, target map whose max Re on |z| = r reaches 3/2,
+    # note; a note marks a radius with no closed form, only a memoized root)
+    "sp": (lambda: _tanh_sq(_PI / 4.0), TargetId.RONNING_PARABOLA, ""),
+    "sine": (lambda: _PI / 6.0, TargetId.SINE, ""),
+    "lune": (lambda: 5.0 / 12.0, TargetId.LUNE, ""),
+    "cosh_sqrt": (lambda: math.acosh(1.5) ** 2, TargetId.COSH_SQRT, ""),
+    "asinh": (lambda: math.sinh(0.5), TargetId.ASINH, ""),
+    "cardioid": (_cardioid_root, TargetId.CARDIOID,
+                 "no closed form; memoized root of r e^r = 1/2"),
 }
-# the radius of these classes has no closed form, only a memoized root
-_ROOT_ONLY_NOTES = {"cardioid": "no closed form; memoized root of r e^r = 1/2"}
-# parameterised classes and the parameters they take
-_PARAM_CLASSES = {"bs": ("alpha",), "alpha_exp": ("alpha",), "janowski": ("A", "B")}
 
 
-def _reject_unexpected(entry_id: str, params: dict, names=()) -> None:
-    extra = sorted(set(params) - set(names))
-    if extra:
-        raise ParamRange(f"unexpected parameters for {entry_id}: {extra}")
+def _circle_max_radius(class_id: str) -> RadiusEntry:
+    closed_fn, target, notes = _CIRCLE_MAX[class_id]
+    phi = target_map(target)
+    closed = closed_fn()
+    return RadiusEntry(class_id, {}, closed, _circle_max_condition(phi),
+                       witness_margin=_vertex_witness(phi, closed),
+                       root_only=bool(notes), notes=notes)
 
 
-def membership_radius(class_id: str, **params) -> RadiusEntry:
-    """Largest r such that the named class sits in the parabolic class on |z| < r.
+def _bs_radius(alpha: float) -> RadiusEntry:
+    if not 0.0 <= alpha < 1.0:
+        raise ParamRange("bs needs alpha in [0, 1)")
+    closed = 0.5 if alpha == 0.0 else (math.sqrt(1.0 + alpha) - 1.0) / alpha
 
-    ``class_id`` is one of ``sp`` (parabolic starlike), ``sine``, ``lune``,
-    ``cosh_sqrt``, ``asinh``, ``cardioid``, ``bs`` (Booth lemniscate family,
-    needs ``alpha``), ``alpha_exp`` (needs ``alpha``) and ``janowski``
-    (needs ``A`` and ``B``).
-    """
-    if class_id not in _CIRCLE_MAX and class_id not in _PARAM_CLASSES:
-        raise UnknownTarget(f"unknown membership class: {class_id!r}")
-    _reject_unexpected(class_id, params, _PARAM_CLASSES.get(class_id, ()))
-    if class_id in _CIRCLE_MAX:
-        closed_fn, target = _CIRCLE_MAX[class_id]
-        phi = target_map(target)
-        closed = closed_fn()
-        return RadiusEntry(class_id, {}, closed, _circle_max_condition(phi),
-                           witness_margin=_vertex_witness(phi, closed),
-                           root_only=class_id in _ROOT_ONLY_NOTES,
-                           notes=_ROOT_ONLY_NOTES.get(class_id, ""))
-    if class_id == "bs":
-        alpha = params.get("alpha")
-        if alpha is None or not 0.0 <= alpha < 1.0:
-            raise ParamRange("bs needs alpha in [0, 1)")
-        closed = 0.5 if alpha == 0.0 else (math.sqrt(1.0 + alpha) - 1.0) / alpha
+    def phi(z):
+        return 1.0 + z / (1.0 - alpha * z * z)
 
-        def phi(z):
-            return 1.0 + z / (1.0 - alpha * z * z)
+    return RadiusEntry("bs", {"alpha": alpha}, closed, _circle_max_condition(phi),
+                       witness_margin=_vertex_witness(phi, closed))
 
-        return RadiusEntry("bs", {"alpha": alpha}, closed, _circle_max_condition(phi),
-                           witness_margin=_vertex_witness(phi, closed))
-    if class_id == "alpha_exp":
-        alpha = params.get("alpha")
-        if alpha is None or not 0.0 <= alpha < 1.0:
-            raise ParamRange("alpha_exp needs alpha in [0, 1)")
-        phi = target_map(TargetId.ALPHA_EXP, alpha=alpha)
-        raw = math.log(1.0 - 1.0 / (2.0 * (alpha - 1.0)))
-        capped = raw >= 1.0
-        closed = 1.0 if capped else raw
-        return RadiusEntry("alpha_exp", {"alpha": alpha}, closed,
-                           _circle_max_condition(phi),
-                           witness_margin=None if capped else _vertex_witness(phi, closed),
-                           capped=capped)
-    A, B = params.get("A"), params.get("B")
-    if A is None or B is None:
-        raise ParamRange("janowski needs A and B")
+
+def _alpha_exp_radius(alpha: float) -> RadiusEntry:
+    if not 0.0 <= alpha < 1.0:
+        raise ParamRange("alpha_exp needs alpha in [0, 1)")
+    phi = target_map(TargetId.ALPHA_EXP, alpha=alpha)
+    raw = math.log(1.0 - 1.0 / (2.0 * (alpha - 1.0)))
+    capped = raw >= 1.0
+    closed = 1.0 if capped else raw
+    return RadiusEntry("alpha_exp", {"alpha": alpha}, closed, _circle_max_condition(phi),
+                       witness_margin=None if capped else _vertex_witness(phi, closed),
+                       capped=capped)
+
+
+def _janowski_radius(A: float, B: float) -> RadiusEntry:
     validate_janowski(A, B)
     if not -1.0 < B:
         raise ParamRange("janowski radius needs -1 < B")
@@ -197,6 +177,19 @@ def membership_radius(class_id: str, **params) -> RadiusEntry:
     return RadiusEntry("janowski", {"A": A, "B": B}, closed, condition,
                        witness_margin=None if capped else _vertex_witness(phi, closed),
                        capped=capped)
+
+
+def membership_radius(class_id: str, **params) -> RadiusEntry:
+    """Largest r such that the named class sits in the parabolic class on |z| < r.
+
+    ``class_id`` is one of ``sp`` (parabolic starlike), ``sine``, ``lune``,
+    ``cosh_sqrt``, ``asinh``, ``cardioid``, ``bs`` (Booth lemniscate family,
+    needs ``alpha``), ``alpha_exp`` (needs ``alpha``) and ``janowski``
+    (needs ``A`` and ``B``).
+    """
+    if class_id not in _CIRCLE_MAX and class_id not in ("bs", "alpha_exp", "janowski"):
+        raise UnknownTarget(f"unknown membership class: {class_id!r}")
+    return get_entry(class_id, **params)
 
 
 # --- order and disc radii (parabolic class -> classical class) --------------
@@ -425,15 +418,21 @@ def peng_zhong_radius() -> RadiusEntry:
 # --- registry ----------------------------------------------------------------
 
 
-# single-parameter entries: constructor and the parameter it takes
-_ONE_PARAM = {
-    "caratheodory": (caratheodory_order_radius, "alpha"),
-    "disc_class": (disc_class_radius, "alpha"),
-    "beta_disc": (beta_disc_radius, "beta"),
-    "ratio": (ratio_class_radius, "A"),
-    "mbeta": (m_class_radius, "beta"),
+# entry id: (constructor, the parameters it takes, all of them required)
+_ENTRIES = {
+    **{cid: (partial(_circle_max_radius, cid), ()) for cid in _CIRCLE_MAX},
+    "bs": (_bs_radius, ("alpha",)),
+    "alpha_exp": (_alpha_exp_radius, ("alpha",)),
+    "janowski": (_janowski_radius, ("A", "B")),
+    "caratheodory": (caratheodory_order_radius, ("alpha",)),
+    "disc_class": (disc_class_radius, ("alpha",)),
+    "beta_disc": (beta_disc_radius, ("beta",)),
+    **{rid: (partial(corollary_radius, rid), ()) for rid in _COROLLARY},
+    "ratio": (ratio_class_radius, ("A",)),
+    "mbeta": (m_class_radius, ("beta",)),
+    "majorization": (majorization_radius, ()),
+    "peng_zhong": (peng_zhong_radius, ()),
 }
-_FIXED = {"majorization": majorization_radius, "peng_zhong": peng_zhong_radius}
 
 
 def get_entry(entry_id: str, **params) -> RadiusEntry:
@@ -441,21 +440,16 @@ def get_entry(entry_id: str, **params) -> RadiusEntry:
 
     A missing or unexpected parameter raises ``ParamRange``.
     """
-    if entry_id in _CIRCLE_MAX or entry_id in _PARAM_CLASSES:
-        return membership_radius(entry_id, **params)
-    if entry_id in _ONE_PARAM:
-        make, name = _ONE_PARAM[entry_id]
-        _reject_unexpected(entry_id, params, (name,))
-        if name not in params:
-            raise ParamRange(f"{entry_id} needs {name}")
-        return make(params[name])
-    if entry_id in _COROLLARY:
-        _reject_unexpected(entry_id, params)
-        return corollary_radius(entry_id)
-    if entry_id in _FIXED:
-        _reject_unexpected(entry_id, params)
-        return _FIXED[entry_id]()
-    raise UnknownTarget(f"unknown radius entry: {entry_id!r}")
+    try:
+        make, names = _ENTRIES[entry_id]
+    except KeyError:
+        raise UnknownTarget(f"unknown radius entry: {entry_id!r}") from None
+    extra = sorted(set(params) - set(names))
+    if extra:
+        raise ParamRange(f"unexpected parameters for {entry_id}: {extra}")
+    if set(names) - set(params):
+        raise ParamRange(f"{entry_id} needs {' and '.join(names)}")
+    return make(**params)
 
 
 def default_entries() -> list[RadiusEntry]:

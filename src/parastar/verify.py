@@ -2,13 +2,14 @@
 
 This registry backs the ``verify`` command; the acceptance tests run the
 same machinery at full sample counts.  Check ids are hierarchical
-(``radius/...``, ``region/...``, ``series/...``) so runs can be filtered
-by substring.
+(``radius/...``, ``region/...``, ``series/...``) and live in one ordered
+table, so a substring filter selects checks before any of them runs.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -38,29 +39,19 @@ def _verification_catalog() -> list[radii.RadiusEntry]:
     return entries
 
 
-def radius_reports(tol: float = 1e-9) -> list[VerificationReport]:
-    reports = []
-    for entry in _verification_catalog():
-        root = radii.oracle_root(entry)
-        reports.append(VerificationReport.from_pair(
-            f"radius/{entry.label}", entry.closed_form, root, tol,
-            notes=(entry.notes + "; " if entry.notes else "") + f"oracle={entry.route}"))
-    return reports
+def _radius(check_id, entry, tol):
+    root = radii.oracle_root(entry)
+    return VerificationReport.from_pair(
+        check_id, entry.closed_form, root, tol,
+        notes=(entry.notes + "; " if entry.notes else "") + f"oracle={entry.route}")
 
 
-def witness_reports(tol: float = 1e-9) -> list[VerificationReport]:
-    reports = []
-    for entry in _verification_catalog():
-        if entry.witness_margin is None:
-            continue
-        m = entry.witness_margin()
-        reports.append(VerificationReport.from_pair(
-            f"witness/{entry.label}", 0.0, m, tol,
-            notes="extremal identity margin at z0 = radius"))
-    return reports
+def _witness(check_id, entry, tol):
+    return VerificationReport.from_pair(check_id, 0.0, entry.witness_margin(), tol,
+                                        notes="extremal identity margin at z0 = radius")
 
 
-def series_reports() -> list[VerificationReport]:
+def _upper_coefficients(check_id):
     pi2 = _PI**2
     g = extremal_upper(8)
     expected = {
@@ -70,43 +61,47 @@ def series_reports() -> list[VerificationReport]:
     }
     dev = max(abs(g.coeffs[n].real - v) for n, v in expected.items())
     dev = max(dev, float(np.max(np.abs(g.coeffs.imag))))
-    reports = [VerificationReport.from_pair("series/upper_coefficients", 0.0, dev, 1e-12,
-                                            notes="a2..a4 against closed expressions")]
+    return VerificationReport.from_pair(check_id, 0.0, dev, 1e-12,
+                                        notes="a2..a4 against closed expressions")
 
+
+def _defining_ode(check_id):
     n_max = 32
     f = extremal_lower(n_max)
     lp = p0_coefficients(n_max) + 1.0
     lhs = f.z_times_derivative()
     rhs = f * lp
     resid = float(np.max(np.abs(lhs.coeffs[: n_max] - rhs.coeffs[: n_max])))
-    reports.append(VerificationReport.from_pair("series/defining_ode", 0.0, resid, 1e-12,
-                                                notes="z f' = f * map series, coefficientwise"))
-    return reports
+    return VerificationReport.from_pair(check_id, 0.0, resid, 1e-12,
+                                        notes="z f' = f * map series, coefficientwise")
 
 
-def region_reports(seed: int = 0) -> list[VerificationReport]:
-    rng = np.random.default_rng(seed)
-    reports = []
+_PROFILE_RADII = np.arange(0.05, 0.951, 0.05)
 
+
+def _real_part_bounds(check_id):
     # sharp real-part bounds against brute-force angular extremization
     angles = np.linspace(-_PI, _PI, 4096, endpoint=False)
     worst = 0.0
-    monotone_ok = True
-    prev = None
-    for r in np.arange(0.05, 0.951, 0.05):
+    for r in _PROFILE_RADII:
         vals = np.real(parabola_map(r * np.exp(1j * angles)))
         lo, hi = region.real_part_bounds(r)
         worst = max(worst, abs(vals.min() - lo), abs(vals.max() - hi))
-        if prev is not None:
-            monotone_ok &= hi > prev[1] and lo < prev[0]
-        prev = (lo, hi)
-    reports.append(VerificationReport.from_pair("region/real_part_bounds", 0.0, worst, 1e-8,
-                                                samples=4096, notes="19-radius grid"))
-    reports.append(VerificationReport.from_pair("region/profile_monotone", 0.0, 0.0, 0.0,
-                                                notes="max increasing, min decreasing in r",
-                                                passed=monotone_ok))
+    return VerificationReport.from_pair(check_id, 0.0, worst, 1e-8, samples=4096,
+                                        notes="19-radius grid")
 
-    # inscribed discs: inner probe holds, outer probe fails
+
+def _profile_monotone(check_id):
+    bounds = [region.real_part_bounds(r) for r in _PROFILE_RADII]
+    ok = all(hi > prev_hi and lo < prev_lo
+             for (prev_lo, prev_hi), (lo, hi) in zip(bounds, bounds[1:]))
+    return VerificationReport.from_pair(check_id, 0.0, 0.0, 0.0,
+                                        notes="max increasing, min decreasing in r",
+                                        passed=ok)
+
+
+def _inscribed_disc_probes(check_id):
+    # inner probe holds, outer probe fails
     ok = True
     phis = np.linspace(-_PI, _PI, 256, endpoint=False)
     for a in (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.4):
@@ -115,30 +110,30 @@ def region_reports(seed: int = 0) -> list[VerificationReport]:
         outer = a + disc.radius * (1.0 + 1e-3) * np.exp(1j * phis)
         ok &= bool(np.all(region.margin(inner) > 0.0))
         ok &= bool(np.any(region.margin(outer) <= 0.0))
-    reports.append(VerificationReport.from_pair("region/inscribed_disc_probes", 0.0, 0.0, 0.0,
-                                                samples=256, passed=ok))
+    return VerificationReport.from_pair(check_id, 0.0, 0.0, 0.0, samples=256, passed=ok)
 
+
+def _argument_sector(check_id, seed):
     # interior points satisfy the sharp argument sector
+    rng = np.random.default_rng(seed)
     xs = 1.5 - rng.exponential(2.0, 20000)
     ys = rng.uniform(-1.0, 1.0, 20000) * np.sqrt(3.0 - 2.0 * xs)
-    sector_ok = all(region.argument_sector_check(complex(x, y))
-                    for x, y in zip(xs * 0.9999 + 0.00005, ys * 0.9999))
-    reports.append(VerificationReport.from_pair("region/argument_sector", 0.0, 0.0, 0.0,
-                                                samples=20000, passed=sector_ok))
-    return reports
+    ok = all(region.argument_sector_check(complex(x, y))
+             for x, y in zip(xs * 0.9999 + 0.00005, ys * 0.9999))
+    return VerificationReport.from_pair(check_id, 0.0, 0.0, 0.0, samples=20000, passed=ok)
 
 
-def growth_reports(samples: int = 20, seed: int = 0) -> list[VerificationReport]:
-    reports = []
+def _series_vs_quadrature(check_id):
     f = extremal_lower(300)
     g = extremal_upper(300)
     worst = 0.0
     for r in np.arange(0.1, 0.91, 0.1):
         lo, hi = oracle.growth_bounds(r)
         worst = max(worst, abs(lo - float(f(r).real)), abs(hi - float(g(r).real)))
-    reports.append(VerificationReport.from_pair("growth/series_vs_quadrature", 0.0, worst,
-                                                1e-8, notes="r in 0.1..0.9"))
+    return VerificationReport.from_pair(check_id, 0.0, worst, 1e-8, notes="r in 0.1..0.9")
 
+
+def _random_members(check_id, samples, seed):
     rng = np.random.default_rng(seed)
     violation = -math.inf
     for _ in range(samples):
@@ -147,35 +142,57 @@ def growth_reports(samples: int = 20, seed: int = 0) -> list[VerificationReport]
             lo, hi = oracle.growth_bounds(r)
             val = oracle.member_growth_modulus(w_fn, r)
             violation = max(violation, lo - val, val - hi)
-    reports.append(VerificationReport.from_pair(
-        "growth/random_members", 0.0, violation, 1e-8, samples=samples,
-        notes=f"worst sandwich violation, seed={seed}", passed=violation <= 1e-8))
+    return VerificationReport.from_pair(
+        check_id, 0.0, violation, 1e-8, samples=samples,
+        notes=f"worst sandwich violation, seed={seed}", passed=violation <= 1e-8)
 
+
+def _covering_constant(check_id):
     est = oracle.covering_constant()
-    reports.append(VerificationReport.from_pair(
-        "growth/covering_constant", 0.0, est.value, 1e-8, samples=est.refinements,
+    return VerificationReport.from_pair(
+        check_id, 0.0, est.value, 1e-8, samples=est.refinements,
         notes=f"extrapolated at k={est.refinements}, delta={est.last_delta:.3e}",
-        passed=est.last_delta < 1e-8))
-    return reports
+        passed=est.last_delta < 1e-8)
 
 
-def certify_reports(samples: int = 50, seed: int = 0) -> list[VerificationReport]:
-    reports = []
+def _implication(check_id, samples, seed):
     passing = certify_sample_members(n_members=samples, t=0.0, seed=seed)
     contained = sum(1 for rep in passing if rep.passed)
-    reports.append(VerificationReport.from_pair(
-        "certify/implication_t0", 0.0, len(passing) - contained, 0.0, samples=len(passing),
+    return VerificationReport.from_pair(
+        check_id, 0.0, len(passing) - contained, 0.0, samples=len(passing),
         notes=f"{contained}/{len(passing)} certified members inside the region, seed={seed}",
-        passed=contained == len(passing)))
+        passed=contained == len(passing))
 
-    for c, expect in ((0.3, True), (0.4, False)):
-        f = PowerSeries([0.0, 1.0, c])
-        rep = oracle.certify_sufficient_condition(f, 0.0)
-        reports.append(VerificationReport.from_pair(
-            f"certify/quadratic_c{c:g}", rep.closed_form, rep.oracle_value, 0.0,
-            samples=rep.samples, notes=f"expected {'pass' if expect else 'fail'}",
-            passed=rep.passed == expect))
-    return reports
+
+def _quadratic(check_id, c, expect):
+    rep = oracle.certify_sufficient_condition(PowerSeries([0.0, 1.0, c]), 0.0)
+    return VerificationReport.from_pair(
+        check_id, rep.closed_form, rep.oracle_value, 0.0, samples=rep.samples,
+        notes=f"expected {'pass' if expect else 'fail'}", passed=rep.passed == expect)
+
+
+def _checks(tol, samples, seed):
+    """Ordered (check id, report function) table; a function gets its id."""
+    catalog = _verification_catalog()
+    rows = [(f"radius/{e.label}", partial(_radius, entry=e, tol=tol)) for e in catalog]
+    rows += [(f"witness/{e.label}", partial(_witness, entry=e, tol=tol))
+             for e in catalog if e.witness_margin is not None]
+    return rows + [
+        ("series/upper_coefficients", _upper_coefficients),
+        ("series/defining_ode", _defining_ode),
+        ("region/real_part_bounds", _real_part_bounds),
+        ("region/profile_monotone", _profile_monotone),
+        ("region/inscribed_disc_probes", _inscribed_disc_probes),
+        ("region/argument_sector", partial(_argument_sector, seed=seed)),
+        ("growth/series_vs_quadrature", _series_vs_quadrature),
+        ("growth/random_members",
+         partial(_random_members, samples=20 if samples is None else samples, seed=seed)),
+        ("growth/covering_constant", _covering_constant),
+        ("certify/implication_t0",
+         partial(_implication, samples=50 if samples is None else samples, seed=seed)),
+        ("certify/quadratic_c0.3", partial(_quadratic, c=0.3, expect=True)),
+        ("certify/quadratic_c0.4", partial(_quadratic, c=0.4, expect=False)),
+    ]
 
 
 def random_polynomial_members(rng: np.random.Generator, n: int):
@@ -215,33 +232,18 @@ def certify_sample_members(n_members: int, t: float, seed: int = 0):
     return passing
 
 
-def duality_reports() -> list[VerificationReport]:
-    gap = 0.0
-    for beta in (0.25, 0.5, 0.75):
-        a = radii.beta_disc_radius(beta).closed_form
-        b = radii.caratheodory_order_radius(1.0 - beta).closed_form
-        gap = max(gap, abs(a - b))
-    return [VerificationReport.from_pair("radius/beta_order_duality", 0.0, gap, 0.0,
-                                         notes="exact formula identity")]
-
-
 def run_all(only: str | None = None, tol: float = 1e-9, samples: int | None = None,
             seed: int = 0) -> list[VerificationReport]:
-    """Run every registered check (optionally substring-filtered).
+    """Run every registered check whose id contains ``only`` (all by default).
 
-    ``samples`` sets the random-member counts of the growth and certify
-    families (default 20 and 50); it must be at least 1.
+    Checks are selected before any of them runs.  ``samples`` sets the
+    random-member counts of the growth and certify checks (default 20
+    and 50); it must be at least 1.
     """
     if samples is not None and samples < 1:
         raise ParamRange(f"samples must be at least 1, got {samples}")
-    reports = []
-    reports += radius_reports(tol)
-    reports += witness_reports(tol)
-    reports += duality_reports()
-    reports += series_reports()
-    reports += region_reports(seed=seed)
-    reports += growth_reports(samples=20 if samples is None else samples, seed=seed)
-    reports += certify_reports(samples=50 if samples is None else samples, seed=seed)
-    if only is not None:
-        reports = [r for r in reports if only in r.check_id]
-    return reports
+    rows = [(cid, fn) for cid, fn in _checks(tol, samples, seed)
+            if only is None or only in cid]
+    if not rows:
+        raise ParamRange(f"no check id contains {only!r}")
+    return [fn(cid) for cid, fn in rows]

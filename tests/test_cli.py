@@ -40,6 +40,20 @@ class TestEval:
     def test_singular_point_is_usage_error(self, capsys):
         assert main(["eval", "--target", "left_parabola", "--z", "1"]) == 2
 
+    def test_parabola_defaults(self, capsys):
+        assert main(["eval", "--target", "parabola", "--z", "0.3"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == {"tau": 0.0, "theta": 0.0}
+
+    def test_parabola_rejects_class_parameters(self, capsys):
+        assert main(["eval", "--target", "parabola", "--z", "0.3",
+                     "--A", "0.5", "--B", "-0.5"]) == 2
+        assert "unexpected parameters for parabola: ['A', 'B']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tau", "--theta"])
+    def test_other_targets_reject_tau_and_theta(self, flag, capsys):
+        assert main(["eval", "--target", "sine", "--z", "0.3", flag, "1.0"]) == 2
+        assert f"unexpected parameters for sine: ['{flag[2:]}']" in capsys.readouterr().err
+
 
 class TestSeries:
     def test_csv_shape(self, capsys):
@@ -121,6 +135,18 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["sp", "--only", "growth"], ["--all", "--only", "growth"],
+                                      ["--all", "sp"]])
+    def test_scopes_are_exclusive(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", *argv])
+        assert err.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_unmatched_filter_is_usage_error(self, capsys):
+        assert main(["verify", "--only", "nomatch"]) == 2
+        assert "no check id contains 'nomatch'" in capsys.readouterr().err
 
     def test_zero_samples_is_usage_error(self, capsys):
         assert main(["verify", "--only", "growth/random", "--samples", "0"]) == 2

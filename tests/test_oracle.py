@@ -168,10 +168,6 @@ class TestExtremize:
         assert len(calls) <= 8
         assert all(n > 1 for n in calls)
 
-    def test_nonpositive_angle_tol_rejected(self):
-        with pytest.raises(DomainError):
-            extremize_on_circle(left_parabola, 0.5, angle_tol=0.0)
-
 
 class TestGrowthBounds:
     def test_degenerate_at_zero(self):

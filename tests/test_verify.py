@@ -1,0 +1,40 @@
+import pytest
+
+import parastar.radii as radii
+from parastar.verify import run_all
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    return run_all()
+
+
+class TestSelectBeforeRun:
+    def test_unselected_radius_checks_never_run(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a radius root was computed")
+
+        monkeypatch.setattr(radii, "oracle_root", fail)
+        reports = run_all(only="growth/covering")
+        assert [r.check_id for r in reports] == ["growth/covering_constant"]
+        assert reports[0].passed
+
+    def test_one_radius_check_solves_once(self, monkeypatch):
+        solve = radii.oracle_root
+        calls = []
+        monkeypatch.setattr(radii, "oracle_root",
+                            lambda entry: calls.append(entry.label) or solve(entry))
+        reports = run_all(only="radius/sp")
+        assert calls == ["sp"]
+        assert [r.check_id for r in reports] == ["radius/sp"]
+
+
+class TestFullRun:
+    def test_ids_unique(self, full_run):
+        ids = [r.check_id for r in full_run]
+        assert len(ids) == len(set(ids)) == 73
+
+    @pytest.mark.parametrize("only", ["growth", "radius/sp", "witness", "region", "certify",
+                                      "janowski", "c0.3"])
+    def test_filtered_run_equals_full_run_lines(self, full_run, only):
+        assert run_all(only=only) == [r for r in full_run if only in r.check_id]
