@@ -50,7 +50,6 @@ from .oracle import (
     janowski_disc_bound,
     member_growth_modulus,
     sample_schwarz_function,
-    scan_for_sign_change,
 )
 from .radii import (
     RadiusEntry,
@@ -90,7 +89,6 @@ from .series import (
     integrate_over_t,
     p0_coefficients,
     series_exp,
-    series_log,
 )
 
 __version__ = "0.1.0"

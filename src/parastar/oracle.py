@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import region
 from .errors import (
@@ -154,18 +153,6 @@ def golden_bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None
     raise MaxIterExceeded("golden-section bracketing did not reach tolerance")
 
 
-def scan_for_sign_change(f, lo: float, hi: float, n: int = 256) -> tuple[float, float]:
-    """First subinterval of a uniform n-point scan where f changes sign."""
-    xs = np.linspace(lo, hi, n)
-    prev_x, prev_f = xs[0], f(xs[0])
-    for x in xs[1:]:
-        fx = f(x)
-        if prev_f == 0.0 or math.copysign(1.0, fx) != math.copysign(1.0, prev_f):
-            return float(prev_x), float(x)
-        prev_x, prev_f = x, fx
-    raise NoSignChange(f"no sign change found on [{lo}, {hi}] with {n} samples")
-
-
 @dataclass(frozen=True)
 class ExtremeResult:
     min_value: float
@@ -234,16 +221,17 @@ def extremize_on_circle(map_fn, r: float, functional: str = "re") -> ExtremeResu
 
 # --- growth bounds -------------------------------------------------------
 
-# Integrands of int_0^r k(+-t)/t dt for the parabola kernel k.  Near 0 the
-# removable singularity is handled by the kernel series on [0, 0.1].
+# Integrands of int_0^r k(+-t)/t dt for the parabola kernel k, on arrays of
+# t.  Near 0 the removable singularity is handled by the kernel series on
+# [0, 0.1].
 
 
-def _lower_integrand(t: float) -> float:
+def _lower_integrand(t: np.ndarray) -> np.ndarray:
     return -region.kernel_modulus(t) / t
 
 
-def _upper_integrand(t: float) -> float:
-    return (8.0 / _PI_SQ) * math.atan(math.sqrt(t)) ** 2 / t
+def _upper_integrand(t: np.ndarray) -> np.ndarray:
+    return (8.0 / _PI_SQ) * np.arctan(np.sqrt(t)) ** 2 / t
 
 
 @cache
@@ -254,11 +242,82 @@ def _kernel_integral_series() -> PowerSeries:
 
 
 _SERIES_CUT = 0.1
+
+
+@cache
+def _series_at_cut() -> tuple[float, float]:
+    # (lower, upper) kernel integrals over [0, _SERIES_CUT]
+    iser = _kernel_integral_series()
+    return iser(_SERIES_CUT).real, iser(-_SERIES_CUT).real
+
+
 _QUAD_TARGET = 1e-10
+# Adaptive Gauss-Legendre panels: a panel is accepted when its own rule
+# and the sum over its two halves differ by at most _PANEL_TOL times the
+# integral of |fn| (estimated on the first panel); otherwise both halves
+# stay open.  The bound is absolute, so panels at a steep end whose
+# values carry rounding noise are still accepted once they are small.
+_GAUSS_POINTS = 20
+_PANEL_TOL = 1e-14
+_MAX_PANELS = 500
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # Golub-Welsch nodes (eigenvalues of the Jacobi matrix of the Legendre
+    # recurrence), polished by Newton steps on P_n; the weights
+    # 2/((1 - x^2) P_n'(x)^2) then sum to 2 to rounding.
+    n = _GAUSS_POINTS
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(2):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
+def _panel_sums(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre sums of fn and |fn| over the panels [lo, hi], in one call of fn."""
+    nodes, weights = _gauss_legendre()
+    half = 0.5 * (hi - lo)
+    t = (lo + half)[:, None] + half[:, None] * nodes
+    vals = np.asarray(fn(t.ravel()), dtype=np.float64).reshape(t.shape)
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureFailure("integrand is not finite at a quadrature node")
+    return half * (vals @ weights), np.abs(half) * (np.abs(vals) @ weights)
 
 
 def _quad_checked(fn, a: float, b: float) -> float:
-    val, err = quad(fn, a, b, epsabs=1e-13, epsrel=1e-13, limit=500)
+    """Integral over [a, b] of ``fn``, which maps an array of t to values.
+
+    Each round halves every open panel and evaluates all halves in one
+    call.  Raises ``QuadratureFailure`` on a non-finite value, when the
+    partition would exceed 500 panels, or when the summed disagreement
+    of the accepted panels misses the 1e-10 target.
+    """
+    lo, hi = np.array([a], dtype=np.float64), np.array([b], dtype=np.float64)
+    whole, (scale,) = _panel_sums(fn, lo, hi)
+    accepted, err = [], 0.0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        halves, _ = _panel_sums(fn, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        left, right = halves[:lo.size], halves[lo.size:]
+        pair = left + right
+        diff = np.abs(pair - whole)
+        ok = diff <= _PANEL_TOL * scale
+        accepted.extend(pair[ok].tolist())
+        err += float(np.sum(diff[ok]))
+        split = ~ok
+        lo = np.concatenate((lo[split], mid[split]))
+        hi = np.concatenate((mid[split], hi[split]))
+        whole = np.concatenate((left[split], right[split]))
+        if len(accepted) + lo.size > _MAX_PANELS:
+            raise QuadratureFailure(f"quadrature needs more than {_MAX_PANELS} panels")
+    val = math.fsum(accepted)
     if err > _QUAD_TARGET * (1.0 + abs(val)):
         raise QuadratureFailure(f"quadrature error estimate {err:.3e} too large")
     return val
@@ -274,13 +333,12 @@ def growth_bounds(r: float) -> tuple[float, float]:
         raise DomainError("radius must lie in [0, 1)")
     if r == 0.0:
         return 0.0, 0.0
-    a = min(r, _SERIES_CUT)
-    iser = _kernel_integral_series()
-    i_lower = iser(a).real
-    i_upper = iser(-a).real
-    if r > a:
-        i_lower += _quad_checked(_lower_integrand, a, r)
-        i_upper += _quad_checked(_upper_integrand, a, r)
+    if r <= _SERIES_CUT:
+        iser = _kernel_integral_series()
+        return r * math.exp(iser(r).real), r * math.exp(iser(-r).real)
+    i_lower, i_upper = _series_at_cut()
+    i_lower += _quad_checked(_lower_integrand, _SERIES_CUT, r)
+    i_upper += _quad_checked(_upper_integrand, _SERIES_CUT, r)
     return r * math.exp(i_lower), r * math.exp(i_upper)
 
 
@@ -306,8 +364,7 @@ def covering_constant(tol: float = 1e-8) -> CoveringEstimate:
     """
 
     def upper(rr: float) -> float:
-        iser = _kernel_integral_series()
-        return rr * math.exp(iser(-_SERIES_CUT).real
+        return rr * math.exp(_series_at_cut()[1]
                              + _quad_checked(_upper_integrand, _SERIES_CUT, rr))
 
     evals = [upper(1.0 - 0.5**k) for k in (2, 3)]
@@ -470,8 +527,8 @@ def member_growth_modulus(w_fn, r: float) -> float:
     if r == 0.0:
         return 0.0
 
-    def integrand(t: float) -> float:
-        return (parabola_map(complex(w_fn(t))) / t).real
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return (parabola_map(w_fn(t)) / t).real
 
     val = _quad_checked(integrand, 1e-12, r)
     return r * math.exp(val)

@@ -41,14 +41,20 @@ def support_margin(w):
     return m if m.ndim else float(m)
 
 
-def log_ratio(r: float) -> float:
-    """log((1+sqrt r)/(1-sqrt r)), the kernel's logarithm on 0 <= r < 1."""
-    s = math.sqrt(r)
-    return math.log((1.0 + s) / (1.0 - s))
+def log_ratio(r):
+    """log((1+sqrt r)/(1-sqrt r)), the kernel's logarithm on 0 <= r < 1.
+
+    An array is evaluated elementwise with numpy.  A scalar goes through
+    ``math``, whose log can differ from numpy's in the last bit, so the
+    radius conditions that call this keep their roots.
+    """
+    xp = np if np.ndim(r) else math
+    s = xp.sqrt(r)
+    return xp.log((1.0 + s) / (1.0 - s))
 
 
-def kernel_modulus(r: float) -> float:
-    """|k(r)| = (2/pi^2) log^2((1+sqrt r)/(1-sqrt r)) on 0 <= r < 1."""
+def kernel_modulus(r):
+    """|k(r)| = (2/pi^2) log^2((1+sqrt r)/(1-sqrt r)) on 0 <= r < 1; r may be an array."""
     return (2.0 / _PI_SQ) * log_ratio(r) ** 2
 
 

@@ -124,21 +124,6 @@ def series_exp(s: PowerSeries) -> PowerSeries:
     return PowerSeries(e)
 
 
-def series_log(p: PowerSeries) -> PowerSeries:
-    """Inverse of ``series_exp`` for a series with constant term 1."""
-    if p.coeffs[0] != 1:
-        raise NonzeroConstantTerm("series_log needs constant term exactly 1")
-    n_max = p.degree
-    s = np.zeros(n_max + 1, dtype=np.complex128)
-    for n in range(1, n_max + 1):
-        acc = n * p.coeffs[n]
-        if n > 1:
-            k = np.arange(1, n)
-            acc -= np.dot(k * s[1:n], p.coeffs[n - 1 : 0 : -1])
-        s[n] = acc / n
-    return PowerSeries(s)
-
-
 def integrate_over_t(s: PowerSeries) -> PowerSeries:
     """Termwise integral of s(t)/t from 0 to z; needs s(0) = 0."""
     if s.coeffs[0] != 0:

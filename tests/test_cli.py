@@ -246,3 +246,25 @@ class TestSubprocessEntry:
     def test_usage_error_exit_code(self):
         code, _, err = run_cli("frobnicate")
         assert code == 2
+
+
+class TestScipyFree:
+    """The runtime needs numpy only; scipy is a test-only reference."""
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import parastar, sys; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_growth_checks_load_no_scipy(self):
+        # -X importtime lists every module imported, one per stderr line
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "parastar",
+                               "verify", "--only", "growth"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == 3
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "parastar.oracle" in imported
+        assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]

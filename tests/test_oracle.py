@@ -13,6 +13,7 @@ from parastar import (
     NoSignChange,
     ParamRange,
     PowerSeries,
+    QuadratureFailure,
     SingularOnCircle,
     bracket_root,
     caratheodory_log_derivative_bound,
@@ -29,8 +30,9 @@ from parastar import (
     janowski_disc_bound,
     left_parabola,
     member_growth_modulus,
+    oracle,
+    parabola_map,
     sample_schwarz_function,
-    scan_for_sign_change,
     target_map,
 )
 from support import assert_quoted, log_ratio
@@ -65,14 +67,6 @@ class TestBracketRoot:
         a = bracket_root(cond, 1e-9, 1 - 1e-9)
         b = golden_bracket_root(cond, 1e-9, 1 - 1e-9)
         assert abs(a - b) < 1e-11
-
-    def test_scan_grid_doubling_invariance(self):
-        f = lambda r: math.cos(3.0 * r) - 0.2
-        roots = []
-        for n in (64, 128, 256):
-            lo, hi = scan_for_sign_change(f, 0.0, 1.0, n)
-            roots.append(bracket_root(f, lo, hi))
-        assert max(roots) - min(roots) < 2e-12
 
     def test_config_validation(self):
         with pytest.raises(ParamRange):
@@ -192,6 +186,15 @@ class TestGrowthBounds:
         assert gap_3k < gap_1k
         assert gap_3k < 5e-6
 
+    def test_certified_close_to_one(self):
+        # within 2^-48 of the kernel's singularity at t = 1 the quadrature
+        # still meets its target, and the bounds keep moving apart
+        vals = [growth_bounds(1.0 - 2.0**-k) for k in (20, 30, 40, 48)]
+        lows = [lo for lo, _ in vals]
+        highs = [hi for _, hi in vals]
+        assert all(b < a for a, b in zip(lows, lows[1:]))
+        assert all(b > a for a, b in zip(highs, highs[1:]))
+
     def test_sandwich_for_random_members(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -224,6 +227,63 @@ class TestCovering:
                            epsabs=1e-14, epsrel=1e-14)
         expected = math.exp(16.0 / PI**2 * integral)
         assert abs(covering_constant().value - expected) < 1e-7
+
+
+def _reference_quad(fn, a, b):
+    # scipy as an independent reference.  Breakpoints 1 - (1 - b) 2^k
+    # resolve the steep end near the kernel's singularity at t = 1;
+    # without them it is off by 1.7e-8 at b = 1 - 2^-30 for the lower
+    # integrand.
+    from scipy.integrate import quad
+
+    points = sorted(1.0 - (1.0 - b) * 2.0**k for k in range(1, 60)
+                    if 1.0 - (1.0 - b) * 2.0**k > a)
+    val, _ = quad(fn, a, b, points=points or None, epsabs=1e-13, epsrel=1e-13, limit=500)
+    return val
+
+
+class TestQuadrature:
+    def test_polynomial_exact(self):
+        # 20 Gauss-Legendre points integrate degree 39 exactly
+        assert abs(oracle._quad_checked(lambda t: t**39, 0.0, 1.0) - 1.0 / 40.0) < 1e-16
+
+    def test_non_finite_integrand_raises_at_once(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return np.where(t > 0.7, np.nan, t)
+
+        with pytest.raises(QuadratureFailure):
+            oracle._quad_checked(fn, 0.0, 1.0)
+        assert len(calls) == 1
+
+    def test_non_integrable_integrand_raises(self):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(QuadratureFailure):
+                oracle._quad_checked(lambda t: 1.0 / (t - 0.5) ** 2, 0.0, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6, 1.0 - 2.0**-30,
+                                   1.0 - 2.0**-48])
+    def test_growth_integrands_agree_with_scipy(self, r):
+        lower = lambda t: -(2.0 / PI**2) * log_ratio(t) ** 2 / t
+        upper = lambda t: (8.0 / PI**2) * math.atan(math.sqrt(t)) ** 2 / t
+        for vectorised, scalar in ((oracle._lower_integrand, lower),
+                                   (oracle._upper_integrand, upper)):
+            ours = oracle._quad_checked(vectorised, 0.1, r)
+            ref = _reference_quad(scalar, 0.1, r)
+            assert abs(ours - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_member_modulus_agrees_with_scipy(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            w_fn, _ = sample_schwarz_function(rng)
+            integrand = lambda t: (parabola_map(complex(w_fn(t))) / t).real
+            for r in (0.2, 0.5, 0.8, 0.95):
+                ref = r * math.exp(_reference_quad(integrand, 1e-12, r))
+                assert abs(member_growth_modulus(w_fn, r) - ref) <= 1e-14 * ref
 
 
 class TestInclusion:
