@@ -102,12 +102,21 @@ def _value(f, x: float) -> float:
 
 
 def bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None) -> float:
-    """Bisection root of f on [lo, hi]; needs a sign change at the ends.
+    """ITP root of f on [lo, hi]; needs a sign change at the ends.
 
-    Returns r with bracket width and |f(r)| both below ``cfg.abs_tol``.
-    A NaN value of f raises ``DomainError`` at once.
+    Interpolate, truncate, project (Oliveira & Takahashi 2020): each step
+    takes the regula-falsi point, moves it toward the midpoint by
+    0.2 w^2 / (hi - lo) for bracket width w, and projects it into a ball
+    around the midpoint that shrinks so that the width reaches
+    ``cfg.abs_tol`` within ceil(log2((hi - lo) / abs_tol)) + 1 steps, one
+    more than halving alone.  Smooth roots converge superlinearly.  After
+    those steps, plain regula-falsi steps go on until |f| is small too.
+    Returns an evaluated end r of a bracket whose width and |f(r)| are
+    both at most ``cfg.abs_tol``.  A NaN value of f raises ``DomainError``
+    at once; an infinite one makes that step a midpoint.
     """
     cfg = cfg or _DEFAULT_CFG
+    tol = cfg.abs_tol
     flo, fhi = _value(f, lo), _value(f, hi)
     if flo == 0.0:
         return lo
@@ -115,16 +124,35 @@ def bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None
         return hi
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-    for _ in range(cfg.max_iter):
+    kappa = 0.2 / (hi - lo)
+    n_max = max(0, math.ceil(math.log2((hi - lo) / tol))) + 1
+    # the projection aims two ulps under tol, so rounded iterates still
+    # bring the width to tol within n_max steps
+    target = max(tol - 2.0 * math.ulp(max(abs(lo), abs(hi))), 0.5 * tol)
+    for j in range(cfg.max_iter):
+        if hi - lo <= tol:
+            x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+            if abs(fx) <= tol:
+                return x
         mid = 0.5 * (lo + hi)
-        fmid = _value(f, mid)
-        if fmid == 0.0 or (hi - lo <= cfg.abs_tol and abs(fmid) <= cfg.abs_tol):
-            return mid
-        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
-            lo, flo = mid, fmid
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        step = mid - x
+        delta = kappa * (hi - lo) ** 2
+        x = x + math.copysign(delta, step) if delta <= abs(step) else mid
+        if j < n_max:
+            radius = max(math.ldexp(target, n_max - j - 1) - 0.5 * (hi - lo), 0.0)
+            if abs(x - mid) > radius:
+                x = mid - math.copysign(radius, step)
+        elif not lo < x < hi:
+            x = mid
+        fx = _value(f, x)
+        if fx == 0.0:
+            return x
+        if math.copysign(1.0, fx) == math.copysign(1.0, flo):
+            lo, flo = x, fx
         else:
-            hi = mid
-    raise MaxIterExceeded("bisection did not reach tolerance")
+            hi, fhi = x, fx
+    raise MaxIterExceeded("ITP did not reach tolerance")
 
 
 def golden_bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None) -> float:
@@ -167,10 +195,11 @@ _FUNCTIONALS = {
 }
 
 
-def _circle_values(map_fn, r: float, theta: np.ndarray) -> np.ndarray:
-    """Map values at r e^{i theta}; a failing or non-finite map is singular."""
+def _circle_values(map_fn, r: float, z: np.ndarray) -> np.ndarray:
+    """Map values at points z of the circle |z| = r; a failing or
+    non-finite map is singular."""
     try:
-        w = np.asarray(map_fn(r * np.exp(1j * theta)))
+        w = np.asarray(map_fn(z))
     except ParastarError as exc:
         raise SingularOnCircle(f"map failed on |z| = {r}: {exc}") from exc
     if not np.all(np.isfinite(w)):
@@ -178,8 +207,13 @@ def _circle_values(map_fn, r: float, theta: np.ndarray) -> np.ndarray:
     return w
 
 
-# Uniform angular grid of the first pass, and the angle step refinement stops at.
+# Uniform angular grid of the first pass with its points e^{i theta} on the
+# unit circle (both computed once), and the angle step refinement stops at.
 _N_GRID = 4096
+_GRID = np.linspace(-math.pi, math.pi, _N_GRID, endpoint=False)
+_GRID_UNIT = np.exp(1j * _GRID)
+_GRID.setflags(write=False)
+_GRID_UNIT.setflags(write=False)
 _ANGLE_TOL = 1e-10
 # Points per refinement window (odd, so each window keeps its centre); each
 # round shrinks the half-width by (K - 1)/2 = 16 and costs one map call.
@@ -199,18 +233,17 @@ def extremize_on_circle(map_fn, r: float, functional: str = "re") -> ExtremeResu
     if functional not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {functional!r}")
     fun = _FUNCTIONALS[functional]
-    theta = np.linspace(-math.pi, math.pi, _N_GRID, endpoint=False)
-    vals = fun(_circle_values(map_fn, r, theta))
+    vals = fun(_circle_values(map_fn, r, r * _GRID_UNIT))
     i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
-    th_min, v_min = theta[i_min], vals[i_min]
-    th_max, v_max = theta[i_max], vals[i_max]
+    th_min, v_min = _GRID[i_min], vals[i_min]
+    th_max, v_max = _GRID[i_max], vals[i_max]
 
     k = _REFINE_POINTS
     offsets = np.linspace(-1.0, 1.0, k)
     h = 2.0 * math.pi / _N_GRID
     while h > _ANGLE_TOL:
         angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
-        vals = fun(_circle_values(map_fn, r, angles))
+        vals = fun(_circle_values(map_fn, r, r * np.exp(1j * angles)))
         j_min, j_max = int(np.argmin(vals[:k])), k + int(np.argmax(vals[k:]))
         th_min, v_min = angles[j_min], vals[j_min]
         th_max, v_max = angles[j_max], vals[j_max]
@@ -398,7 +431,7 @@ def check_subordination_inclusion(map_fn, r: float, margin_fns=None,
     if margin_fns is None:
         margin_fns = (region.margin, region.support_margin)
     theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
-    w = _circle_values(map_fn, r, theta)
+    w = _circle_values(map_fn, r, r * np.exp(1j * theta))
     worst = min(float(np.min(np.asarray(mf(w)))) for mf in margin_fns)
     passed = worst > 0.0
     note = (f"verified at {samples} samples (necessary-condition check)"

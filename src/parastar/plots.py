@@ -26,20 +26,21 @@ class Curve:
 
 
 def _circle_angles(samples: int) -> np.ndarray:
-    # half-step offset keeps z = 1 (the map singularity) off the grid
+    # half-step offset keeps z = 1 (the map singularity) off the grid; every
+    # figure draws its circles and curves with at least 64 samples
+    if samples < 64:
+        raise DomainError("need at least 64 samples")
     k = np.arange(samples)
     return -math.pi + (k + 0.5) * (2.0 * math.pi / samples)
 
 
 def region_figure(disc_centers=(), samples: int = 256) -> list[Curve]:
     """Boundary parabola (|Im w| <= 3), tangent rays and any requested inscribed discs."""
-    if samples < 64:
-        raise DomainError("need at least 64 samples")
+    phis = _circle_angles(samples)
     curves = [Curve("boundary", region.boundary_points(samples))]
     x = np.linspace(-3.0, 2.0, samples)
     curves.append(Curve("tangent_plus", x + 1j * (x - 2.0)))
     curves.append(Curve("tangent_minus", x - 1j * (x - 2.0)))
-    phis = _circle_angles(samples)
     for a in disc_centers:
         disc = region.inscribed_disc(a)
         curves.append(Curve(f"disc_a={a:g}", a + disc.radius * np.exp(1j * phis)))
@@ -49,12 +50,10 @@ def region_figure(disc_centers=(), samples: int = 256) -> list[Curve]:
 def map_image_figure(target: str = "left_parabola", r: float = 0.9,
                      samples: int = 256, **params) -> list[Curve]:
     """Image of the circle |z| = r under a named target map, with the region."""
-    if samples < 64:
-        raise DomainError("need at least 64 samples")
+    z = r * np.exp(1j * _circle_angles(samples))
     if not 0.0 <= r < 1.0:
         raise DomainError("map images need r < 1")
     phi = target_map(target, **params)
-    z = r * np.exp(1j * _circle_angles(samples))
     return [Curve("boundary", region.boundary_points(samples)),
             Curve(f"{target}_r={r:g}", np.asarray(phi(z)))]
 
@@ -63,11 +62,11 @@ def corollary_figure(entry_id: str = "r7_nephroid", samples: int = 256) -> list[
     """Target-class boundary with the class image circle at the sharp radius."""
     if entry_id not in radii._COROLLARY:
         raise DomainError(f"no corollary figure for {entry_id!r}")
+    zb = np.exp(1j * _circle_angles(samples))
     closed_fn, target, params = radii._COROLLARY[entry_id]
     r = closed_fn()
     phi = target_map(target, **params)
-    zb = np.exp(1j * _circle_angles(samples))
-    zi = r * np.exp(1j * _circle_angles(samples))
+    zi = r * zb
     return [Curve(f"{target.value}_boundary", np.asarray(phi(zb))),
             Curve(f"image_r={r:.6f}", np.asarray(left_parabola(zi)))]
 

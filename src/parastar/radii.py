@@ -5,7 +5,9 @@ condition whose unique root in (0, 1) it is, a bracket for root solvers,
 and (where the extremal construction is explicit) a witness margin that
 vanishes exactly at the radius.  The conditions are built from circle
 extremization or kernel evaluation, not from the closed forms, so
-"closed form equals bisection root" is a genuine two-route check.
+"closed form equals the solver's root" is a genuine two-route check.
+Roots come from ITP (``oracle.bracket_root``), or from golden-section
+shrinking where the closed form is itself an ITP root.
 
 Two directions of membership appear:
 
@@ -64,9 +66,15 @@ class RadiusEntry:
 
     @property
     def route(self) -> str:
-        """Default oracle solver: golden for root-only entries, whose closed
-        form is itself a bisection root, so the oracle stays independent."""
+        """Default ``oracle_root`` method: golden for root-only entries, whose
+        closed form is itself an ITP root, so the oracle stays independent;
+        otherwise "bisect", the primary route, which ITP serves."""
         return "golden" if self.root_only else "bisect"
+
+    @property
+    def solver(self) -> str:
+        """Name of the solver behind ``route``, as reports print it."""
+        return _METHODS[self.route][1]
 
     @property
     def label(self) -> str:
@@ -77,20 +85,24 @@ class RadiusEntry:
         return f"{self.entry_id}({inner})"
 
 
+# oracle_root method: (oracle solver, looked up when called; solver name)
+_METHODS = {"bisect": ("bracket_root", "itp"), "golden": ("golden_bracket_root", "golden")}
+
+
 def oracle_root(entry: RadiusEntry, method: str | None = None) -> float:
     """Independent root of the entry's condition (1.0 for capped entries).
 
-    ``method`` is ``"bisect"`` or ``"golden"``; by default ``entry.route``.
+    ``method`` is ``"bisect"`` (the primary route, solved by ITP) or
+    ``"golden"``; by default ``entry.route``.
     """
     method = method or entry.route
-    if method not in ("bisect", "golden"):
+    if method not in _METHODS:
         raise ParamRange(f"unknown oracle method {method!r}; use 'bisect' or 'golden'")
     if entry.capped:
         if entry.condition(entry.bracket[1]) > 0.0:
             raise ParamRange(f"{entry.label}: capped entry with positive condition near 1")
         return 1.0
-    solver = oracle.golden_bracket_root if method == "golden" else oracle.bracket_root
-    return solver(entry.condition, *entry.bracket)
+    return getattr(oracle, _METHODS[method][0])(entry.condition, *entry.bracket)
 
 
 def _circle_max_condition(phi) -> Callable[[float], float]:

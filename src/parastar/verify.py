@@ -43,7 +43,7 @@ def _radius(check_id, entry, tol):
     root = radii.oracle_root(entry)
     return VerificationReport.from_pair(
         check_id, entry.closed_form, root, tol,
-        notes=(entry.notes + "; " if entry.notes else "") + f"oracle={entry.route}")
+        notes=(entry.notes + "; " if entry.notes else "") + f"oracle={entry.solver}")
 
 
 def _witness(check_id, entry, tol):
@@ -238,8 +238,10 @@ def run_all(only: str | None = None, tol: float = 1e-9, samples: int | None = No
 
     Checks are selected before any of them runs.  ``samples`` sets the
     random-member counts of the growth and certify checks (default 20
-    and 50); it must be at least 1.
+    and 50); it must be at least 1.  ``tol`` must be non-negative.
     """
+    if not tol >= 0.0:
+        raise ParamRange(f"tol must be non-negative, got {tol}")
     if samples is not None and samples < 1:
         raise ParamRange(f"samples must be at least 1, got {samples}")
     rows = [(cid, fn) for cid, fn in _checks(tol, samples, seed)

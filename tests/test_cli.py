@@ -157,11 +157,18 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["samples"] == 1
 
     def test_impossible_tolerance_fails(self, capsys):
-        # below double precision the refined circle-max root cannot match
-        assert main(["verify", "--only", "radius/sp", "--tol", "1e-15"]) == 1
+        # no refined circle-max root matches its closed form exactly
+        assert main(["verify", "--only", "radius/sp", "--tol", "0"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is False
         assert payload["gap"] > 0.0
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_invalid_tolerance_is_usage_error(self, tol, capsys):
+        assert main(["verify", "sp", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be non-negative" in captured.err
 
 
 class TestCertify:
@@ -211,6 +218,13 @@ class TestPlot:
             out = capsys.readouterr().out
             assert f"\n{target}_boundary,0," in out
             assert f"\nimage_r={corollary_radius(entry).closed_form:.6f},0," in out
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_corollary_figure_needs_64_samples(self, samples, capsys):
+        assert main(["plot", "corollary-figure", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need at least 64 samples" in captured.err
 
     def test_discs_default_and_given_centres(self, capsys):
         assert main(["plot", "discs", "--format", "csv"]) == 0

@@ -86,9 +86,60 @@ class TestBracketRoot:
         assert len(calls) == 3
 
     @pytest.mark.parametrize("solver", [bracket_root, golden_bracket_root])
+    def test_infinite_end_value(self, solver):
+        f = lambda r: -math.inf if r <= 0.0 else math.log(r) + 1.0
+        assert abs(solver(f, 0.0, 1.0) - math.exp(-1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("solver", [bracket_root, golden_bracket_root])
     def test_nan_at_bracket_end_raises(self, solver):
         with pytest.raises(DomainError):
             solver(lambda r: math.nan if r > 0.3 else r - 0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: (x - 1.0 / 3.0) ** 3, 1.0 / 3.0),
+        (lambda x: x**21 - 2.0**-21, 0.5),
+        (lambda x: math.tanh(1e4 * (x - 0.618)), 0.618)],
+        ids=["cube", "x21", "tanh"])
+    @pytest.mark.parametrize("lo, hi, tol", [(0.0, 1.0, 1e-12), (-0.4, 1.7, 1e-9)])
+    def test_worst_case_evaluations(self, f, root, lo, hi, tol):
+        # interpolation is useless on these conditions; the projection still
+        # bounds ITP by one step more than the ceil(log2(w / tol)) halvings,
+        # plus the two end values, which is what plain bisection spends when
+        # it returns the midpoint of a bracket no wider than tol
+        calls = []
+        r = bracket_root(lambda x: calls.append(x) or f(x), lo, hi,
+                         BracketSolverConfig(abs_tol=tol))
+        assert len(calls) <= math.ceil(math.log2((hi - lo) / tol)) + 3
+        assert abs(r - root) <= tol
+        assert abs(f(r)) <= tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.sampled_from(["cube", "cube_plus_line", "tanh", "expm1", "atan_cube",
+                                  "signed_square"]),
+           scale=st.floats(0.05, 1000.0), sign=st.sampled_from([-1.0, 1.0]),
+           lo=st.floats(-2.0, 1.0), width=st.floats(0.01, 3.0), frac=st.floats(0.01, 0.99),
+           tol_exp=st.integers(-12, -4))
+    def test_monotone_root_within_tolerance(self, shape, scale, sign, lo, width, frac,
+                                            tol_exp):
+        # f(x) = sign * h(x - root) for a strictly increasing, non-affine h with
+        # h(0) = 0: the sign of f changes exactly at the root, however flat or
+        # steep h is there
+        h = {
+            "cube": lambda d: d**3,
+            "cube_plus_line": lambda d: d**3 + scale * d,
+            "tanh": lambda d: math.tanh(scale * d),
+            "expm1": lambda d: math.expm1(min(scale, 30.0) * d),
+            "atan_cube": lambda d: math.atan(scale * d) + d**3,
+            "signed_square": lambda d: d * abs(d),
+        }[shape]
+        hi = lo + width
+        root = lo + frac * width
+        f = lambda x: sign * h(x - root)
+        cfg = BracketSolverConfig(abs_tol=10.0**tol_exp)
+        for solver in (bracket_root, golden_bracket_root):
+            r = solver(f, lo, hi, cfg)
+            assert abs(r - root) <= cfg.abs_tol
+            assert abs(f(r)) <= cfg.abs_tol
 
     @settings(max_examples=100, deadline=None)
     @given(slope=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]),

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -321,6 +322,8 @@ class TestOracleRoute:
 
         entry = get_entry(entry_id)
         assert entry.route == route
+        # the primary route keeps its method name; reports name its solver
+        assert entry.solver == {"bisect": "itp", "golden": "golden"}[route]
         used = []
         for name, attr in (("bisect", "bracket_root"), ("golden", "golden_bracket_root")):
             solver = getattr(oracle, attr)
@@ -333,3 +336,26 @@ class TestOracleRoute:
     def test_unknown_method(self):
         with pytest.raises(ParamRange):
             oracle_root(get_entry("sine"), method="brent")
+
+    def test_itp_evaluation_budget(self):
+        # every uncapped verify condition solved by ITP: a circle-max
+        # condition (one circle extremization per evaluation) needs at most
+        # 13 evaluations, and the median condition at most 12
+        import parastar.oracle as oracle
+        from parastar.radii import _CIRCLE_MAX
+        from parastar.verify import _verification_catalog
+
+        def evaluations(entry):
+            calls = []
+            root = oracle.bracket_root(lambda r: calls.append(r) or entry.condition(r),
+                                       *entry.bracket)
+            assert abs(root - entry.closed_form) <= 1e-9, entry.label
+            return len(calls)
+
+        circle_max = set(_CIRCLE_MAX) | {"bs", "alpha_exp"}
+        counts = {e.label: (evaluations(e), e.entry_id in circle_max)
+                  for e in _verification_catalog() if not e.capped}
+        assert len(counts) == 34
+        assert sum(is_circle for _, is_circle in counts.values()) == 10
+        assert all(n <= 13 for n, is_circle in counts.values() if is_circle), counts
+        assert statistics.median(n for n, _ in counts.values()) <= 12
