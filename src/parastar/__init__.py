@@ -33,7 +33,6 @@ from .maps import (
     target_map,
 )
 from .oracle import (
-    BracketSolverConfig,
     CoveringEstimate,
     ExtremeResult,
     VerificationReport,

@@ -37,19 +37,9 @@ _PI_SQ = math.pi**2
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class BracketSolverConfig:
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ParamRange("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ParamRange("max_iter must be at least 1")
-
-
-_DEFAULT_CFG = BracketSolverConfig()
+# root solvers: bracket width and |f| both reach _ABS_TOL within _MAX_ITER steps
+_ABS_TOL = 1e-12
+_MAX_ITER = 200
 
 
 @dataclass
@@ -101,35 +91,40 @@ def _value(f, x: float) -> float:
     return fx
 
 
-def bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None) -> float:
+def _end_values(f, lo: float, hi: float) -> tuple[float, float, float | None]:
+    """f at both bracket ends, and the end where f is exactly 0 (else None);
+    raises ``NoSignChange`` when f has the same sign at both ends."""
+    flo, fhi = _value(f, lo), _value(f, hi)
+    root = lo if flo == 0.0 else hi if fhi == 0.0 else None
+    if root is None and math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+        raise NoSignChange(f"no sign change on [{lo}, {hi}]")
+    return flo, fhi, root
+
+
+def bracket_root(f, lo: float, hi: float) -> float:
     """ITP root of f on [lo, hi]; needs a sign change at the ends.
 
     Interpolate, truncate, project (Oliveira & Takahashi 2020): each step
     takes the regula-falsi point, moves it toward the midpoint by
     0.2 w^2 / (hi - lo) for bracket width w, and projects it into a ball
     around the midpoint that shrinks so that the width reaches
-    ``cfg.abs_tol`` within ceil(log2((hi - lo) / abs_tol)) + 1 steps, one
+    ``_ABS_TOL`` within ceil(log2((hi - lo) / _ABS_TOL)) + 1 steps, one
     more than halving alone.  Smooth roots converge superlinearly.  After
     those steps, plain regula-falsi steps go on until |f| is small too.
     Returns an evaluated end r of a bracket whose width and |f(r)| are
-    both at most ``cfg.abs_tol``.  A NaN value of f raises ``DomainError``
+    both at most ``_ABS_TOL``.  A NaN value of f raises ``DomainError``
     at once; an infinite one makes that step a midpoint.
     """
-    cfg = cfg or _DEFAULT_CFG
-    tol = cfg.abs_tol
-    flo, fhi = _value(f, lo), _value(f, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise NoSignChange(f"no sign change on [{lo}, {hi}]")
+    tol = _ABS_TOL
+    flo, fhi, root = _end_values(f, lo, hi)
+    if root is not None:
+        return root
     kappa = 0.2 / (hi - lo)
     n_max = max(0, math.ceil(math.log2((hi - lo) / tol))) + 1
     # the projection aims two ulps under tol, so rounded iterates still
     # bring the width to tol within n_max steps
     target = max(tol - 2.0 * math.ulp(max(abs(lo), abs(hi))), 0.5 * tol)
-    for j in range(cfg.max_iter):
+    for j in range(_MAX_ITER):
         if hi - lo <= tol:
             x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
             if abs(fx) <= tol:
@@ -155,20 +150,15 @@ def bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None
     raise MaxIterExceeded("ITP did not reach tolerance")
 
 
-def golden_bracket_root(f, lo: float, hi: float, cfg: BracketSolverConfig | None = None) -> float:
-    """Root by golden-ratio bracket shrinking; an independent second solver."""
-    cfg = cfg or _DEFAULT_CFG
-    flo, fhi = _value(f, lo), _value(f, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-    for _ in range(cfg.max_iter):
-        if hi - lo <= cfg.abs_tol:
+def golden_bracket_root(f, lo: float, hi: float) -> float:
+    """Root by golden-ratio bracket shrinking; the independent cross-check solver."""
+    flo, _, root = _end_values(f, lo, hi)
+    if root is not None:
+        return root
+    for _ in range(_MAX_ITER):
+        if hi - lo <= _ABS_TOL:
             mid = 0.5 * (lo + hi)
-            if abs(_value(f, mid)) <= cfg.abs_tol:
+            if abs(_value(f, mid)) <= _ABS_TOL:
                 return mid
         cut = hi - _GOLDEN * (hi - lo)
         fcut = _value(f, cut)
@@ -386,14 +376,15 @@ class CoveringEstimate:
 
 
 _MAX_REFINEMENTS = 48
+_COVERING_TOL = 1e-8
 
 
-def covering_constant(tol: float = 1e-8) -> CoveringEstimate:
+def covering_constant() -> CoveringEstimate:
     """Radius of the disc covered by every class member's image.
 
     Evaluates the upper growth bound at r = 1 - 2^{-k}; the raw sequence
     converges linearly in 2^{-k}, so successive Richardson extrapolants
-    are compared until they differ by less than ``tol``.
+    are compared until they differ by less than 1e-8.
     """
 
     def upper(rr: float) -> float:
@@ -406,7 +397,7 @@ def covering_constant(tol: float = 1e-8) -> CoveringEstimate:
         evals.append(upper(1.0 - 0.5**k))
         extrap = 2.0 * evals[-1] - evals[-2]
         delta = abs(extrap - prev)
-        if delta < tol:
+        if delta < _COVERING_TOL:
             return CoveringEstimate(value=extrap, refinements=k, last_delta=delta,
                                     evaluations=tuple(evals))
         prev = extrap
@@ -417,22 +408,19 @@ def covering_constant(tol: float = 1e-8) -> CoveringEstimate:
 # --- containment and certification ---------------------------------------
 
 
-def check_subordination_inclusion(map_fn, r: float, margin_fns=None,
-                                  samples: int = 4096) -> VerificationReport:
-    """Sample-based containment of map(|z| = r) in a region.
+def check_subordination_inclusion(map_fn, r: float, samples: int = 4096) -> VerificationReport:
+    """Sample-based containment of map(|z| = r) in the parabolic region.
 
-    ``margin_fns`` are signed margins, positive inside; by default both
-    defining forms of the parabolic region are checked.  Failure at any
-    sample is conclusive; a pass is necessary-condition evidence only and
-    the report says at how many samples it was verified.
+    Both defining forms of the region are checked by their signed margins,
+    positive inside.  Failure at any sample is conclusive; a pass is
+    necessary-condition evidence only and the report says at how many
+    samples it was verified.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
-    if margin_fns is None:
-        margin_fns = (region.margin, region.support_margin)
     theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
     w = _circle_values(map_fn, r, r * np.exp(1j * theta))
-    worst = min(float(np.min(np.asarray(mf(w)))) for mf in margin_fns)
+    worst = min(float(np.min(mf(w))) for mf in (region.margin, region.support_margin))
     passed = worst > 0.0
     note = (f"verified at {samples} samples (necessary-condition check)"
             if passed else f"violated at {samples}-sample sweep")
@@ -440,11 +428,12 @@ def check_subordination_inclusion(map_fn, r: float, margin_fns=None,
                                         notes=note, passed=passed)
 
 
+# the certifier's sample grid: these rings times 1024 angles from -pi
 _CERTIFY_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
+_CERTIFY_ANGLES = 1024
 
 
-def certify_sufficient_condition(f: PowerSeries, t: float, radii=None,
-                                 n_angles: int = 1024) -> VerificationReport:
+def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport:
     """Sample check of |t(1 + z f''/f') + (1-t) z f'/f - 1| < (3+2t)/6.
 
     ``f`` must be normalised (f(0) = 0, f'(0) = 1).  When the inequality
@@ -456,9 +445,8 @@ def certify_sufficient_condition(f: PowerSeries, t: float, radii=None,
         raise ParamRange("t must lie in [0, 1]")
     if abs(f.coeffs[0]) > 1e-15 or abs(f.coeffs[1] - 1.0) > 1e-12:
         raise DomainError("series must be normalised: f(0) = 0, f'(0) = 1")
-    radii = _CERTIFY_RADII if radii is None else tuple(radii)
-    theta = np.linspace(-math.pi, math.pi, n_angles, endpoint=False)
-    rings = np.asarray(radii)[:, None] * np.exp(1j * theta)[None, :]
+    theta = np.linspace(-math.pi, math.pi, _CERTIFY_ANGLES, endpoint=False)
+    rings = np.asarray(_CERTIFY_RADII)[:, None] * np.exp(1j * theta)[None, :]
     z = rings.ravel()
     fp = f.derivative()
     fpp = fp.derivative()

@@ -6,8 +6,11 @@ and (where the extremal construction is explicit) a witness margin that
 vanishes exactly at the radius.  The conditions are built from circle
 extremization or kernel evaluation, not from the closed forms, so
 "closed form equals the solver's root" is a genuine two-route check.
-Roots come from ITP (``oracle.bracket_root``), or from golden-section
-shrinking where the closed form is itself an ITP root.
+Where a radius has no closed form and is itself a memoized ITP root
+(cardioid, majorization, peng_zhong), the condition reaches it by another
+route: the circle maximum, the map's series, or growth quadrature.  Every
+condition is solved by ITP (``oracle.bracket_root``); golden-section
+shrinking is the cross-check solver.
 
 Two directions of membership appear:
 
@@ -31,7 +34,7 @@ from . import oracle, region
 from .errors import ParamRange, UnknownTarget
 from .maps import TargetId, left_parabola, target_map, validate_janowski
 from .region import kernel_modulus, log_ratio
-from .series import extremal_upper
+from .series import extremal_upper, p0_coefficients
 
 _PI = math.pi
 _PI_SQ = math.pi**2
@@ -56,25 +59,12 @@ class RadiusEntry:
     condition: Callable[[float], float]
     bracket: tuple[float, float] = (1e-9, 1.0 - 1e-9)
     witness_margin: Callable[[], float] | None = None
-    root_only: bool = False
     capped: bool = False
     notes: str = ""
     _param_items: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self._param_items = tuple(sorted(self.params.items()))
-
-    @property
-    def route(self) -> str:
-        """Default ``oracle_root`` method: golden for root-only entries, whose
-        closed form is itself an ITP root, so the oracle stays independent;
-        otherwise "bisect", the primary route, which ITP serves."""
-        return "golden" if self.root_only else "bisect"
-
-    @property
-    def solver(self) -> str:
-        """Name of the solver behind ``route``, as reports print it."""
-        return _METHODS[self.route][1]
 
     @property
     def label(self) -> str:
@@ -85,24 +75,25 @@ class RadiusEntry:
         return f"{self.entry_id}({inner})"
 
 
-# oracle_root method: (oracle solver, looked up when called; solver name)
-_METHODS = {"bisect": ("bracket_root", "itp"), "golden": ("golden_bracket_root", "golden")}
+# oracle_root method: the oracle solver, looked up when called
+_METHODS = {"bisect": "bracket_root", "golden": "golden_bracket_root"}
 
 
-def oracle_root(entry: RadiusEntry, method: str | None = None) -> float:
+def oracle_root(entry: RadiusEntry, method: str = "bisect") -> float:
     """Independent root of the entry's condition (1.0 for capped entries).
 
-    ``method`` is ``"bisect"`` (the primary route, solved by ITP) or
-    ``"golden"``; by default ``entry.route``.
+    ``method`` is ``"bisect"``, the default route, solved by ITP, or
+    ``"golden"``, golden-section shrinking as a cross-check.  A capped
+    entry runs no solver: its condition is only checked to be negative
+    at the bracket's upper end.
     """
-    method = method or entry.route
     if method not in _METHODS:
         raise ParamRange(f"unknown oracle method {method!r}; use 'bisect' or 'golden'")
     if entry.capped:
         if entry.condition(entry.bracket[1]) > 0.0:
             raise ParamRange(f"{entry.label}: capped entry with positive condition near 1")
         return 1.0
-    return getattr(oracle, _METHODS[method][0])(entry.condition, *entry.bracket)
+    return getattr(oracle, _METHODS[method])(entry.condition, *entry.bracket)
 
 
 def _circle_max_condition(phi) -> Callable[[float], float]:
@@ -130,7 +121,7 @@ def _cardioid_root() -> float:
 
 _CIRCLE_MAX = {
     # class id: (closed form, target map whose max Re on |z| = r reaches 3/2,
-    # note; a note marks a radius with no closed form, only a memoized root)
+    # report note, set where the radius is a memoized root, not a closed form)
     "sp": (lambda: _tanh_sq(_PI / 4.0), TargetId.RONNING_PARABOLA, ""),
     "sine": (lambda: _PI / 6.0, TargetId.SINE, ""),
     "lune": (lambda: 5.0 / 12.0, TargetId.LUNE, ""),
@@ -146,8 +137,7 @@ def _circle_max_radius(class_id: str) -> RadiusEntry:
     phi = target_map(target)
     closed = closed_fn()
     return RadiusEntry(class_id, {}, closed, _circle_max_condition(phi),
-                       witness_margin=_vertex_witness(phi, closed),
-                       root_only=bool(notes), notes=notes)
+                       witness_margin=_vertex_witness(phi, closed), notes=notes)
 
 
 def _bs_radius(alpha: float) -> RadiusEntry:
@@ -180,8 +170,8 @@ def _janowski_radius(A: float, B: float) -> RadiusEntry:
         raise ParamRange("janowski radius needs -1 < B")
 
     def condition(r: float) -> float:
-        # disc bound of the Janowski value set on |z| = r against 3/2
-        return ((A - B) * r + 1.0 - A * B * r * r) / (1.0 - B * B * r * r) - 1.5
+        # rightmost point of the Janowski value disc on |z| = r against 3/2
+        return sum(oracle.janowski_disc_bound(A, B, r)) - 1.5
 
     capped = 2.0 * A - 3.0 * B <= 1.0
     closed = 1.0 if capped else 1.0 / (2.0 * A - 3.0 * B)
@@ -384,6 +374,17 @@ def _majorization_root() -> float:
     return oracle.bracket_root(lambda r: majorization_phi(r, 0.0), 1e-9, 0.64)
 
 
+@cache
+def _kernel_series_64():
+    return p0_coefficients(64)
+
+
+def _majorization_series_condition(r: float) -> float:
+    # phi(r, 0) with L = 1 + the degree-64 kernel series instead of the log
+    # formula; the truncation is about 1e-24 at the root
+    return (1.0 - r * r) * (1.0 + _kernel_series_64()(r)).real - r
+
+
 def majorization_radius() -> RadiusEntry:
     """Radius on which majorized members inherit the derivative bound.
 
@@ -391,11 +392,10 @@ def majorization_radius() -> RadiusEntry:
     map restricted to (0, 1); root only, no closed form.
     """
     closed = _majorization_root()
-    return RadiusEntry("majorization", {}, closed,
-                       lambda r: majorization_phi(r, 0.0),
-                       bracket=(1e-9, 0.64), root_only=True,
+    return RadiusEntry("majorization", {}, closed, _majorization_series_condition,
+                       bracket=(1e-9, 0.64),
                        witness_margin=lambda: majorization_psi(closed, 0.0) - 1.0,
-                       notes="memoized root; feasibility margin phi(r, 0)")
+                       notes="memoized root of phi(r, 0); oracle by the map series")
 
 
 @cache
@@ -408,6 +408,11 @@ def _peng_zhong_condition(r: float) -> float:
     return float(g(r).real) * kernel_modulus(r) - 0.5
 
 
+def _peng_zhong_quadrature_condition(r: float) -> float:
+    # the same bound with g(r) as the quadrature upper growth bound
+    return oracle.growth_bounds(r)[1] * kernel_modulus(r) - 0.5
+
+
 @cache
 def _peng_zhong_root() -> float:
     return oracle.bracket_root(_peng_zhong_condition, 1e-9, 0.646)
@@ -417,14 +422,16 @@ def peng_zhong_radius() -> RadiusEntry:
     """Radius on which members satisfy |z f'(z) - f(z)| < 1/2.
 
     Smallest positive root of g(r) |k(r)| = 1/2, where g is the upper
-    growth extremal (degree-64 series) and k the parabola kernel.
-    Equivalently 4 g(r) log^2((1+sqrt r)/(1-sqrt r)) = pi^2.
+    growth extremal and k the parabola kernel; equivalently
+    4 g(r) log^2((1+sqrt r)/(1-sqrt r)) = pi^2.  The closed form and the
+    witness take g from its degree-64 series, the condition from quadrature.
     """
     closed = _peng_zhong_root()
-    return RadiusEntry("peng_zhong", {}, closed, _peng_zhong_condition,
-                       bracket=(1e-9, 0.646), root_only=True,
+    return RadiusEntry("peng_zhong", {}, closed, _peng_zhong_quadrature_condition,
+                       bracket=(1e-9, 0.646),
                        witness_margin=lambda: _peng_zhong_condition(closed),
-                       notes="memoized root of the growth-times-kernel bound")
+                       notes="memoized root of the series growth-times-kernel bound; "
+                             "oracle by quadrature")
 
 
 # --- registry ----------------------------------------------------------------

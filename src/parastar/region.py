@@ -173,10 +173,10 @@ def argument_sector_check(w) -> bool:
     return abs(cmath.phase(u)) > 0.75 * math.pi
 
 
-def boundary_points(n: int, y_max: float = 3.0) -> np.ndarray:
-    """Points on the boundary parabola y^2 = 3 - 2x, swept by y."""
+def boundary_points(n: int) -> np.ndarray:
+    """Points on the boundary parabola y^2 = 3 - 2x, swept by y in [-3, 3]."""
     if n < 2:
         raise DomainError("need at least two points")
-    y = np.linspace(-y_max, y_max, n)
+    y = np.linspace(-3.0, 3.0, n)
     x = (3.0 - y**2) / 2.0
     return x + 1j * y

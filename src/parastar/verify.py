@@ -41,9 +41,11 @@ def _verification_catalog() -> list[radii.RadiusEntry]:
 
 def _radius(check_id, entry, tol):
     root = radii.oracle_root(entry)
+    # a capped entry's condition is only checked at the bracket end
+    solver = "cap" if entry.capped else "itp"
     return VerificationReport.from_pair(
         check_id, entry.closed_form, root, tol,
-        notes=(entry.notes + "; " if entry.notes else "") + f"oracle={entry.solver}")
+        notes=(entry.notes + "; " if entry.notes else "") + f"oracle={solver}")
 
 
 def _witness(check_id, entry, tol):

@@ -207,7 +207,7 @@ def test_criterion_7_growth_sandwich(capsys):
             violation = max(violation, lo - val, val - hi)
     members_ok = violation <= 1e-8
 
-    est = ps.covering_constant(tol=1e-8)
+    est = ps.covering_constant()
     covering_ok = est.last_delta < 1e-8
 
     ok = two_route_ok and members_ok and covering_ok

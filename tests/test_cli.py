@@ -239,9 +239,10 @@ class TestPlot:
         # every boundary point in a bounded window gets approached by the
         # image circle as r -> 1 (the image sweeps out the whole region)
         import numpy as np
-        from parastar import boundary_points, left_parabola
+        from parastar import left_parabola
 
-        bound = boundary_points(2000, y_max=math.sqrt(7.0))  # window x >= -2
+        y = np.linspace(-math.sqrt(7.0), math.sqrt(7.0), 2000)  # window x >= -2
+        bound = (3.0 - y**2) / 2.0 + 1j * y
 
         def gap(r):
             theta = np.linspace(-PI, PI, 2048, endpoint=False) + PI / 2048

@@ -284,7 +284,6 @@ class TestRegistry:
         assert get_entry("sp").entry_id == "sp"
         assert get_entry("bs", alpha=0.5).params == {"alpha": 0.5}
         assert get_entry("r4_cardioid").entry_id == "r4_cardioid"
-        assert get_entry("majorization").root_only
 
     def test_unknown_entry(self):
         with pytest.raises(UnknownTarget):
@@ -315,23 +314,44 @@ class TestRegistry:
 
 
 class TestOracleRoute:
-    @pytest.mark.parametrize("entry_id, route", [
-        ("cardioid", "golden"), ("majorization", "golden"), ("sp", "bisect")])
-    def test_default_route_is_entry_route(self, monkeypatch, entry_id, route):
+    def test_default_route_is_itp(self, monkeypatch):
+        # every uncapped verify entry is solved once by ITP and never by
+        # golden section; a capped entry runs no solver at all
         import parastar.oracle as oracle
+        from parastar.verify import _verification_catalog
 
-        entry = get_entry(entry_id)
-        assert entry.route == route
-        # the primary route keeps its method name; reports name its solver
-        assert entry.solver == {"bisect": "itp", "golden": "golden"}[route]
+        catalog = _verification_catalog()
         used = []
         for name, attr in (("bisect", "bracket_root"), ("golden", "golden_bracket_root")):
             solver = getattr(oracle, attr)
             monkeypatch.setattr(oracle, attr,
                                 lambda *args, _n=name, _s=solver: used.append(_n) or _s(*args))
-        root = oracle_root(entry)
-        assert used == [route]
-        assert root == oracle_root(entry, method=route)
+        for entry in catalog:
+            used.clear()
+            root = oracle_root(entry)
+            assert used == ([] if entry.capped else ["bisect"]), entry.label
+            assert abs(root - entry.closed_form) <= 1e-9, entry.label
+
+    @pytest.mark.parametrize("entry_id", ["cardioid", "majorization", "peng_zhong"])
+    def test_golden_route_agrees(self, entry_id):
+        entry = get_entry(entry_id)
+        assert abs(oracle_root(entry, method="golden") - entry.closed_form) <= 1e-9
+
+    @pytest.mark.parametrize("entry_id, closed_route", [
+        ("majorization", "left_parabola"), ("peng_zhong", "_upper_extremal_64")])
+    def test_oracle_independent_of_closed_form_route(self, monkeypatch, entry_id,
+                                                     closed_route):
+        # the memoized closed form is an ITP root of a condition evaluated
+        # through this name; with it broken the oracle must still reach it
+        import parastar.radii as radii
+
+        entry = get_entry(entry_id)
+
+        def broken(*args):
+            raise AssertionError(f"oracle used {closed_route}")
+
+        monkeypatch.setattr(radii, closed_route, broken)
+        assert abs(oracle_root(entry) - entry.closed_form) <= 1e-9
 
     def test_unknown_method(self):
         with pytest.raises(ParamRange):

@@ -38,3 +38,15 @@ class TestFullRun:
                                       "janowski", "c0.3"])
     def test_filtered_run_equals_full_run_lines(self, full_run, only):
         assert run_all(only=only) == [r for r in full_run if only in r.check_id]
+
+    @pytest.mark.parametrize("check_id", ["radius/alpha_exp(alpha=0.8)",
+                                          "radius/janowski(A=0.3;B=-0.1)"])
+    def test_capped_line_names_no_solver(self, full_run, check_id):
+        # a capped radius is 1 by a condition check at the bracket end, not a root
+        (rep,) = [r for r in full_run if r.check_id == check_id]
+        assert rep.closed_form == rep.oracle_value == 1.0
+        assert rep.notes == "oracle=cap"
+
+    def test_solved_lines_name_itp(self, full_run):
+        notes = [r.notes for r in full_run if r.check_id.startswith("radius/")]
+        assert sum(n.endswith("oracle=itp") for n in notes) == len(notes) - 2
