@@ -22,4 +22,5 @@ for eid, params in (("sp", {}), ("cosh_sqrt", {}), ("janowski", {"A": 0.5, "B": 
 # Parameter sweeps follow the expected monotonicity.
 print("\nstarlikeness order vs radius:")
 for alpha in (0.0, 0.25, 0.5, 0.75):
-    print(f"  order {alpha:.2f}: radius {ps.caratheodory_order_radius(alpha).closed_form:.10f}")
+    radius = ps.get_entry("caratheodory", alpha=alpha).closed_form
+    print(f"  order {alpha:.2f}: radius {radius:.10f}")

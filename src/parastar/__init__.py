@@ -52,21 +52,12 @@ from .oracle import (
 )
 from .radii import (
     RadiusEntry,
-    beta_disc_radius,
-    caratheodory_order_radius,
-    corollary_radius,
     default_entries,
-    disc_class_radius,
     get_entry,
     inner_disc_radius,
-    m_class_radius,
     majorization_phi,
     majorization_psi,
-    majorization_radius,
-    membership_radius,
     oracle_root,
-    peng_zhong_radius,
-    ratio_class_radius,
 )
 from .region import (
     InscribedDisc,

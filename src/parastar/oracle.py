@@ -138,7 +138,9 @@ def bracket_root(f, lo: float, hi: float) -> float:
             radius = max(math.ldexp(target, n_max - j - 1) - 0.5 * (hi - lo), 0.0)
             if abs(x - mid) > radius:
                 x = mid - math.copysign(radius, step)
-        elif not lo < x < hi:
+        # a point rounded onto a bracket end would repeat that end's value;
+        # the midpoint lies inside every projection ball
+        if not lo < x < hi:
             x = mid
         fx = _value(f, x)
         if fx == 0.0:

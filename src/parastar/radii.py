@@ -12,6 +12,11 @@ route: the circle maximum, the map's series, or growth quadrature.  Every
 condition is solved by ITP (``oracle.bracket_root``); golden-section
 shrinking is the cross-check solver.
 
+:func:`get_entry` is the one way to build an entry: it looks the id up in
+``_ENTRIES`` and checks the class parameters.  ``TABLE_ROWS`` lists the
+representative catalog as ``(id, params)`` rows, and
+:func:`default_entries` builds it through :func:`get_entry`.
+
 Two directions of membership appear:
 
 * largest disc on which every member of a classical class (parabolic
@@ -33,7 +38,7 @@ from typing import Callable
 from . import oracle, region
 from .errors import ParamRange, UnknownTarget
 from .maps import TargetId, left_parabola, target_map, validate_janowski
-from .region import kernel_modulus, log_ratio
+from .region import kernel_modulus
 from .series import extremal_upper, p0_coefficients
 
 _PI = math.pi
@@ -181,23 +186,10 @@ def _janowski_radius(A: float, B: float) -> RadiusEntry:
                        capped=capped)
 
 
-def membership_radius(class_id: str, **params) -> RadiusEntry:
-    """Largest r such that the named class sits in the parabolic class on |z| < r.
-
-    ``class_id`` is one of ``sp`` (parabolic starlike), ``sine``, ``lune``,
-    ``cosh_sqrt``, ``asinh``, ``cardioid``, ``bs`` (Booth lemniscate family,
-    needs ``alpha``), ``alpha_exp`` (needs ``alpha``) and ``janowski``
-    (needs ``A`` and ``B``).
-    """
-    if class_id not in _CIRCLE_MAX and class_id not in ("bs", "alpha_exp", "janowski"):
-        raise UnknownTarget(f"unknown membership class: {class_id!r}")
-    return get_entry(class_id, **params)
-
-
 # --- order and disc radii (parabolic class -> classical class) --------------
 
 
-def caratheodory_order_radius(alpha: float) -> RadiusEntry:
+def _caratheodory_radius(alpha: float) -> RadiusEntry:
     """Radius on which the class is Caratheodory of order alpha.
 
     Closed form tanh^2(pi sqrt(1-alpha)/(2 sqrt 2)); the map value at r
@@ -215,38 +207,35 @@ def caratheodory_order_radius(alpha: float) -> RadiusEntry:
                        witness_margin=lambda: left_parabola(closed).real - alpha)
 
 
-def disc_class_radius(alpha: float) -> RadiusEntry:
+def _disc_radius(entry_id: str, name: str, x: float) -> RadiusEntry:
+    # the disc radius behind both disc entries: the root of |k(r)| = x,
+    # witnessed by |L(closed) - 1| = x
+    closed = _kernel_level_radius(x)
+    return RadiusEntry(entry_id, {name: x}, closed, lambda r: kernel_modulus(r) - x,
+                       witness_margin=lambda: abs(left_parabola(closed) - 1.0) - x)
+
+
+def _disc_class_radius(alpha: float) -> RadiusEntry:
     """Radius on which members satisfy |z f'/f - 1| < alpha.
 
-    Unique positive root of 2 log^2((1+sqrt r)/(1-sqrt r)) = alpha pi^2,
-    in closed form tanh^2(pi sqrt(alpha)/(2 sqrt 2)).
+    Unique positive root of |k(r)| = alpha, that is of
+    2 log^2((1+sqrt r)/(1-sqrt r)) = alpha pi^2, in closed form
+    tanh^2(pi sqrt(alpha)/(2 sqrt 2)).
     """
     if not 0.0 < alpha <= 1.0:
         raise ParamRange("alpha must lie in (0, 1]")
-    closed = _kernel_level_radius(alpha)
-
-    def condition(r: float) -> float:
-        return 2.0 * log_ratio(r) ** 2 - alpha * _PI_SQ
-
-    return RadiusEntry("disc_class", {"alpha": alpha}, closed, condition,
-                       witness_margin=lambda: abs(left_parabola(closed) - 1.0) - alpha)
+    return _disc_radius("disc_class", "alpha", alpha)
 
 
-def beta_disc_radius(beta: float) -> RadiusEntry:
+def _beta_disc_radius(beta: float) -> RadiusEntry:
     """Same disc radius stated for the parameter beta = 1 - order.
 
-    Dual to :func:`caratheodory_order_radius`: the value here at beta
-    equals the order radius at 1 - beta exactly.
+    Dual to the caratheodory entry: the value here at beta equals the
+    order radius at 1 - beta exactly.
     """
     if not 0.0 < beta < 1.0:
         raise ParamRange("beta must lie in (0, 1)")
-    closed = _kernel_level_radius(beta)
-
-    def condition(r: float) -> float:
-        return kernel_modulus(r) - beta
-
-    return RadiusEntry("beta_disc", {"beta": beta}, closed, condition,
-                       witness_margin=lambda: abs(left_parabola(closed) - 1.0) - beta)
+    return _disc_radius("beta_disc", "beta", beta)
 
 
 # --- corollary radii through inner-disc constants ---------------------------
@@ -292,16 +281,13 @@ _COROLLARY = {
 }
 
 
-def corollary_radius(entry_id: str) -> RadiusEntry:
+def _corollary_radius(entry_id: str) -> RadiusEntry:
     """Radius r1..r9 on which every member lands in a named classical class.
 
     Condition: the kernel modulus |k(r)| reaching the target class's
     numerically derived inner-disc constant.
     """
-    try:
-        closed_fn, target, tparams = _COROLLARY[entry_id]
-    except KeyError:
-        raise UnknownTarget(f"unknown corollary radius: {entry_id!r}") from None
+    closed_fn, target, tparams = _COROLLARY[entry_id]
     constant = inner_disc_radius(target.value, **tparams)
 
     def condition(r: float) -> float:
@@ -314,7 +300,7 @@ def corollary_radius(entry_id: str) -> RadiusEntry:
 # --- remaining radii ---------------------------------------------------------
 
 
-def ratio_class_radius(A: float) -> RadiusEntry:
+def _ratio_radius(A: float) -> RadiusEntry:
     """Radius for the class built from positive-real-part ratios f/g.
 
     Closed form (sqrt(A^2 + 12A + 28) - (5 + A))/(2A + 3) on -1 <= A <= 1;
@@ -337,7 +323,7 @@ def ratio_class_radius(A: float) -> RadiusEntry:
     return RadiusEntry("ratio", {"A": A}, closed, condition, witness_margin=witness_margin)
 
 
-def m_class_radius(beta: float) -> RadiusEntry:
+def _mbeta_radius(beta: float) -> RadiusEntry:
     """Radius on which Re z f'/f stays below beta, for 1 < beta < 3/2.
 
     Closed form 1 + 2 cot^2(delta) - 2 |sec(delta)|/tan^2(delta) with
@@ -385,7 +371,7 @@ def _majorization_series_condition(r: float) -> float:
     return (1.0 - r * r) * (1.0 + _kernel_series_64()(r)).real - r
 
 
-def majorization_radius() -> RadiusEntry:
+def _majorization_radius() -> RadiusEntry:
     """Radius on which majorized members inherit the derivative bound.
 
     Smallest positive root of (1 - r^2) L(r) = r where L is the class
@@ -418,7 +404,7 @@ def _peng_zhong_root() -> float:
     return oracle.bracket_root(_peng_zhong_condition, 1e-9, 0.646)
 
 
-def peng_zhong_radius() -> RadiusEntry:
+def _peng_zhong_radius() -> RadiusEntry:
     """Radius on which members satisfy |z f'(z) - f(z)| < 1/2.
 
     Smallest positive root of g(r) |k(r)| = 1/2, where g is the upper
@@ -443,15 +429,33 @@ _ENTRIES = {
     "bs": (_bs_radius, ("alpha",)),
     "alpha_exp": (_alpha_exp_radius, ("alpha",)),
     "janowski": (_janowski_radius, ("A", "B")),
-    "caratheodory": (caratheodory_order_radius, ("alpha",)),
-    "disc_class": (disc_class_radius, ("alpha",)),
-    "beta_disc": (beta_disc_radius, ("beta",)),
-    **{rid: (partial(corollary_radius, rid), ()) for rid in _COROLLARY},
-    "ratio": (ratio_class_radius, ("A",)),
-    "mbeta": (m_class_radius, ("beta",)),
-    "majorization": (majorization_radius, ()),
-    "peng_zhong": (peng_zhong_radius, ()),
+    "caratheodory": (_caratheodory_radius, ("alpha",)),
+    "disc_class": (_disc_class_radius, ("alpha",)),
+    "beta_disc": (_beta_disc_radius, ("beta",)),
+    **{rid: (partial(_corollary_radius, rid), ()) for rid in _COROLLARY},
+    "ratio": (_ratio_radius, ("A",)),
+    "mbeta": (_mbeta_radius, ("beta",)),
+    "majorization": (_majorization_radius, ()),
+    "peng_zhong": (_peng_zhong_radius, ()),
 }
+
+# the representative catalog behind the radius table, in table order:
+# (entry id, parameters) rows, each built by get_entry
+TABLE_ROWS = (
+    *((cid, {}) for cid in _CIRCLE_MAX),
+    ("bs", {"alpha": 0.5}),
+    ("alpha_exp", {"alpha": 0.0}),
+    ("janowski", {"A": 0.5, "B": -0.5}),
+    ("caratheodory", {"alpha": 0.0}),
+    ("disc_class", {"alpha": 1.0}),
+    ("beta_disc", {"beta": 0.5}),
+    *((rid, {}) for rid in _COROLLARY),
+    ("ratio", {"A": -1.0}),
+    ("ratio", {"A": 1.0}),
+    ("mbeta", {"beta": 1.25}),
+    ("majorization", {}),
+    ("peng_zhong", {}),
+)
 
 
 def get_entry(entry_id: str, **params) -> RadiusEntry:
@@ -473,21 +477,4 @@ def get_entry(entry_id: str, **params) -> RadiusEntry:
 
 def default_entries() -> list[RadiusEntry]:
     """Representative catalog used by the table and verification runs."""
-    entries = [membership_radius(cid) for cid in _CIRCLE_MAX]
-    entries += [
-        membership_radius("bs", alpha=0.5),
-        membership_radius("alpha_exp", alpha=0.0),
-        membership_radius("janowski", A=0.5, B=-0.5),
-        caratheodory_order_radius(0.0),
-        disc_class_radius(1.0),
-        beta_disc_radius(0.5),
-    ]
-    entries.extend(corollary_radius(rid) for rid in _COROLLARY)
-    entries.extend([
-        ratio_class_radius(-1.0),
-        ratio_class_radius(1.0),
-        m_class_radius(1.25),
-        majorization_radius(),
-        peng_zhong_radius(),
-    ])
-    return entries
+    return [get_entry(entry_id, **params) for entry_id, params in TABLE_ROWS]

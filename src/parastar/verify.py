@@ -22,21 +22,24 @@ from .series import PowerSeries, extremal_lower, extremal_upper, p0_coefficients
 _PI = math.pi
 
 
+# verify's radius rows beyond the radius table: (entry id, parameters)
+_EXTRA_ROWS = (
+    ("bs", {"alpha": 0.25}),
+    ("alpha_exp", {"alpha": 0.3}),
+    ("alpha_exp", {"alpha": 0.8}),
+    ("janowski", {"A": 1.0, "B": -0.9}),
+    ("janowski", {"A": 0.3, "B": -0.1}),
+    ("caratheodory", {"alpha": 0.5}),
+    ("disc_class", {"alpha": 0.5}),
+    ("ratio", {"A": 0.0}),
+    ("mbeta", {"beta": 1.1}),
+    ("mbeta", {"beta": 1.4}),
+)
+
+
 def _verification_catalog() -> list[radii.RadiusEntry]:
-    entries = radii.default_entries()
-    entries.extend([
-        radii.membership_radius("bs", alpha=0.25),
-        radii.membership_radius("alpha_exp", alpha=0.3),
-        radii.membership_radius("alpha_exp", alpha=0.8),
-        radii.membership_radius("janowski", A=1.0, B=-0.9),
-        radii.membership_radius("janowski", A=0.3, B=-0.1),
-        radii.caratheodory_order_radius(0.5),
-        radii.disc_class_radius(0.5),
-        radii.ratio_class_radius(0.0),
-        radii.m_class_radius(1.1),
-        radii.m_class_radius(1.4),
-    ])
-    return entries
+    return [radii.get_entry(entry_id, **params)
+            for entry_id, params in radii.TABLE_ROWS + _EXTRA_ROWS]
 
 
 def _radius(check_id, entry, tol):

@@ -3,19 +3,24 @@
 import math
 
 
-def assert_quoted(value: float, quoted: float, digits: int, truncated: bool = False):
-    """Check a value against a quoted decimal at its quoted precision.
+def quoted_ok(value: float, quoted: float, digits: int, truncated: bool = False) -> bool:
+    """Whether a value matches a decimal quoted to ``digits`` places.
 
-    Rounded quotes must agree within 5e-4; quotes printed with a trailing
-    ellipsis are truncations, so the value must lie in
-    [quoted, quoted + 10**-digits).
+    A rounded quote must agree within half a unit of its last digit,
+    0.5 * 10**-digits.  A quote printed with a trailing ellipsis is a
+    truncation, so the value must lie in [quoted, quoted + 10**-digits).
     """
+    unit = 10.0 ** (-digits)
     if truncated:
-        assert quoted <= value < quoted + 10.0 ** (-digits), (
-            f"{value} does not truncate to the quoted {quoted}")
-    else:
-        assert abs(value - quoted) <= 5e-4, (
-            f"{value} does not match the quoted {quoted} within 5e-4")
+        return quoted <= value < quoted + unit
+    return abs(value - quoted) <= 0.5 * unit
+
+
+def assert_quoted(value: float, quoted: float, digits: int, truncated: bool = False):
+    """Assert :func:`quoted_ok`."""
+    how = "truncate" if truncated else "round"
+    assert quoted_ok(value, quoted, digits, truncated), (
+        f"{value} does not {how} to the quoted {quoted} at {digits} digits")
 
 
 def log_ratio(r: float) -> float:

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 import parastar as ps
+from support import quoted_ok
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -28,12 +29,6 @@ def announce(capsys, number, name, ok, detail=""):
         print(f"\nacceptance criterion {number} [{name}]: {status}{tail}")
 
 
-def _quoted_ok(value, quoted, digits, truncated):
-    if truncated:
-        return quoted <= value < quoted + 10.0 ** (-digits)
-    return abs(value - quoted) <= 5e-4
-
-
 def test_criterion_1_radius_agreement(capsys):
     failures = []
 
@@ -44,59 +39,59 @@ def test_criterion_1_radius_agreement(capsys):
                             f"oracle {root!r}")
         if symbolic is not None and abs(entry.closed_form - symbolic) > 1e-14:
             failures.append(f"{entry.label}: closed form differs from symbolic value")
-        if quoted is not None and not _quoted_ok(entry.closed_form, quoted,
-                                                 digits, truncated):
+        if quoted is not None and not quoted_ok(entry.closed_form, quoted,
+                                                digits, truncated):
             failures.append(f"{entry.label}: closed {entry.closed_form:.7f} does not "
                             f"match quoted {quoted}")
 
     # containment radii of the classical classes into the parabolic class
-    check(ps.membership_radius("sp"), symbolic=math.tanh(PI / 4.0) ** 2)
-    check(ps.membership_radius("sine"), symbolic=PI / 6.0)
-    check(ps.membership_radius("lune"), symbolic=5.0 / 12.0)
-    check(ps.membership_radius("cosh_sqrt"), symbolic=math.acosh(1.5) ** 2)
-    check(ps.membership_radius("asinh"), symbolic=math.sinh(0.5))
-    check(ps.membership_radius("cardioid"), quoted=0.3517, digits=4)
+    check(ps.get_entry("sp"), symbolic=math.tanh(PI / 4.0) ** 2)
+    check(ps.get_entry("sine"), symbolic=PI / 6.0)
+    check(ps.get_entry("lune"), symbolic=5.0 / 12.0)
+    check(ps.get_entry("cosh_sqrt"), symbolic=math.acosh(1.5) ** 2)
+    check(ps.get_entry("asinh"), symbolic=math.sinh(0.5))
+    check(ps.get_entry("cardioid"), quoted=0.3517, digits=4)
     for alpha in (0.0, 0.25, 0.5, 0.75):
         sym = 0.5 if alpha == 0 else (math.sqrt(1 + alpha) - 1) / alpha
-        check(ps.membership_radius("bs", alpha=alpha), symbolic=sym)
-    check(ps.membership_radius("alpha_exp", alpha=0.0), symbolic=math.log(1.5))
+        check(ps.get_entry("bs", alpha=alpha), symbolic=sym)
+    check(ps.get_entry("alpha_exp", alpha=0.0), symbolic=math.log(1.5))
     for alpha in (0.25, 0.5, 0.8):
-        check(ps.membership_radius("alpha_exp", alpha=alpha))
+        check(ps.get_entry("alpha_exp", alpha=alpha))
     for A in (-0.6, -0.2, 0.2, 0.6, 1.0):
         for B in (-0.9, -0.5, -0.1, 0.3, 0.7):
             if B < A:
                 sym = 1.0 / (2 * A - 3 * B) if 2 * A - 3 * B > 1 else 1.0
-                check(ps.membership_radius("janowski", A=A, B=B), symbolic=sym)
+                check(ps.get_entry("janowski", A=A, B=B), symbolic=sym)
 
     # order and disc radii on alpha grids
-    check(ps.caratheodory_order_radius(0.0), quoted=0.6469, digits=4,
+    check(ps.get_entry("caratheodory", alpha=0.0), quoted=0.6469, digits=4,
           symbolic=math.tanh(PI / (2 * SQRT2)) ** 2)
     for alpha in (0.25, 0.5, 0.75):
-        check(ps.caratheodory_order_radius(alpha))
+        check(ps.get_entry("caratheodory", alpha=alpha))
     for alpha in (0.25, 0.5, 0.75, 1.0):
-        check(ps.disc_class_radius(alpha),
+        check(ps.get_entry("disc_class", alpha=alpha),
               symbolic=math.tanh(PI * math.sqrt(alpha) / (2 * SQRT2)) ** 2)
 
     # corollary radii
     for rid in ("r1_exp", "r2_sine", "r3_cosh_sqrt", "r4_cardioid",
                 "r5_asinh", "r6_sigmoid", "r7_nephroid"):
-        check(ps.corollary_radius(rid))
-    check(ps.corollary_radius("r7_nephroid"),
+        check(ps.get_entry(rid))
+    check(ps.get_entry("r7_nephroid"),
           symbolic=math.tanh(PI / (2 * math.sqrt(3.0))) ** 2)
-    check(ps.corollary_radius("r8_lemniscate"), quoted=0.376, digits=3, truncated=True)
-    check(ps.corollary_radius("r9_reverse_lemniscate"), quoted=0.283, digits=3,
+    check(ps.get_entry("r8_lemniscate"), quoted=0.376, digits=3, truncated=True)
+    check(ps.get_entry("r9_reverse_lemniscate"), quoted=0.283, digits=3,
           truncated=True)
 
     # ratio class, upper-bound class, root-only radii
-    check(ps.ratio_class_radius(-1.0), quoted=0.123, digits=3,
+    check(ps.get_entry("ratio", A=-1.0), quoted=0.123, digits=3,
           symbolic=math.sqrt(17.0) - 4.0)
-    check(ps.ratio_class_radius(0.0))
-    check(ps.ratio_class_radius(1.0), quoted=0.080, digits=3, truncated=True,
+    check(ps.get_entry("ratio", A=0.0))
+    check(ps.get_entry("ratio", A=1.0), quoted=0.080, digits=3, truncated=True,
           symbolic=(math.sqrt(41.0) - 6.0) / 5.0)
     for beta in (1.1, 1.25, 1.4):
-        check(ps.m_class_radius(beta))
-    check(ps.majorization_radius(), quoted=0.4220, digits=4)
-    check(ps.peng_zhong_radius(), quoted=0.522864, digits=6)
+        check(ps.get_entry("mbeta", beta=beta))
+    check(ps.get_entry("majorization"), quoted=0.4220, digits=4, truncated=True)
+    check(ps.get_entry("peng_zhong"), quoted=0.522864, digits=6)
 
     ok = not failures
     announce(capsys, 1, "radius agreement", ok,
@@ -158,9 +153,9 @@ def test_criterion_4_inscribed_discs(capsys):
 
 def test_criterion_5_sharpness_witnesses(capsys):
     margins = {
-        "sp": ps.membership_radius("sp").witness_margin(),
-        "cosh_sqrt": ps.membership_radius("cosh_sqrt").witness_margin(),
-        "janowski": ps.membership_radius("janowski", A=0.5, B=-0.5).witness_margin(),
+        "sp": ps.get_entry("sp").witness_margin(),
+        "cosh_sqrt": ps.get_entry("cosh_sqrt").witness_margin(),
+        "janowski": ps.get_entry("janowski", A=0.5, B=-0.5).witness_margin(),
     }
     ok = all(abs(m) < 1e-9 for m in margins.values())
     announce(capsys, 5, "sharpness witnesses", ok,

@@ -206,7 +206,7 @@ class TestPlot:
         assert "left_parabola_r=0.5" in capsys.readouterr().out
 
     def test_corollary_figure(self, capsys):
-        from parastar import corollary_radius
+        from parastar import get_entry
 
         for entry, target in (
                 ("r1_exp", "alpha_exp"), ("r2_sine", "sine"), ("r3_cosh_sqrt", "cosh_sqrt"),
@@ -217,7 +217,7 @@ class TestPlot:
                          "--format", "csv"]) == 0
             out = capsys.readouterr().out
             assert f"\n{target}_boundary,0," in out
-            assert f"\nimage_r={corollary_radius(entry).closed_form:.6f},0," in out
+            assert f"\nimage_r={get_entry(entry).closed_form:.6f},0," in out
 
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_corollary_figure_needs_64_samples(self, samples, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 
 import numpy as np
@@ -7,23 +8,14 @@ import pytest
 from parastar import (
     ParamRange,
     UnknownTarget,
-    beta_disc_radius,
-    caratheodory_order_radius,
-    corollary_radius,
     default_entries,
-    disc_class_radius,
     extremize_on_circle,
     get_entry,
     inner_disc_radius,
     left_parabola,
-    m_class_radius,
     majorization_phi,
     majorization_psi,
-    majorization_radius,
-    membership_radius,
     oracle_root,
-    peng_zhong_radius,
-    ratio_class_radius,
     target_map,
 )
 from support import assert_quoted
@@ -64,51 +56,51 @@ class TestCatalogContract:
 
 class TestMainTheoremValues:
     def test_parabolic_starlike(self):
-        assert membership_radius("sp").closed_form == tanh_sq(PI / 4.0)
+        assert get_entry("sp").closed_form == tanh_sq(PI / 4.0)
 
     def test_sine(self):
-        assert membership_radius("sine").closed_form == PI / 6.0
+        assert get_entry("sine").closed_form == PI / 6.0
 
     def test_lune(self):
-        assert abs(membership_radius("lune").closed_form - 5.0 / 12.0) < 1e-15
+        assert abs(get_entry("lune").closed_form - 5.0 / 12.0) < 1e-15
 
     def test_cosh_sqrt(self):
-        assert membership_radius("cosh_sqrt").closed_form == math.acosh(1.5) ** 2
+        assert get_entry("cosh_sqrt").closed_form == math.acosh(1.5) ** 2
 
     def test_asinh(self):
-        assert membership_radius("asinh").closed_form == math.sinh(0.5)
+        assert get_entry("asinh").closed_form == math.sinh(0.5)
 
     def test_cardioid_quoted(self):
-        assert_quoted(membership_radius("cardioid").closed_form, 0.3517, digits=4)
+        assert_quoted(get_entry("cardioid").closed_form, 0.3517, digits=4)
 
     def test_bs_family(self):
-        assert membership_radius("bs", alpha=0.0).closed_form == 0.5
+        assert get_entry("bs", alpha=0.0).closed_form == 0.5
         for alpha in (0.25, 0.5, 0.75):
             expect = (math.sqrt(1.0 + alpha) - 1.0) / alpha
-            assert membership_radius("bs", alpha=alpha).closed_form == expect
+            assert get_entry("bs", alpha=alpha).closed_form == expect
         # continuity toward alpha = 0
-        assert abs(membership_radius("bs", alpha=1e-8).closed_form - 0.5) < 1e-8
+        assert abs(get_entry("bs", alpha=1e-8).closed_form - 0.5) < 1e-8
 
     def test_alpha_exp_values(self):
-        assert abs(membership_radius("alpha_exp", alpha=0.0).closed_form
+        assert abs(get_entry("alpha_exp", alpha=0.0).closed_form
                    - math.log(1.5)) < 1e-15
         threshold = 1.0 - 1.0 / (2.0 * (math.e - 1.0))
-        assert membership_radius("alpha_exp", alpha=threshold + 0.01).closed_form == 1.0
-        just_below = membership_radius("alpha_exp", alpha=threshold - 1e-9).closed_form
+        assert get_entry("alpha_exp", alpha=threshold + 0.01).closed_form == 1.0
+        just_below = get_entry("alpha_exp", alpha=threshold - 1e-9).closed_form
         assert abs(just_below - 1.0) < 1e-8
 
     def test_janowski_piecewise(self):
-        entry = membership_radius("janowski", A=0.5, B=-0.5)
+        entry = get_entry("janowski", A=0.5, B=-0.5)
         assert entry.closed_form == 1.0 / 2.5
-        assert membership_radius("janowski", A=0.3, B=-0.1).closed_form == 1.0
+        assert get_entry("janowski", A=0.3, B=-0.1).closed_form == 1.0
         with pytest.raises(ParamRange):
-            membership_radius("janowski", A=0.5, B=0.7)
+            get_entry("janowski", A=0.5, B=0.7)
         with pytest.raises(ParamRange):
-            membership_radius("janowski", A=0.5, B=-1.0)
+            get_entry("janowski", A=0.5, B=-1.0)
 
     def test_janowski_condition_matches_circle_max(self):
         # the algebraic disc bound agrees with numeric circle extremization
-        entry = membership_radius("janowski", A=0.5, B=-0.5)
+        entry = get_entry("janowski", A=0.5, B=-0.5)
         phi = target_map("janowski", A=0.5, B=-0.5)
         for r in (0.2, 0.35):
             numeric = extremize_on_circle(phi, r, "re").max_value - 1.5
@@ -117,57 +109,57 @@ class TestMainTheoremValues:
 
 class TestOrderAndDiscRadii:
     def test_starlikeness_radius_quoted(self):
-        assert_quoted(caratheodory_order_radius(0.0).closed_form, 0.6469, digits=4)
+        assert_quoted(get_entry("caratheodory", alpha=0.0).closed_form, 0.6469, digits=4)
 
     def test_order_limit(self):
-        assert caratheodory_order_radius(1.0 - 1e-12).closed_form < 1e-11
+        assert get_entry("caratheodory", alpha=1.0 - 1e-12).closed_form < 1e-11
 
     def test_half_order_equals_sp_radius(self):
         # the root of map(r) = 1/2 coincides with tanh^2(pi/4)
-        assert abs(caratheodory_order_radius(0.5).closed_form - tanh_sq(PI / 4.0)) < 1e-15
+        assert abs(get_entry("caratheodory", alpha=0.5).closed_form - tanh_sq(PI / 4.0)) < 1e-15
 
     def test_small_alpha_asymptotics(self):
         # tanh^2(pi sqrt(alpha)/(2 sqrt 2)) ~ alpha pi^2 / 8
         alpha = 1e-8
-        r = disc_class_radius(alpha).closed_form
+        r = get_entry("disc_class", alpha=alpha).closed_form
         assert abs(r / (alpha * PI**2 / 8.0) - 1.0) < 1e-6
 
     def test_duality_exact(self):
         for beta in (0.1, 0.25, 0.5, 0.9):
-            assert beta_disc_radius(beta).closed_form == \
-                caratheodory_order_radius(1.0 - beta).closed_form
+            assert get_entry("beta_disc", beta=beta).closed_form == \
+                get_entry("caratheodory", alpha=1.0 - beta).closed_form
 
     def test_beta_disc_degenerates_at_zero(self):
         # the formula value at beta = 0 is radius 0 (no entry is built for it)
         assert math.tanh(PI * math.sqrt(0.0) / (2.0 * SQRT2)) ** 2 == 0.0
-        assert beta_disc_radius(1e-10).closed_form < 1e-9
+        assert get_entry("beta_disc", beta=1e-10).closed_form < 1e-9
         with pytest.raises(ParamRange):
-            beta_disc_radius(0.0)
+            get_entry("beta_disc", beta=0.0)
 
     def test_monotonicity(self):
         alphas = np.linspace(0.05, 0.95, 10)
-        gammas = [caratheodory_order_radius(a).closed_form for a in alphas]
-        discs = [disc_class_radius(a).closed_form for a in alphas]
+        gammas = [get_entry("caratheodory", alpha=a).closed_form for a in alphas]
+        discs = [get_entry("disc_class", alpha=a).closed_form for a in alphas]
         assert all(b < a for a, b in zip(gammas, gammas[1:]))
         assert all(b > a for a, b in zip(discs, discs[1:]))
-        bs = [membership_radius("bs", alpha=a).closed_form for a in alphas]
+        bs = [get_entry("bs", alpha=a).closed_form for a in alphas]
         assert all(b < a for a, b in zip(bs, bs[1:]))
 
 
 class TestCorollaryRadii:
     def test_r7_closed_form(self):
-        assert corollary_radius("r7_nephroid").closed_form == tanh_sq(PI / (2.0 * math.sqrt(3.0)))
+        assert get_entry("r7_nephroid").closed_form == tanh_sq(PI / (2.0 * math.sqrt(3.0)))
 
     def test_r8_r9_quoted_truncated(self):
-        assert_quoted(corollary_radius("r8_lemniscate").closed_form, 0.376,
+        assert_quoted(get_entry("r8_lemniscate").closed_form, 0.376,
                       digits=3, truncated=True)
-        assert_quoted(corollary_radius("r9_reverse_lemniscate").closed_form, 0.283,
+        assert_quoted(get_entry("r9_reverse_lemniscate").closed_form, 0.283,
                       digits=3, truncated=True)
 
     def test_r1_equals_disc_radius_at_exp_constant(self):
         # the corollary value is the disc radius at alpha = 1 - 1/e
-        r1 = corollary_radius("r1_exp").closed_form
-        assert abs(r1 - disc_class_radius(1.0 - 1.0 / math.e).closed_form) < 1e-15
+        r1 = get_entry("r1_exp").closed_form
+        assert abs(r1 - get_entry("disc_class", alpha=1.0 - 1.0 / math.e).closed_form) < 1e-15
 
     @pytest.mark.parametrize("target,params,expected", [
         ("alpha_exp", {"alpha": 0.0}, 1.0 - 1.0 / math.e),
@@ -186,20 +178,20 @@ class TestCorollaryRadii:
 
     def test_unknown_id(self):
         with pytest.raises(UnknownTarget):
-            corollary_radius("r10")
+            get_entry("r10")
 
 
 class TestRatioClass:
     def test_endpoint_values(self):
-        assert abs(ratio_class_radius(-1.0).closed_form - (math.sqrt(17.0) - 4.0)) < 1e-15
-        assert abs(ratio_class_radius(1.0).closed_form - (math.sqrt(41.0) - 6.0) / 5.0) < 1e-15
+        assert abs(get_entry("ratio", A=-1.0).closed_form - (math.sqrt(17.0) - 4.0)) < 1e-15
+        assert abs(get_entry("ratio", A=1.0).closed_form - (math.sqrt(41.0) - 6.0) / 5.0) < 1e-15
 
     def test_quoted(self):
-        assert_quoted(ratio_class_radius(-1.0).closed_form, 0.123, digits=3)
-        assert_quoted(ratio_class_radius(1.0).closed_form, 0.080, digits=3, truncated=True)
+        assert_quoted(get_entry("ratio", A=-1.0).closed_form, 0.123, digits=3)
+        assert_quoted(get_entry("ratio", A=1.0).closed_form, 0.080, digits=3, truncated=True)
 
     def test_decreasing_in_A(self):
-        vals = [ratio_class_radius(a).closed_form for a in np.linspace(-1, 1, 9)]
+        vals = [get_entry("ratio", A=a).closed_form for a in np.linspace(-1, 1, 9)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("A", [-1.0, 0.0, 1.0])
@@ -210,7 +202,7 @@ class TestRatioClass:
         from parastar import margin
 
         phis = np.linspace(-PI, PI, 512, endpoint=False)
-        root = ratio_class_radius(A).closed_form
+        root = get_entry("ratio", A=A).closed_form
         for r, expect_inside in ((root * (1 - 1e-6), True), (root * (1 + 1e-3), False)):
             center = (1.0 + A * r * r) / (1.0 - r * r)
             radius = (5.0 + A) * r / (1.0 - r * r)
@@ -220,32 +212,33 @@ class TestRatioClass:
 
     def test_param_range(self):
         with pytest.raises(ParamRange):
-            ratio_class_radius(1.5)
+            get_entry("ratio", A=1.5)
 
 
 class TestMClass:
     def test_limits(self):
-        assert m_class_radius(1.0 + 1e-9).closed_form < 1e-6
-        assert m_class_radius(1.5 - 1e-9).closed_form > 1.0 - 1e-3
+        assert get_entry("mbeta", beta=1.0 + 1e-9).closed_form < 1e-6
+        assert get_entry("mbeta", beta=1.5 - 1e-9).closed_form > 1.0 - 1e-3
 
     @pytest.mark.parametrize("beta", [1.1, 1.25, 1.4])
     def test_closed_form_equals_condition_root(self, beta):
-        entry = m_class_radius(beta)
+        entry = get_entry("mbeta", beta=beta)
         assert abs(entry.closed_form - oracle_root(entry)) < 1e-9
 
     def test_closed_form_is_tan_half_delta_sq(self):
         for beta in (1.1, 1.25, 1.4):
             delta = PI * math.sqrt(beta - 1.0) / math.sqrt(2.0)
-            assert abs(m_class_radius(beta).closed_form - math.tan(delta / 2.0) ** 2) < 1e-12
+            closed = get_entry("mbeta", beta=beta).closed_form
+            assert abs(closed - math.tan(delta / 2.0) ** 2) < 1e-12
 
     def test_param_range(self):
         with pytest.raises(ParamRange):
-            m_class_radius(1.6)
+            get_entry("mbeta", beta=1.6)
 
 
 class TestRootOnlyRadii:
     def test_majorization_quoted(self):
-        assert_quoted(majorization_radius().closed_form, 0.4220, digits=4)
+        assert_quoted(get_entry("majorization").closed_form, 0.4220, digits=4, truncated=True)
 
     def test_majorization_feasibility_profile(self):
         r_star = tanh_sq(PI / (2.0 * SQRT2))
@@ -254,12 +247,12 @@ class TestRootOnlyRadii:
             assert majorization_phi(r_star, sigma) < 0.0
 
     def test_majorization_bound_crossing(self):
-        rm = majorization_radius().closed_form
+        rm = get_entry("majorization").closed_form
         assert majorization_psi(rm * (1 - 1e-6), 0.0) < 1.0
         assert majorization_psi(rm * (1 + 1e-3), 0.0) > 1.0
 
     def test_peng_zhong_condition_shape(self):
-        entry = peng_zhong_radius()
+        entry = get_entry("peng_zhong")
         assert entry.condition(1e-9) < 0.0
         assert entry.condition(0.6) > 0.0
         # two independent solvers agree
@@ -276,7 +269,7 @@ class TestRootOnlyRadii:
             return g(r).real * (2.0 / PI**2) * math.log((1 + s) / (1 - s)) ** 2 - 0.5
 
         dense_root = bracket_root(cond, 0.1, 0.646)
-        assert abs(peng_zhong_radius().closed_form - dense_root) < 1e-10
+        assert abs(get_entry("peng_zhong").closed_form - dense_root) < 1e-10
 
 
 class TestRegistry:
@@ -300,17 +293,20 @@ class TestRegistry:
         ("sp", {"alpha": 0.3}), ("r7_nephroid", {"beta": 0.5}),
         ("majorization", {"A": 0.1}), ("bs", {"alpha": 0.5, "B": 0.1}),
         ("janowski", {"A": 0.5, "B": -0.5, "alpha": 0.2}),
-        ("caratheodory", {"alpha": 0.2, "beta": 0.5})])
+        ("caratheodory", {"alpha": 0.2, "beta": 0.5}), ("sine", {"alpha": 0.3})])
     def test_unexpected_parameters(self, entry_id, params):
-        with pytest.raises(ParamRange, match=f"unexpected parameters for {entry_id}"):
+        # the last parameter of each row is the unexpected one
+        message = f"unexpected parameters for {entry_id}: {[list(params)[-1]]}"
+        with pytest.raises(ParamRange, match=re.escape(message)):
             get_entry(entry_id, **params)
-
-    def test_membership_radius_rejects_unexpected(self):
-        with pytest.raises(ParamRange, match=r"unexpected parameters for sine: \['alpha'\]"):
-            membership_radius("sine", alpha=0.3)
 
     def test_default_catalog_size(self):
         assert len(default_entries()) >= 20
+
+    def test_table_rows_cover_every_entry(self):
+        from parastar.radii import _ENTRIES, TABLE_ROWS
+
+        assert set(_ENTRIES) <= {entry_id for entry_id, _ in TABLE_ROWS}
 
 
 class TestOracleRoute:
@@ -360,7 +356,10 @@ class TestOracleRoute:
     def test_itp_evaluation_budget(self):
         # every uncapped verify condition solved by ITP: a circle-max
         # condition (one circle extremization per evaluation) needs at most
-        # 13 evaluations, and the median condition at most 12
+        # 13 evaluations, and the median condition at most 12.  No point is
+        # evaluated twice (a regula-falsi point that rounds onto a bracket
+        # end becomes the midpoint, in the projected steps too), so
+        # peng_zhong (one growth quadrature per evaluation) needs at most 16
         import parastar.oracle as oracle
         from parastar.radii import _CIRCLE_MAX
         from parastar.verify import _verification_catalog
@@ -370,6 +369,7 @@ class TestOracleRoute:
             root = oracle.bracket_root(lambda r: calls.append(r) or entry.condition(r),
                                        *entry.bracket)
             assert abs(root - entry.closed_form) <= 1e-9, entry.label
+            assert len(set(calls)) == len(calls), (entry.label, sorted(calls))
             return len(calls)
 
         circle_max = set(_CIRCLE_MAX) | {"bs", "alpha_exp"}
@@ -379,3 +379,4 @@ class TestOracleRoute:
         assert sum(is_circle for _, is_circle in counts.values()) == 10
         assert all(n <= 13 for n, is_circle in counts.values() if is_circle), counts
         assert statistics.median(n for n, _ in counts.values()) <= 12
+        assert counts["peng_zhong"][0] <= 16, counts
