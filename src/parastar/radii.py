@@ -90,12 +90,12 @@ def oracle_root(entry: RadiusEntry, method: str = "bisect") -> float:
     ``method`` is ``"bisect"``, the default route, solved by ITP, or
     ``"golden"``, golden-section shrinking as a cross-check.  A capped
     entry runs no solver: its condition is only checked to be negative
-    at the bracket's upper end.
+    at the bracket's upper end, where a NaN raises ``DomainError``.
     """
     if method not in _METHODS:
         raise ParamRange(f"unknown oracle method {method!r}; use 'bisect' or 'golden'")
     if entry.capped:
-        if entry.condition(entry.bracket[1]) > 0.0:
+        if oracle._value(entry.condition, entry.bracket[1]) > 0.0:
             raise ParamRange(f"{entry.label}: capped entry with positive condition near 1")
         return 1.0
     return getattr(oracle, _METHODS[method])(entry.condition, *entry.bracket)

@@ -140,11 +140,11 @@ def _series_vs_quadrature(check_id):
 
 def _random_members(check_id, samples, seed):
     rng = np.random.default_rng(seed)
+    sandwiches = [(r, *oracle.growth_bounds(r)) for r in (0.3, 0.6, 0.9)]
     violation = -math.inf
     for _ in range(samples):
         w_fn, _zeros = oracle.sample_schwarz_function(rng)
-        for r in (0.3, 0.6, 0.9):
-            lo, hi = oracle.growth_bounds(r)
+        for r, lo, hi in sandwiches:
             val = oracle.member_growth_modulus(w_fn, r)
             violation = max(violation, lo - val, val - hi)
     return VerificationReport.from_pair(

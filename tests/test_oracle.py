@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,8 @@ from parastar import (
     member_growth_modulus,
     oracle,
     parabola_map,
+    radii,
+    region,
     sample_schwarz_function,
     target_map,
 )
@@ -339,6 +342,60 @@ class TestInclusion:
     def test_constant_map_passes(self):
         rep = check_subordination_inclusion(lambda z: np.ones_like(z), 0.5)
         assert rep.passed
+
+    @staticmethod
+    def _one_array_worst(map_fn, r, samples):
+        # reference: every sample in one array, angles by np.linspace
+        theta = np.linspace(-PI, PI, samples, endpoint=False)
+        w = map_fn(r * np.exp(1j * theta))
+        return min(float(np.min(region.margin(w))), float(np.min(region.support_margin(w))))
+
+    @staticmethod
+    def _traced_peak(map_fn, r, samples):
+        tracemalloc.start()
+        try:
+            check_subordination_inclusion(map_fn, r, samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("tid", ["sine", "cosh_sqrt"])
+    def test_blocks_match_one_array_sweep(self, tid):
+        block = oracle._SWEEP_BLOCK
+        phi = target_map(tid)
+        radius = radii.get_entry(tid).closed_form
+        for r in (0.9 * radius, min(1.1 * radius, 0.999)):
+            for samples in (1, block - 1, block, block + 1, 2 * block + 3):
+                rep = check_subordination_inclusion(phi, r, samples)
+                ref = self._one_array_worst(phi, r, samples)
+                assert rep.oracle_value == ref
+                assert rep.passed == (ref > 0.0)
+                assert rep.samples == samples
+
+    def test_non_finite_value_in_last_block_is_singular(self):
+        block = oracle._SWEEP_BLOCK
+        sizes = []
+
+        def inf_at_last_sample(z):
+            sizes.append(z.size)
+            w = np.ones_like(z)
+            if len(sizes) == 3:
+                w[-1] = np.inf
+            return w
+
+        with pytest.raises(SingularOnCircle):
+            check_subordination_inclusion(inf_at_last_sample, 0.5, 2 * block + 3)
+        assert sizes == [block, block, 3]
+
+    def test_memory_does_not_grow_with_samples(self):
+        # one array of 2^20 points is 16 MiB, and the one-array sweep
+        # peaked at 56-73 MiB
+        phi = target_map("cosh_sqrt")
+        r = 0.9 * radii.get_entry("cosh_sqrt").closed_form
+        peak_1m = self._traced_peak(phi, r, 1 << 20)
+        peak_2m = self._traced_peak(phi, r, 1 << 21)
+        assert peak_1m <= 16 * 2**20
+        assert peak_2m <= peak_1m + 2**20
 
     def test_cosh_sqrt_two_sided_probe(self):
         phi = target_map("cosh_sqrt")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from parastar import (
+    DomainError,
     ParamRange,
+    RadiusEntry,
     UnknownTarget,
     default_entries,
     extremize_on_circle,
@@ -352,6 +354,13 @@ class TestOracleRoute:
     def test_unknown_method(self):
         with pytest.raises(ParamRange):
             oracle_root(get_entry("sine"), method="brent")
+
+    def test_capped_nan_condition_raises(self):
+        # a capped entry runs no solver, but its one condition value is
+        # still checked: NaN is a domain error, not a cap
+        entry = RadiusEntry("nan_cap", {}, 1.0, lambda r: math.nan, capped=True)
+        with pytest.raises(DomainError):
+            oracle_root(entry)
 
     def test_itp_evaluation_budget(self):
         # every uncapped verify condition solved by ITP: a circle-max
