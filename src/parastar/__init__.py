@@ -37,9 +37,7 @@ from .oracle import (
     ExtremeResult,
     VerificationReport,
     bracket_root,
-    caratheodory_log_derivative_bound,
     caratheodory_order_check,
-    caratheodory_order_disc,
     certify_sufficient_condition,
     check_subordination_inclusion,
     covering_constant,

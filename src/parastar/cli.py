@@ -107,7 +107,12 @@ def _read_series_csv(path: str) -> PowerSeries:
             if not line or line.startswith("#") or line.startswith("index"):
                 continue
             idx, re_, im_ = line.split(",")
-            rows[int(idx)] = complex(float(re_), float(im_))
+            i = int(idx)
+            if i < 0:
+                raise ParamRange(f"negative coefficient index {i} in {path}")
+            if i in rows:
+                raise ParamRange(f"duplicate coefficient index {i} in {path}")
+            rows[i] = complex(float(re_), float(im_))
     if not rows:
         raise ParastarError(f"no coefficients found in {path}")
     coeffs = [rows.get(i, 0.0) for i in range(max(rows) + 1)]

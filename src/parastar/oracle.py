@@ -204,31 +204,47 @@ def _circle_values(map_fn, r: float, z: np.ndarray) -> np.ndarray:
 _N_GRID = 4096
 _GRID = np.linspace(-math.pi, math.pi, _N_GRID, endpoint=False)
 _GRID_UNIT = np.exp(1j * _GRID)
+# The half grid of a real-coefficient map: theta = -pi and the upper half
+# [0, pi), 2049 points holding both real-axis points.
+_HALF_GRID = np.concatenate((_GRID[:1], _GRID[_N_GRID // 2:]))
+_HALF_GRID_UNIT = np.concatenate((_GRID_UNIT[:1], _GRID_UNIT[_N_GRID // 2:]))
 _GRID.setflags(write=False)
 _GRID_UNIT.setflags(write=False)
+_HALF_GRID.setflags(write=False)
+_HALF_GRID_UNIT.setflags(write=False)
 _ANGLE_TOL = 1e-10
 # Points per refinement window (odd, so each window keeps its centre); each
 # round shrinks the half-width by (K - 1)/2 = 16 and costs one map call.
 _REFINE_POINTS = 33
 
 
-def extremize_on_circle(map_fn, r: float, functional: str = "re") -> ExtremeResult:
+def extremize_on_circle(map_fn, r: float, functional: str = "re", *,
+                        real_coefficients: bool = False) -> ExtremeResult:
     """Extremes of a functional of ``map_fn`` over the circle |z| = r.
 
     A uniform 4096-point angular grid (which contains 0 and -pi) is refined
     around the best grid points by nested local grids: each round samples
     both windows in one map call, re-centres each on its best point and
     shrinks it to one step, until the step is at most 1e-10.
+
+    ``real_coefficients=True`` states that ``map_fn`` has real Taylor
+    coefficients, so map(conj z) = conj map(z) and both functionals take
+    the same values at theta and -theta.  The first pass then samples
+    only the 2049 grid angles in {-pi} and [0, pi); refinement is
+    unchanged.  An extreme on the real axis comes out bit for bit as on
+    the full circle; an off-axis one may be refined at its mirror angle
+    -theta, which can move its value in the last bits.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("circle radius must lie in [0, 1]")
     if functional not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {functional!r}")
     fun = _FUNCTIONALS[functional]
-    vals = fun(_circle_values(map_fn, r, r * _GRID_UNIT))
+    grid, unit = (_HALF_GRID, _HALF_GRID_UNIT) if real_coefficients else (_GRID, _GRID_UNIT)
+    vals = fun(_circle_values(map_fn, r, r * unit))
     i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
-    th_min, v_min = _GRID[i_min], vals[i_min]
-    th_max, v_max = _GRID[i_max], vals[i_max]
+    th_min, v_min = grid[i_min], vals[i_min]
+    th_max, v_max = grid[i_max], vals[i_max]
 
     k = _REFINE_POINTS
     offsets = np.linspace(-1.0, 1.0, k)
@@ -521,20 +537,6 @@ def janowski_disc_bound(A: float, B: float, r: float, n: int = 1) -> tuple[float
     r2n = r ** (2 * n)
     den = 1.0 - B * B * r2n
     return (1.0 - A * B * r2n) / den, abs(A - B) * r**n / den
-
-
-def caratheodory_order_disc(alpha: float, r: float, n: int = 1) -> tuple[float, float]:
-    """Value disc for functions of positive real part of order alpha."""
-    if not 0.0 <= alpha < 1.0:
-        raise ParamRange("alpha must lie in [0, 1)")
-    return janowski_disc_bound(1.0 - 2.0 * alpha, -1.0, r, n)
-
-
-def caratheodory_log_derivative_bound(r: float) -> float:
-    """Classical bound |z p'/p| <= 2r/(1-r^2) for Re p > 0, p(0) = 1."""
-    if not 0.0 <= r < 1.0:
-        raise ParamRange("radius must lie in [0, 1)")
-    return 2.0 * r / (1.0 - r * r)
 
 
 # --- random class members --------------------------------------------------

@@ -26,6 +26,12 @@ Two directions of membership appear:
 * largest disc on which every parabolic-class member lands in another
   class: the condition compares the kernel modulus |k(r)| with the
   target class's inner-disc constant.
+
+Both the circle maxima and the inner-disc constants (min |phi - 1| on
+|z| = 1) come from ``oracle.extremize_on_circle`` with
+``real_coefficients=True``: every target here has real Taylor
+coefficients, so phi(conj z) = conj phi(z), Re phi and |phi - 1| repeat
+on the lower half circle, and the first pass samples the upper half only.
 """
 
 from __future__ import annotations
@@ -102,8 +108,12 @@ def oracle_root(entry: RadiusEntry, method: str = "bisect") -> float:
 
 
 def _circle_max_condition(phi) -> Callable[[float], float]:
+    # every circle-max target (the _CIRCLE_MAX maps, bs and alpha_exp at
+    # real alpha) has real Taylor coefficients, so Re phi takes the same
+    # value at z and conj z and the upper half circle is exact
     def condition(r: float) -> float:
-        return oracle.extremize_on_circle(phi, r, "re").max_value - 1.5
+        ext = oracle.extremize_on_circle(phi, r, "re", real_coefficients=True)
+        return ext.max_value - 1.5
 
     return condition
 
@@ -249,7 +259,10 @@ def inner_disc_radius(target: str, **params) -> float:
     corollary conditions below do not import the constants they verify.
     """
     phi = target_map(target, **params)
-    ext = oracle.extremize_on_circle(lambda z: phi(z) - 1.0, 1.0, "abs")
+    # every named target has real Taylor coefficients at real parameters,
+    # and so has phi - 1: |phi - 1| takes the same value at z and conj z
+    ext = oracle.extremize_on_circle(lambda z: phi(z) - 1.0, 1.0, "abs",
+                                     real_coefficients=True)
     return ext.min_value
 
 

@@ -160,14 +160,20 @@ def distance_critical_points(a: float) -> tuple[float, ...]:
     return (1.0 / math.sqrt(2.0),)
 
 
-def argument_sector_check(w) -> bool:
+def argument_sector_check(w):
     """True iff |arg(w - 2)| > 3 pi/4 (strict; tangency points fail).
 
     The whole parabolic region satisfies this: its boundary touches the
-    sector's rays y = +-(x - 2) at the points 1 +- i only.
+    sector's rays y = +-(x - 2) at the points 1 +- i only.  An array is
+    checked elementwise with numpy and gives a boolean array; a scalar
+    goes through ``cmath``.  Any point equal to 2 raises ``ArgUndefined``.
     """
-    w = complex(w)
-    u = w - 2.0
+    if np.ndim(w):
+        u = np.asarray(w, dtype=np.complex128) - 2.0
+        if np.any(u == 0):
+            raise ArgUndefined("argument undefined at w = 2")
+        return np.abs(np.angle(u)) > 0.75 * math.pi
+    u = complex(w) - 2.0
     if u == 0:
         raise ArgUndefined("argument undefined at w = 2")
     return abs(cmath.phase(u)) > 0.75 * math.pi

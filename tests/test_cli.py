@@ -186,6 +186,20 @@ class TestCertify:
     def test_missing_file(self):
         assert main(["certify", "--series", "/nonexistent.csv", "--t", "0"]) == 2
 
+    def test_negative_index_is_usage_error(self, tmp_path, capsys):
+        # the line would otherwise be dropped and a different series certified
+        path = tmp_path / "neg.csv"
+        path.write_text("index,re,im\n0,0,0\n1,1,0\n-1,5,0\n")
+        assert main(["certify", "--series", str(path), "--t", "0"]) == 2
+        assert "negative coefficient index -1" in capsys.readouterr().err
+
+    def test_duplicate_index_is_usage_error(self, tmp_path, capsys):
+        # the later line would otherwise overwrite the earlier one
+        path = tmp_path / "dup.csv"
+        path.write_text("index,re,im\n0,0,0\n1,1,0\n2,0.3,0\n2,0.4,0\n")
+        assert main(["certify", "--series", str(path), "--t", "0"]) == 2
+        assert "duplicate coefficient index 2" in capsys.readouterr().err
+
 
 class TestPlot:
     def test_region_svg_parses(self, tmp_path):

@@ -17,9 +17,7 @@ from parastar import (
     QuadratureFailure,
     SingularOnCircle,
     bracket_root,
-    caratheodory_log_derivative_bound,
     caratheodory_order_check,
-    caratheodory_order_disc,
     certify_sufficient_condition,
     check_subordination_inclusion,
     covering_constant,
@@ -213,6 +211,55 @@ class TestExtremize:
         extremize_on_circle(phi, 0.5)
         assert len(calls) <= 8
         assert all(n > 1 for n in calls)
+
+    @staticmethod
+    def _first_pass(r, **kwargs):
+        calls = []
+
+        def phi(z):
+            calls.append(np.array(z))
+            return left_parabola(z)
+
+        extremize_on_circle(phi, r, **kwargs)
+        return calls
+
+    def test_half_circle_first_pass(self):
+        # by default the first pass is the full 4096-point grid; with real
+        # coefficients it is theta = -pi and the upper half [0, pi), and
+        # refinement is unchanged
+        r = 0.5
+        full = self._first_pass(r)
+        calls = self._first_pass(r, real_coefficients=True)
+        first = calls[0]
+        assert full[0].size == 4096
+        assert first.size == 2049
+        assert np.all(first.imag[1:] >= 0.0)
+        assert r in first
+        assert np.min(np.abs(first + r)) < 1e-16
+        assert [c.size for c in calls[1:]] == [c.size for c in full[1:]]
+
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("functional", ["re", "abs"])
+    def test_half_circle_values_match(self, r, functional):
+        # an off-axis extreme may be refined at its mirror angle, which can
+        # move its value in the last bits
+        phi = target_map("cardioid")
+        half = extremize_on_circle(phi, r, functional, real_coefficients=True)
+        full = extremize_on_circle(phi, r, functional)
+        for a, b in ((half.min_value, full.min_value), (half.max_value, full.max_value)):
+            assert abs(a - b) <= 1e-15 * abs(b)
+        for a, b in ((half.argmin_angle, full.argmin_angle),
+                     (half.argmax_angle, full.argmax_angle)):
+            assert abs(abs(a) - abs(b)) < 1e-6
+
+    def test_half_circle_misses_off_axis_peak(self):
+        # the flag is a promise about the map: the rotated sine has complex
+        # coefficients and peaks at angle -a in the lower half, which the
+        # half circle never samples
+        alpha, r = 0.3 + 0.37 * 2.0 * PI / 4096, 0.4
+        phi = lambda z: 1.0 + np.sin(np.exp(1j * alpha) * z)
+        half = extremize_on_circle(phi, r, "re", real_coefficients=True)
+        assert half.max_value < extremize_on_circle(phi, r, "re").max_value - 1e-3
 
 
 class TestGrowthBounds:
@@ -466,26 +513,21 @@ class TestDiscBounds:
         assert abs(center - (1 + r * r) / (1 - r * r)) < 1e-15
         assert abs(radius - 2 * r / (1 - r * r)) < 1e-15
 
-    def test_order_alpha_formula(self):
-        alpha, r, n = 0.3, 0.5, 2
-        center, radius = caratheodory_order_disc(alpha, r, n)
-        r2n = r ** (2 * n)
-        assert abs(center - (1 + (1 - 2 * alpha) * r2n) / (1 - r2n)) < 1e-15
-        assert abs(radius - 2 * (1 - alpha) * r**n / (1 - r2n)) < 1e-15
-
     def test_param_range(self):
         with pytest.raises(ParamRange):
             janowski_disc_bound(-0.5, 0.5, 0.3)
 
     def test_ratio_class_aggregation(self):
-        # value disc of (1+Az)/(1-z) plus two log-derivative bounds
-        # reproduces the aggregated reach (5+A) r/(1-r^2); at A = -1 the
-        # Moebius term degenerates to the constant 1
+        # value disc of (1+Az)/(1-z) plus two classical log-derivative
+        # bounds |z p'/p| <= 2r/(1-r^2) reproduces the aggregated reach
+        # (5+A) r/(1-r^2); at A = -1 the Moebius term degenerates to the
+        # constant 1
         r = 0.21
+        log_derivative = 2.0 * r / (1.0 - r * r)
         for A in (-0.5, 0.0, 1.0):
             center, radius = janowski_disc_bound(A, -1.0, r)
-            total = radius + 2.0 * caratheodory_log_derivative_bound(r)
+            total = radius + 2.0 * log_derivative
             assert abs(center - (1 + A * r * r) / (1 - r * r)) < 1e-15
             assert abs(total - (5.0 + A) * r / (1 - r * r)) < 1e-14
-        degenerate = 2.0 * caratheodory_log_derivative_bound(r)
+        degenerate = 2.0 * log_derivative
         assert abs(degenerate - (5.0 - 1.0) * r / (1 - r * r)) < 1e-14

@@ -20,6 +20,7 @@ from parastar import (
     oracle_root,
     target_map,
 )
+from parastar.radii import _CIRCLE_MAX, _COROLLARY
 from support import assert_quoted
 
 PI = math.pi
@@ -181,6 +182,52 @@ class TestCorollaryRadii:
     def test_unknown_id(self):
         with pytest.raises(UnknownTarget):
             get_entry("r10")
+
+
+def _half_and_full(monkeypatch):
+    """Make every radii extremization also run on the full circle; returns
+    the list that collects (half-circle, full-circle) results per call."""
+    import parastar.oracle as oracle
+
+    pairs = []
+    extremize = oracle.extremize_on_circle
+
+    def both(map_fn, r, functional, *, real_coefficients):
+        assert real_coefficients
+        half = extremize(map_fn, r, functional, real_coefficients=True)
+        pairs.append((half, extremize(map_fn, r, functional)))
+        return half
+
+    monkeypatch.setattr(oracle, "extremize_on_circle", both)
+    return pairs
+
+
+class TestHalfCircle:
+    # the circle-max conditions and the inner-disc constants sample the
+    # first pass on the upper half circle only; their maps have real
+    # coefficients, so the extremes match the full circle bit for bit
+
+    @pytest.mark.parametrize("entry_id, params", [
+        *((cid, {}) for cid in _CIRCLE_MAX),
+        *(("bs", {"alpha": a}) for a in (0.0, 0.3, 0.6, 0.9)),
+        *(("alpha_exp", {"alpha": a}) for a in (0.0, 0.3, 0.6, 0.9)),
+    ])
+    def test_circle_max_bit_equal(self, monkeypatch, entry_id, params):
+        entry = get_entry(entry_id, **params)
+        pairs = _half_and_full(monkeypatch)
+        radii = np.linspace(0.05, 0.95, 13)
+        for r in radii:
+            entry.condition(r)
+        assert len(pairs) == radii.size
+        assert [h.max_value for h, _ in pairs] == [f.max_value for _, f in pairs]
+
+    @pytest.mark.parametrize("entry_id", list(_COROLLARY))
+    def test_inner_disc_minimum_bit_equal(self, monkeypatch, entry_id):
+        _, target, params = _COROLLARY[entry_id]
+        pairs = _half_and_full(monkeypatch)
+        constant = inner_disc_radius.__wrapped__(target.value, **params)
+        ((half, full),) = pairs
+        assert constant == half.min_value == full.min_value
 
 
 class TestRatioClass:

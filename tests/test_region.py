@@ -165,5 +165,18 @@ class TestArgumentSector:
         w = x + 1j * y
         inside = margin(w) > 0
         assert inside.all()
-        u = w - 2.0
-        assert np.all(np.abs(np.angle(u)) > 0.75 * PI)
+        assert np.all(argument_sector_check(w))
+
+    def test_array_matches_scalar(self):
+        # interior points, the tangency points 1 +- i and points outside the
+        # sector: the numpy route gives the scalar route's booleans
+        rng = np.random.default_rng(4)
+        w = np.concatenate((rng.normal(1.0, 2.0, 500) + 1j * rng.normal(0.0, 2.0, 500),
+                            [1 + 1j, 1 - 1j, 3.0, -1.0, 2.0 + 1e-300j]))
+        got = argument_sector_check(w)
+        assert got.shape == w.shape
+        assert got.tolist() == [argument_sector_check(x) for x in w]
+
+    def test_array_undefined_at_two(self):
+        with pytest.raises(ArgUndefined):
+            argument_sector_check(np.array([1.0, 2.0 + 0j]))
