@@ -39,13 +39,13 @@ _SQRT2 = math.sqrt(2.0)
 
 def _as_complex(z) -> np.ndarray:
     arr = np.asarray(z, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("non-finite input point")
     return arr
 
 
 def _check_disc(z: np.ndarray) -> None:
-    if np.any(np.abs(z) > 1.0 + 1e-12):
+    if (np.abs(z) > 1.0 + 1e-12).any():
         raise DomainError("point outside the closed unit disc")
 
 
@@ -65,7 +65,7 @@ def sqrt_upper(z):
 
 
 def _guard_log_singularity(w: np.ndarray) -> None:
-    if np.any(np.abs(1.0 - w) < SINGULAR_TOL) or np.any(np.abs(1.0 + w) < SINGULAR_TOL):
+    if (np.abs(1.0 - w) < SINGULAR_TOL).any() or (np.abs(1.0 + w) < SINGULAR_TOL).any():
         raise SingularPoint("evaluation within tolerance of the log singularity")
 
 
@@ -156,7 +156,7 @@ def _check_janowski(A, B) -> None:
 
 def _janowski(z, A, B):
     den = 1.0 + B * z
-    if np.any(np.abs(den) < SINGULAR_TOL):
+    if (np.abs(den) < SINGULAR_TOL).any():
         raise SingularPoint("Janowski map pole at z = -1/B")
     return (1.0 + A * z) / den
 

@@ -194,7 +194,7 @@ def _circle_values(map_fn, r: float, z: np.ndarray) -> np.ndarray:
         w = np.asarray(map_fn(z))
     except ParastarError as exc:
         raise SingularOnCircle(f"map failed on |z| = {r}: {exc}") from exc
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise SingularOnCircle(f"non-finite map value on |z| = {r}")
     return w
 
@@ -213,9 +213,25 @@ _GRID_UNIT.setflags(write=False)
 _HALF_GRID.setflags(write=False)
 _HALF_GRID_UNIT.setflags(write=False)
 _ANGLE_TOL = 1e-10
-# Points per refinement window (odd, so each window keeps its centre); each
-# round shrinks the half-width by (K - 1)/2 = 16 and costs one map call.
+# Refinement windows: _REFINE_POINTS offsets in [-1, 1] (odd, so each window
+# keeps its centre) times one step per round.  The steps start at the grid
+# step and shrink by (_REFINE_POINTS - 1)/2 = 16 per round while they exceed
+# _ANGLE_TOL, six rounds in all; _REFINE_DELTAS[j] is round j's window about
+# its centre.
 _REFINE_POINTS = 33
+_CENTRE = _REFINE_POINTS // 2
+
+
+def _refine_steps() -> list[float]:
+    h, steps = 2.0 * math.pi / _N_GRID, []
+    while h > _ANGLE_TOL:
+        steps.append(h)
+        h *= 2.0 / (_REFINE_POINTS - 1)
+    return steps
+
+
+_REFINE_DELTAS = np.array(_refine_steps())[:, None] * np.linspace(-1.0, 1.0, _REFINE_POINTS)
+_REFINE_DELTAS.setflags(write=False)
 
 
 def extremize_on_circle(map_fn, r: float, functional: str = "re", *,
@@ -223,9 +239,21 @@ def extremize_on_circle(map_fn, r: float, functional: str = "re", *,
     """Extremes of a functional of ``map_fn`` over the circle |z| = r.
 
     A uniform 4096-point angular grid (which contains 0 and -pi) is refined
-    around the best grid points by nested local grids: each round samples
-    both windows in one map call, re-centres each on its best point and
-    shrinks it to one step, until the step is at most 1e-10.
+    around the best grid points by nested local grids: each round
+    re-centres each window on its best point and shrinks it by 16, for six
+    rounds, until the step is at most 1e-10.
+
+    Refinement is speculative.  One map call samples all six rounds'
+    windows about both first-pass extremes.  The rounds are replayed on
+    those values while an extreme's best point stays at its window centre;
+    from the first round where it moves, it is refined with fresh map
+    calls, one per remaining round for both extremes together.  Every
+    value that decides a round is taken at the same angle as in the
+    sequential loop, so the result is the same bit for bit.  An extreme on
+    a grid point of the real axis costs two map calls in all; the worst
+    case is seven.  A failing or non-finite map value anywhere in the
+    speculative windows raises ``SingularOnCircle``, even where the
+    sequential loop would not have looked.
 
     ``real_coefficients=True`` states that ``map_fn`` has real Taylor
     coefficients, so map(conj z) = conj map(z) and both functionals take
@@ -242,22 +270,27 @@ def extremize_on_circle(map_fn, r: float, functional: str = "re", *,
     fun = _FUNCTIONALS[functional]
     grid, unit = (_HALF_GRID, _HALF_GRID_UNIT) if real_coefficients else (_GRID, _GRID_UNIT)
     vals = fun(_circle_values(map_fn, r, r * unit))
-    i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
-    th_min, v_min = grid[i_min], vals[i_min]
-    th_max, v_max = grid[i_max], vals[i_max]
+    angles = np.array([grid[vals.argmin()], grid[vals.argmax()]])[:, None, None] + _REFINE_DELTAS
+    vals = fun(_circle_values(map_fn, r, r * np.exp(1j * angles.ravel()))).reshape(angles.shape)
+    # per extreme (min, then max): its angle and value after the last
+    # replayed round, and the first round that needs a fresh map call
+    th, v, todo = [], [], []
+    for e, picks in enumerate((vals[0].argmin(axis=1).tolist(), vals[1].argmax(axis=1).tolist())):
+        j = next((j for j, i in enumerate(picks) if i != _CENTRE), len(picks) - 1)
+        th.append(angles[e, j, picks[j]])
+        v.append(vals[e, j, picks[j]])
+        todo.append(j + 1)
 
-    k = _REFINE_POINTS
-    offsets = np.linspace(-1.0, 1.0, k)
-    h = 2.0 * math.pi / _N_GRID
-    while h > _ANGLE_TOL:
-        angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
-        vals = fun(_circle_values(map_fn, r, r * np.exp(1j * angles)))
-        j_min, j_max = int(np.argmin(vals[:k])), k + int(np.argmax(vals[k:]))
-        th_min, v_min = angles[j_min], vals[j_min]
-        th_max, v_max = angles[j_max], vals[j_max]
-        h *= 2.0 / (k - 1)
-    return ExtremeResult(min_value=float(v_min), max_value=float(v_max),
-                         argmin_angle=float(th_min), argmax_angle=float(th_max))
+    for j in range(min(todo), len(_REFINE_DELTAS)):
+        live = [e for e in (0, 1) if todo[e] <= j]
+        angles = np.array([th[e] for e in live])[:, None] + _REFINE_DELTAS[j]
+        vals = fun(_circle_values(map_fn, r, r * np.exp(1j * angles.ravel())))
+        vals = vals.reshape(angles.shape)
+        for row, e in enumerate(live):
+            i = int(vals[row].argmax() if e else vals[row].argmin())
+            th[e], v[e] = angles[row, i], vals[row, i]
+    return ExtremeResult(min_value=float(v[0]), max_value=float(v[1]),
+                         argmin_angle=float(th[0]), argmax_angle=float(th[1]))
 
 
 # --- growth bounds -------------------------------------------------------
@@ -327,7 +360,7 @@ def _panel_sums(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
     half = 0.5 * (hi - lo)
     t = (lo + half)[:, None] + half[:, None] * nodes
     vals = np.asarray(fn(t.ravel()), dtype=np.float64).reshape(t.shape)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise QuadratureFailure("integrand is not finite at a quadrature node")
     return half * (vals @ weights), np.abs(half) * (np.abs(vals) @ weights)
 
@@ -491,7 +524,7 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
     fv = np.asarray(f(z))
     fpv = np.asarray(fp(z))
     fppv = np.asarray(fpp(z))
-    if np.any(np.abs(fv) < 1e-14) or np.any(np.abs(fpv) < 1e-14):
+    if (np.abs(fv) < 1e-14).any() or (np.abs(fpv) < 1e-14).any():
         raise DerivativeVanishes("f or f' vanishes on the sample grid")
     lhs = np.abs(t * (1.0 + z * fppv / fpv) + (1.0 - t) * z * fpv / fv - 1.0)
     bound = (3.0 + 2.0 * t) / 6.0
@@ -552,8 +585,7 @@ def sample_schwarz_function(rng: np.random.Generator):
     zeros = rng.uniform(0.0, 0.8, k) * np.exp(1j * rng.uniform(-math.pi, math.pi, k))
 
     def w(z):
-        z = np.asarray(z, dtype=np.complex128)
-        out = z.astype(np.complex128).copy()
+        z = out = np.asarray(z, dtype=np.complex128)
         for a in zeros:
             out = out * (a - z) / (1.0 - np.conj(a) * z)
         return out if out.ndim else complex(out)

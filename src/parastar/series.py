@@ -25,7 +25,7 @@ class PowerSeries:
         arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("coefficients must form a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("non-finite coefficient")
         self.coeffs = arr.copy()
 

@@ -201,15 +201,23 @@ class TestExtremize:
         with pytest.raises(SingularOnCircle):
             extremize_on_circle(phi, 0.5)
 
-    def test_map_call_budget(self):
+    @pytest.mark.parametrize("target, r, real_coefficients, budget", [
+        # the first pass, the speculative windows and at most five fresh rounds
+        ("left_parabola", 0.5, False, 8),
+        # both extremes stay at their window centres in the first rounds
+        ("sine", 0.4, True, 4),
+        ("ronning_parabola", 0.4, True, 4),
+    ])
+    def test_map_call_budget(self, target, r, real_coefficients, budget):
         calls = []
+        map_fn = target_map(target)
 
         def phi(z):
             calls.append(np.size(z))
-            return left_parabola(z)
+            return map_fn(z)
 
-        extremize_on_circle(phi, 0.5)
-        assert len(calls) <= 8
+        extremize_on_circle(phi, r, real_coefficients=real_coefficients)
+        assert len(calls) <= budget
         assert all(n > 1 for n in calls)
 
     @staticmethod
@@ -260,6 +268,68 @@ class TestExtremize:
         phi = lambda z: 1.0 + np.sin(np.exp(1j * alpha) * z)
         half = extremize_on_circle(phi, r, "re", real_coefficients=True)
         assert half.max_value < extremize_on_circle(phi, r, "re").max_value - 1e-3
+
+
+def _sequential_extremize(map_fn, r, functional="re", *, real_coefficients=False):
+    # the refinement loop that extremize_on_circle replays: one map call per
+    # round for both windows, re-centred on their best points
+    fun = oracle._FUNCTIONALS[functional]
+    if real_coefficients:
+        grid, unit = oracle._HALF_GRID, oracle._HALF_GRID_UNIT
+    else:
+        grid, unit = oracle._GRID, oracle._GRID_UNIT
+    vals = fun(oracle._circle_values(map_fn, r, r * unit))
+    i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
+    th_min, v_min = grid[i_min], vals[i_min]
+    th_max, v_max = grid[i_max], vals[i_max]
+
+    k = 33
+    offsets = np.linspace(-1.0, 1.0, k)
+    h = 2.0 * math.pi / 4096
+    while h > 1e-10:
+        angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
+        vals = fun(oracle._circle_values(map_fn, r, r * np.exp(1j * angles)))
+        j_min, j_max = int(np.argmin(vals[:k])), k + int(np.argmax(vals[k:]))
+        th_min, v_min = angles[j_min], vals[j_min]
+        th_max, v_max = angles[j_max], vals[j_max]
+        h *= 2.0 / (k - 1)
+    return oracle.ExtremeResult(min_value=float(v_min), max_value=float(v_max),
+                                argmin_angle=float(th_min), argmax_angle=float(th_max))
+
+
+def _bs_map(alpha):
+    return lambda z: 1.0 + z / (1.0 - alpha * z * z)
+
+
+class TestSpeculativeRefinement:
+    # the speculative windows decide every round at the angles of the
+    # sequential loop, so all four fields agree bit for bit
+
+    @pytest.mark.parametrize("name, map_fn", [
+        *((cid, target_map(target)) for cid, (_, target, _) in radii._CIRCLE_MAX.items()),
+        *((f"bs({a})", _bs_map(a)) for a in (0.0, 0.3, 0.6, 0.9)),
+        *((f"alpha_exp({a})", target_map("alpha_exp", alpha=a)) for a in (0.0, 0.3, 0.6, 0.9)),
+    ])
+    def test_circle_max_maps_match_sequential(self, name, map_fn):
+        for r in np.linspace(0.05, 0.95, 37):
+            for functional in ("re", "abs"):
+                for real_coefficients in (False, True):
+                    kwargs = {"real_coefficients": real_coefficients}
+                    assert (extremize_on_circle(map_fn, r, functional, **kwargs)
+                            == _sequential_extremize(map_fn, r, functional, **kwargs))
+
+    @pytest.mark.parametrize("entry_id", list(radii._COROLLARY))
+    def test_inner_disc_minima_match_sequential(self, entry_id):
+        _, target, params = radii._COROLLARY[entry_id]
+        phi = target_map(target, **params)
+
+        def shifted(z):
+            return phi(z) - 1.0
+
+        for real_coefficients in (False, True):
+            kwargs = {"real_coefficients": real_coefficients}
+            assert (extremize_on_circle(shifted, 1.0, "abs", **kwargs)
+                    == _sequential_extremize(shifted, 1.0, "abs", **kwargs))
 
 
 class TestGrowthBounds:
