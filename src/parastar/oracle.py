@@ -27,7 +27,7 @@ from .errors import (
     QuadratureFailure,
     SingularOnCircle,
 )
-from .maps import parabola_map
+from .maps import parabola_map, validate_janowski
 from .series import PowerSeries, integrate_over_t, p0_coefficients
 
 # version of every JSON and CSV output format
@@ -175,16 +175,10 @@ def golden_bracket_root(f, lo: float, hi: float) -> float:
 
 @dataclass(frozen=True)
 class ExtremeResult:
-    min_value: float
-    max_value: float
-    argmin_angle: float
-    argmax_angle: float
+    """Maximum of Re map on a circle and an angle where it is taken."""
 
-
-_FUNCTIONALS = {
-    "re": lambda w: np.real(w),
-    "abs": lambda w: np.abs(w),
-}
+    value: float
+    angle: float
 
 
 def _circle_values(map_fn, r: float, z: np.ndarray) -> np.ndarray:
@@ -234,63 +228,55 @@ _REFINE_DELTAS = np.array(_refine_steps())[:, None] * np.linspace(-1.0, 1.0, _RE
 _REFINE_DELTAS.setflags(write=False)
 
 
-def extremize_on_circle(map_fn, r: float, functional: str = "re", *,
-                        real_coefficients: bool = False) -> ExtremeResult:
-    """Extremes of a functional of ``map_fn`` over the circle |z| = r.
+def extremize_on_circle(map_fn, r: float, *, real_coefficients: bool = False) -> ExtremeResult:
+    """Maximum of Re ``map_fn`` over the circle |z| = r.
+
+    A minimum, or an extreme of another real functional, is the maximum
+    of a negated or real-valued map: -Re f, or -|f - c| for the smallest
+    distance to c.  Negation is exact and ``argmax`` of -x picks the same
+    first index as ``argmin`` of x, so these cost nothing in accuracy.
 
     A uniform 4096-point angular grid (which contains 0 and -pi) is refined
-    around the best grid points by nested local grids: each round
-    re-centres each window on its best point and shrinks it by 16, for six
-    rounds, until the step is at most 1e-10.
+    around its best point by nested local grids: each round re-centres the
+    window on its best point and shrinks it by 16, for six rounds, until
+    the step is at most 1e-10.
 
     Refinement is speculative.  One map call samples all six rounds'
-    windows about both first-pass extremes.  The rounds are replayed on
-    those values while an extreme's best point stays at its window centre;
-    from the first round where it moves, it is refined with fresh map
-    calls, one per remaining round for both extremes together.  Every
-    value that decides a round is taken at the same angle as in the
-    sequential loop, so the result is the same bit for bit.  An extreme on
-    a grid point of the real axis costs two map calls in all; the worst
-    case is seven.  A failing or non-finite map value anywhere in the
-    speculative windows raises ``SingularOnCircle``, even where the
-    sequential loop would not have looked.
+    windows (198 points) about the first-pass maximum.  The rounds are
+    replayed on those values while the best point stays at the window
+    centre; from the first round where it moves, each remaining round
+    takes one fresh map call.  Every value that decides a round is taken
+    at the same angle as in the sequential loop, so the result is the
+    same bit for bit.  A maximum that stays at the centre of every window
+    costs two map calls in all; the worst case is seven.  A failing or
+    non-finite map value anywhere in the speculative windows raises
+    ``SingularOnCircle``, even where the sequential loop would not have
+    looked.
 
     ``real_coefficients=True`` states that ``map_fn`` has real Taylor
-    coefficients, so map(conj z) = conj map(z) and both functionals take
-    the same values at theta and -theta.  The first pass then samples
-    only the 2049 grid angles in {-pi} and [0, pi); refinement is
-    unchanged.  An extreme on the real axis comes out bit for bit as on
-    the full circle; an off-axis one may be refined at its mirror angle
-    -theta, which can move its value in the last bits.
+    coefficients, so map(conj z) = conj map(z) and Re map takes the same
+    values at theta and -theta.  The first pass then samples only the
+    2049 grid angles in {-pi} and [0, pi); refinement is unchanged.  A
+    maximum on the real axis comes out bit for bit as on the full circle;
+    an off-axis one may be refined at its mirror angle -theta, which can
+    move its value in the last bits.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("circle radius must lie in [0, 1]")
-    if functional not in _FUNCTIONALS:
-        raise DomainError(f"unknown functional {functional!r}")
-    fun = _FUNCTIONALS[functional]
     grid, unit = (_HALF_GRID, _HALF_GRID_UNIT) if real_coefficients else (_GRID, _GRID_UNIT)
-    vals = fun(_circle_values(map_fn, r, r * unit))
-    angles = np.array([grid[vals.argmin()], grid[vals.argmax()]])[:, None, None] + _REFINE_DELTAS
-    vals = fun(_circle_values(map_fn, r, r * np.exp(1j * angles.ravel()))).reshape(angles.shape)
-    # per extreme (min, then max): its angle and value after the last
-    # replayed round, and the first round that needs a fresh map call
-    th, v, todo = [], [], []
-    for e, picks in enumerate((vals[0].argmin(axis=1).tolist(), vals[1].argmax(axis=1).tolist())):
-        j = next((j for j, i in enumerate(picks) if i != _CENTRE), len(picks) - 1)
-        th.append(angles[e, j, picks[j]])
-        v.append(vals[e, j, picks[j]])
-        todo.append(j + 1)
-
-    for j in range(min(todo), len(_REFINE_DELTAS)):
-        live = [e for e in (0, 1) if todo[e] <= j]
-        angles = np.array([th[e] for e in live])[:, None] + _REFINE_DELTAS[j]
-        vals = fun(_circle_values(map_fn, r, r * np.exp(1j * angles.ravel())))
-        vals = vals.reshape(angles.shape)
-        for row, e in enumerate(live):
-            i = int(vals[row].argmax() if e else vals[row].argmin())
-            th[e], v[e] = angles[row, i], vals[row, i]
-    return ExtremeResult(min_value=float(v[0]), max_value=float(v[1]),
-                         argmin_angle=float(th[0]), argmax_angle=float(th[1]))
+    vals = _circle_values(map_fn, r, r * unit).real
+    angles = grid[vals.argmax()] + _REFINE_DELTAS
+    vals = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real.reshape(angles.shape)
+    # replay the rounds while the pick stays at the window centre
+    picks = vals.argmax(axis=1).tolist()
+    j = next((j for j, i in enumerate(picks) if i != _CENTRE), len(picks) - 1)
+    th, v = angles[j, picks[j]], vals[j, picks[j]]
+    for deltas in _REFINE_DELTAS[j + 1:]:
+        angles = th + deltas
+        vals = _circle_values(map_fn, r, r * np.exp(1j * angles)).real
+        i = vals.argmax()
+        th, v = angles[i], vals[i]
+    return ExtremeResult(value=float(v), angle=float(th))
 
 
 # --- growth bounds -------------------------------------------------------
@@ -545,31 +531,28 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
 
 def caratheodory_order_check(p_fn, alpha: float, r: float) -> VerificationReport:
     """Is min Re p on |z| = r at least alpha?  (p normalised to p(0) = 1.)"""
-    ext = extremize_on_circle(p_fn, r, "re")
-    return VerificationReport.from_pair("caratheodory", alpha, ext.min_value, 0.0,
-                                        samples=_N_GRID,
-                                        notes=f"argmin angle {ext.argmin_angle:.6f}",
-                                        passed=ext.min_value >= alpha)
+    ext = extremize_on_circle(lambda z: -p_fn(z), r)
+    low = -ext.value
+    return VerificationReport.from_pair("caratheodory", alpha, low, 0.0, samples=_N_GRID,
+                                        notes=f"argmin angle {ext.angle:.6f}",
+                                        passed=low >= alpha)
 
 
 # --- disc bounds for Carathéodory-type functions --------------------------
 
 
-def janowski_disc_bound(A: float, B: float, r: float, n: int = 1) -> tuple[float, float]:
-    """Center and radius of the value disc of p with p - subordinate
-    to (1+Az^n)/(1+Bz^n) type bounds, on |z| = r.
+def janowski_disc_bound(A: float, B: float, r: float) -> tuple[float, float]:
+    """Center and radius of the value disc of p subordinate to
+    (1+Az)/(1+Bz), on |z| = r.
 
-    Returns ((1 - A B r^{2n})/(1 - B^2 r^{2n}), |A - B| r^n/(1 - B^2 r^{2n})).
+    Returns ((1 - A B r^2)/(1 - B^2 r^2), |A - B| r/(1 - B^2 r^2)).
     """
-    if not (-1.0 <= B < A <= 1.0):
-        raise ParamRange("need -1 <= B < A <= 1")
+    validate_janowski(A, B)
     if not 0.0 <= r < 1.0:
         raise ParamRange("radius must lie in [0, 1)")
-    if n < 1:
-        raise ParamRange("n must be at least 1")
-    r2n = r ** (2 * n)
-    den = 1.0 - B * B * r2n
-    return (1.0 - A * B * r2n) / den, abs(A - B) * r**n / den
+    r2 = r ** 2
+    den = 1.0 - B * B * r2
+    return (1.0 - A * B * r2) / den, abs(A - B) * r / den
 
 
 # --- random class members --------------------------------------------------

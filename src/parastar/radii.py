@@ -27,9 +27,10 @@ Two directions of membership appear:
   class: the condition compares the kernel modulus |k(r)| with the
   target class's inner-disc constant.
 
-Both the circle maxima and the inner-disc constants (min |phi - 1| on
-|z| = 1) come from ``oracle.extremize_on_circle`` with
-``real_coefficients=True``: every target here has real Taylor
+Both extremes come from ``oracle.extremize_on_circle``, which finds one
+maximum of Re map on |z| = r: the circle maxima as max Re phi, and the
+inner-disc constants (min |phi - 1| on |z| = 1) as -max(-|phi - 1|).
+Both pass ``real_coefficients=True``: every target here has real Taylor
 coefficients, so phi(conj z) = conj phi(z), Re phi and |phi - 1| repeat
 on the lower half circle, and the first pass samples the upper half only.
 """
@@ -112,8 +113,7 @@ def _circle_max_condition(phi) -> Callable[[float], float]:
     # real alpha) has real Taylor coefficients, so Re phi takes the same
     # value at z and conj z and the upper half circle is exact
     def condition(r: float) -> float:
-        ext = oracle.extremize_on_circle(phi, r, "re", real_coefficients=True)
-        return ext.max_value - 1.5
+        return oracle.extremize_on_circle(phi, r, real_coefficients=True).value - 1.5
 
     return condition
 
@@ -260,10 +260,10 @@ def inner_disc_radius(target: str, **params) -> float:
     """
     phi = target_map(target, **params)
     # every named target has real Taylor coefficients at real parameters,
-    # and so has phi - 1: |phi - 1| takes the same value at z and conj z
-    ext = oracle.extremize_on_circle(lambda z: phi(z) - 1.0, 1.0, "abs",
-                                     real_coefficients=True)
-    return ext.min_value
+    # and so has phi - 1: |phi - 1| takes the same value at z and conj z.
+    # The minimum is the negated maximum of -|phi - 1|.
+    return -oracle.extremize_on_circle(lambda z: -abs(phi(z) - 1.0), 1.0,
+                                       real_coefficients=True).value
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -155,28 +155,30 @@ class TestBracketRoot:
 
 class TestExtremize:
     def test_constant_at_center(self):
-        res = extremize_on_circle(left_parabola, 0.0)
-        assert res.min_value == res.max_value == 1.0
+        assert extremize_on_circle(left_parabola, 0.0).value == 1.0
+        assert -extremize_on_circle(lambda z: -left_parabola(z), 0.0).value == 1.0
 
     def test_kernel_extremes_at_axis(self):
-        res = extremize_on_circle(left_parabola, 0.5, "re")
-        assert abs(res.argmin_angle) < 1e-6
-        assert abs(abs(res.argmax_angle) - PI) < 1e-3
-        assert abs(res.min_value - left_parabola(0.5).real) < 1e-12
+        # the minimum of Re is the negated maximum of the negated map
+        high = extremize_on_circle(left_parabola, 0.5)
+        low = extremize_on_circle(lambda z: -left_parabola(z), 0.5)
+        assert abs(low.angle) < 1e-6
+        assert abs(abs(high.angle) - PI) < 1e-3
+        assert abs(-low.value - left_parabola(0.5).real) < 1e-12
 
     def test_sine_max_is_real_axis_value(self):
         phi = target_map("sine")
-        res = extremize_on_circle(phi, 0.4, "re")
-        assert abs(res.max_value - (1.0 + math.sin(0.4))) < 1e-9
+        res = extremize_on_circle(phi, 0.4)
+        assert abs(res.value - (1.0 + math.sin(0.4))) < 1e-9
 
     def test_abs_max_of_shifted_map_on_real_axis(self):
         # the largest |map - 1| over the circle sits at angle 0, with value
         # equal to the kernel modulus at r; this is the bound the disc
         # radii rest on
         for r in (0.3, 0.7, 0.8):
-            shifted = extremize_on_circle(lambda z: left_parabola(z) - 1.0, r, "abs")
-            assert abs(shifted.max_value - abs(left_parabola(r) - 1.0)) < 1e-10
-            assert abs(shifted.argmax_angle) < 1e-6
+            shifted = extremize_on_circle(lambda z: np.abs(left_parabola(z) - 1.0), r)
+            assert abs(shifted.value - abs(left_parabola(r) - 1.0)) < 1e-10
+            assert abs(shifted.angle) < 1e-6
 
     def test_singular_circle_reported(self):
         with pytest.raises(SingularOnCircle):
@@ -186,9 +188,9 @@ class TestExtremize:
         # Re(1 + sin(e^{ia} z)) peaks where e^{ia} z is real and positive,
         # at angle -a, which is no multiple of the grid step 2 pi / 4096
         alpha, r = 0.3 + 0.37 * 2.0 * PI / 4096, 0.4
-        res = extremize_on_circle(lambda z: 1.0 + np.sin(np.exp(1j * alpha) * z), r, "re")
-        assert abs(res.max_value - (1.0 + math.sin(r))) < 1e-12
-        off = (res.argmax_angle + alpha + PI) % (2.0 * PI) - PI
+        res = extremize_on_circle(lambda z: 1.0 + np.sin(np.exp(1j * alpha) * z), r)
+        assert abs(res.value - (1.0 + math.sin(r))) < 1e-12
+        off = (res.angle + alpha + PI) % (2.0 * PI) - PI
         assert abs(off) < 1e-6
 
     def test_refinement_failure_is_singular(self):
@@ -204,9 +206,12 @@ class TestExtremize:
     @pytest.mark.parametrize("target, r, real_coefficients, budget", [
         # the first pass, the speculative windows and at most five fresh rounds
         ("left_parabola", 0.5, False, 8),
-        # both extremes stay at their window centres in the first rounds
+        # the maximum stays at its window centre in the first rounds
         ("sine", 0.4, True, 4),
         ("ronning_parabola", 0.4, True, 4),
+        # the maximum is on the real axis; the off-axis minimum, which
+        # took four more calls when it was refined too, is not asked for
+        ("cardioid", 0.4, True, 3),
     ])
     def test_map_call_budget(self, target, r, real_coefficients, budget):
         calls = []
@@ -252,12 +257,11 @@ class TestExtremize:
         # an off-axis extreme may be refined at its mirror angle, which can
         # move its value in the last bits
         phi = target_map("cardioid")
-        half = extremize_on_circle(phi, r, functional, real_coefficients=True)
-        full = extremize_on_circle(phi, r, functional)
-        for a, b in ((half.min_value, full.min_value), (half.max_value, full.max_value)):
+        half = _min_and_max(phi, r, functional, real_coefficients=True)
+        full = _min_and_max(phi, r, functional)
+        for a, b in zip(half[:2], full[:2]):
             assert abs(a - b) <= 1e-15 * abs(b)
-        for a, b in ((half.argmin_angle, full.argmin_angle),
-                     (half.argmax_angle, full.argmax_angle)):
+        for a, b in zip(half[2:], full[2:]):
             assert abs(abs(a) - abs(b)) < 1e-6
 
     def test_half_circle_misses_off_axis_peak(self):
@@ -266,14 +270,29 @@ class TestExtremize:
         # half circle never samples
         alpha, r = 0.3 + 0.37 * 2.0 * PI / 4096, 0.4
         phi = lambda z: 1.0 + np.sin(np.exp(1j * alpha) * z)
-        half = extremize_on_circle(phi, r, "re", real_coefficients=True)
-        assert half.max_value < extremize_on_circle(phi, r, "re").max_value - 1e-3
+        half = extremize_on_circle(phi, r, real_coefficients=True)
+        assert half.value < extremize_on_circle(phi, r).value - 1e-3
+
+
+_FUNCTIONALS = {"re": np.real, "abs": np.abs}
+
+
+def _min_and_max(map_fn, r, functional="re", **kwargs):
+    # (min, max, argmin angle, argmax angle) of the functional on |z| = r
+    # from two maximizations: of the map (of |map| for "abs") and of its
+    # negation
+    f = map_fn if functional == "re" else lambda z: np.abs(map_fn(z))
+    high = extremize_on_circle(f, r, **kwargs)
+    low = extremize_on_circle(lambda z: -f(z), r, **kwargs)
+    return -low.value, high.value, low.angle, high.angle
 
 
 def _sequential_extremize(map_fn, r, functional="re", *, real_coefficients=False):
-    # the refinement loop that extremize_on_circle replays: one map call per
-    # round for both windows, re-centred on their best points
-    fun = oracle._FUNCTIONALS[functional]
+    # the sequential refinement loop for both extremes, which
+    # extremize_on_circle replays for one: one map call per round for both
+    # windows, re-centred on their best points; returns (min, max, argmin
+    # angle, argmax angle)
+    fun = _FUNCTIONALS[functional]
     if real_coefficients:
         grid, unit = oracle._HALF_GRID, oracle._HALF_GRID_UNIT
     else:
@@ -293,8 +312,7 @@ def _sequential_extremize(map_fn, r, functional="re", *, real_coefficients=False
         th_min, v_min = angles[j_min], vals[j_min]
         th_max, v_max = angles[j_max], vals[j_max]
         h *= 2.0 / (k - 1)
-    return oracle.ExtremeResult(min_value=float(v_min), max_value=float(v_max),
-                                argmin_angle=float(th_min), argmax_angle=float(th_max))
+    return float(v_min), float(v_max), float(th_min), float(th_max)
 
 
 def _bs_map(alpha):
@@ -303,7 +321,8 @@ def _bs_map(alpha):
 
 class TestSpeculativeRefinement:
     # the speculative windows decide every round at the angles of the
-    # sequential loop, so all four fields agree bit for bit
+    # sequential loop, so the maximum of the map and the negated maximum
+    # of the negated map agree with its maximum and minimum bit for bit
 
     @pytest.mark.parametrize("name, map_fn", [
         *((cid, target_map(target)) for cid, (_, target, _) in radii._CIRCLE_MAX.items()),
@@ -315,7 +334,7 @@ class TestSpeculativeRefinement:
             for functional in ("re", "abs"):
                 for real_coefficients in (False, True):
                     kwargs = {"real_coefficients": real_coefficients}
-                    assert (extremize_on_circle(map_fn, r, functional, **kwargs)
+                    assert (_min_and_max(map_fn, r, functional, **kwargs)
                             == _sequential_extremize(map_fn, r, functional, **kwargs))
 
     @pytest.mark.parametrize("entry_id", list(radii._COROLLARY))
@@ -328,7 +347,7 @@ class TestSpeculativeRefinement:
 
         for real_coefficients in (False, True):
             kwargs = {"real_coefficients": real_coefficients}
-            assert (extremize_on_circle(shifted, 1.0, "abs", **kwargs)
+            assert (_min_and_max(shifted, 1.0, "abs", **kwargs)
                     == _sequential_extremize(shifted, 1.0, "abs", **kwargs))
 
 
@@ -523,8 +542,9 @@ class TestInclusion:
     def test_halfplane_probe_for_map(self):
         # image of |z| = tanh^2(pi/4) under the map grazes Re w = 1/2
         r = math.tanh(PI / 4.0) ** 2
-        assert extremize_on_circle(left_parabola, r * (1 - 1e-6), "re").min_value > 0.5
-        assert extremize_on_circle(left_parabola, r * (1 + 1e-3), "re").min_value < 0.5
+        negated = lambda z: -left_parabola(z)
+        assert -extremize_on_circle(negated, r * (1 - 1e-6)).value > 0.5
+        assert -extremize_on_circle(negated, r * (1 + 1e-3)).value < 0.5
 
 
 class TestCertify:

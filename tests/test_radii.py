@@ -106,7 +106,7 @@ class TestMainTheoremValues:
         entry = get_entry("janowski", A=0.5, B=-0.5)
         phi = target_map("janowski", A=0.5, B=-0.5)
         for r in (0.2, 0.35):
-            numeric = extremize_on_circle(phi, r, "re").max_value - 1.5
+            numeric = extremize_on_circle(phi, r).value - 1.5
             assert abs(entry.condition(r) - numeric) < 1e-9
 
 
@@ -192,10 +192,10 @@ def _half_and_full(monkeypatch):
     pairs = []
     extremize = oracle.extremize_on_circle
 
-    def both(map_fn, r, functional, *, real_coefficients):
+    def both(map_fn, r, *, real_coefficients):
         assert real_coefficients
-        half = extremize(map_fn, r, functional, real_coefficients=True)
-        pairs.append((half, extremize(map_fn, r, functional)))
+        half = extremize(map_fn, r, real_coefficients=True)
+        pairs.append((half, extremize(map_fn, r)))
         return half
 
     monkeypatch.setattr(oracle, "extremize_on_circle", both)
@@ -219,7 +219,7 @@ class TestHalfCircle:
         for r in radii:
             entry.condition(r)
         assert len(pairs) == radii.size
-        assert [h.max_value for h, _ in pairs] == [f.max_value for _, f in pairs]
+        assert [h.value for h, _ in pairs] == [f.value for _, f in pairs]
 
     @pytest.mark.parametrize("entry_id", list(_COROLLARY))
     def test_inner_disc_minimum_bit_equal(self, monkeypatch, entry_id):
@@ -227,7 +227,7 @@ class TestHalfCircle:
         pairs = _half_and_full(monkeypatch)
         constant = inner_disc_radius.__wrapped__(target.value, **params)
         ((half, full),) = pairs
-        assert constant == half.min_value == full.min_value
+        assert constant == -half.value == -full.value
 
 
 class TestRatioClass:
