@@ -193,19 +193,21 @@ def _circle_values(map_fn, r: float, z: np.ndarray) -> np.ndarray:
     return w
 
 
-# Uniform angular grid of the first pass with its points e^{i theta} on the
-# unit circle (both computed once), and the angle step refinement stops at.
+# First-pass grid: theta = -pi and the upper half [0, pi) of a uniform
+# 4096-point grid, 2049 angles sliced from the full grid and its points
+# e^{i theta} on the unit circle (both computed once).
 _N_GRID = 4096
-_GRID = np.linspace(-math.pi, math.pi, _N_GRID, endpoint=False)
-_GRID_UNIT = np.exp(1j * _GRID)
-# The half grid of a real-coefficient map: theta = -pi and the upper half
-# [0, pi), 2049 points holding both real-axis points.
-_HALF_GRID = np.concatenate((_GRID[:1], _GRID[_N_GRID // 2:]))
-_HALF_GRID_UNIT = np.concatenate((_GRID_UNIT[:1], _GRID_UNIT[_N_GRID // 2:]))
+
+
+def _half_grid() -> tuple[np.ndarray, np.ndarray]:
+    full = np.linspace(-math.pi, math.pi, _N_GRID, endpoint=False)
+    half = np.r_[0, _N_GRID // 2:_N_GRID]
+    return full[half], np.exp(1j * full)[half]
+
+
+_GRID, _GRID_UNIT = _half_grid()
 _GRID.setflags(write=False)
 _GRID_UNIT.setflags(write=False)
-_HALF_GRID.setflags(write=False)
-_HALF_GRID_UNIT.setflags(write=False)
 _ANGLE_TOL = 1e-10
 # Refinement windows: _REFINE_POINTS offsets in [-1, 1] (odd, so each window
 # keeps its centre) times one step per round.  The steps start at the grid
@@ -228,54 +230,50 @@ _REFINE_DELTAS = np.array(_refine_steps())[:, None] * np.linspace(-1.0, 1.0, _RE
 _REFINE_DELTAS.setflags(write=False)
 
 
-def extremize_on_circle(map_fn, r: float, *, real_coefficients: bool = False) -> ExtremeResult:
+def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
     """Maximum of Re ``map_fn`` over the circle |z| = r.
+
+    ``map_fn`` must be conjugate-symmetric, map(conj z) = conj map(z), as
+    every map with real Taylor coefficients is (each target of the
+    package, and real-valued functions of them like -|phi - 1|).  Re map
+    then repeats on the lower half circle, so only theta = -pi and the
+    upper half [0, pi) are sampled; a map without the symmetry may peak
+    where the extremizer never looks.
 
     A minimum, or an extreme of another real functional, is the maximum
     of a negated or real-valued map: -Re f, or -|f - c| for the smallest
     distance to c.  Negation is exact and ``argmax`` of -x picks the same
     first index as ``argmin`` of x, so these cost nothing in accuracy.
 
-    A uniform 4096-point angular grid (which contains 0 and -pi) is refined
-    around its best point by nested local grids: each round re-centres the
-    window on its best point and shrinks it by 16, for six rounds, until
-    the step is at most 1e-10.
+    The first pass takes 2049 angles of a uniform 4096-point grid.
+    Nested local grids refine around its best point: each round
+    re-centres the window on its best point and shrinks it by 16, for
+    six rounds, until the step is at most 1e-10.
 
-    Refinement is speculative.  One map call samples all six rounds'
-    windows (198 points) about the first-pass maximum.  The rounds are
-    replayed on those values while the best point stays at the window
-    centre; from the first round where it moves, each remaining round
-    takes one fresh map call.  Every value that decides a round is taken
-    at the same angle as in the sequential loop, so the result is the
-    same bit for bit.  A maximum that stays at the centre of every window
-    costs two map calls in all; the worst case is seven.  A failing or
+    Refinement is speculative.  Each map call samples every remaining
+    round's window (33 points each) about the current centre.  The
+    rounds are replayed on those values while the best point stays at
+    the window centre; the round where it moves sets the centre of the
+    next call.  Every value that decides a round is taken at the same
+    angle as in the round-by-round loop, so the result is the same bit
+    for bit.  A maximum that stays at the centre of every window costs
+    two map calls in all; the worst case is seven.  A failing or
     non-finite map value anywhere in the speculative windows raises
-    ``SingularOnCircle``, even where the sequential loop would not have
-    looked.
-
-    ``real_coefficients=True`` states that ``map_fn`` has real Taylor
-    coefficients, so map(conj z) = conj map(z) and Re map takes the same
-    values at theta and -theta.  The first pass then samples only the
-    2049 grid angles in {-pi} and [0, pi); refinement is unchanged.  A
-    maximum on the real axis comes out bit for bit as on the full circle;
-    an off-axis one may be refined at its mirror angle -theta, which can
-    move its value in the last bits.
+    ``SingularOnCircle``, even where the round-by-round loop would not
+    have looked.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("circle radius must lie in [0, 1]")
-    grid, unit = (_HALF_GRID, _HALF_GRID_UNIT) if real_coefficients else (_GRID, _GRID_UNIT)
-    vals = _circle_values(map_fn, r, r * unit).real
-    angles = grid[vals.argmax()] + _REFINE_DELTAS
-    vals = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real.reshape(angles.shape)
-    # replay the rounds while the pick stays at the window centre
-    picks = vals.argmax(axis=1).tolist()
-    j = next((j for j, i in enumerate(picks) if i != _CENTRE), len(picks) - 1)
-    th, v = angles[j, picks[j]], vals[j, picks[j]]
-    for deltas in _REFINE_DELTAS[j + 1:]:
-        angles = th + deltas
-        vals = _circle_values(map_fn, r, r * np.exp(1j * angles)).real
-        i = vals.argmax()
-        th, v = angles[i], vals[i]
+    th = _GRID[_circle_values(map_fn, r, r * _GRID_UNIT).real.argmax()]
+    j = 0
+    while j < len(_REFINE_DELTAS):
+        angles = th + _REFINE_DELTAS[j:]
+        vals = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real.reshape(angles.shape)
+        # replay the rounds while the pick stays at the window centre
+        picks = vals.argmax(axis=1).tolist()
+        k = next((k for k, i in enumerate(picks) if i != _CENTRE), len(picks) - 1)
+        th, v = angles[k, picks[k]], vals[k, picks[k]]
+        j += k + 1
     return ExtremeResult(value=float(v), angle=float(th))
 
 
@@ -530,10 +528,15 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
 
 
 def caratheodory_order_check(p_fn, alpha: float, r: float) -> VerificationReport:
-    """Is min Re p on |z| = r at least alpha?  (p normalised to p(0) = 1.)"""
+    """Is min Re p on |z| = r at least alpha?  (p normalised to p(0) = 1.)
+
+    ``p_fn`` must be conjugate-symmetric, p(conj z) = conj p(z), as
+    :func:`extremize_on_circle` requires; the report counts the 2049
+    first-pass samples of the half circle.
+    """
     ext = extremize_on_circle(lambda z: -p_fn(z), r)
     low = -ext.value
-    return VerificationReport.from_pair("caratheodory", alpha, low, 0.0, samples=_N_GRID,
+    return VerificationReport.from_pair("caratheodory", alpha, low, 0.0, samples=_GRID.size,
                                         notes=f"argmin angle {ext.angle:.6f}",
                                         passed=low >= alpha)
 

@@ -30,15 +30,14 @@ Two directions of membership appear:
 Both extremes come from ``oracle.extremize_on_circle``, which finds one
 maximum of Re map on |z| = r: the circle maxima as max Re phi, and the
 inner-disc constants (min |phi - 1| on |z| = 1) as -max(-|phi - 1|).
-Both pass ``real_coefficients=True``: every target here has real Taylor
-coefficients, so phi(conj z) = conj phi(z), Re phi and |phi - 1| repeat
-on the lower half circle, and the first pass samples the upper half only.
+Every target here has real Taylor coefficients, which makes it
+conjugate-symmetric as that extremizer requires (see its docstring).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
 
@@ -73,17 +72,13 @@ class RadiusEntry:
     witness_margin: Callable[[], float] | None = None
     capped: bool = False
     notes: str = ""
-    _param_items: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._param_items = tuple(sorted(self.params.items()))
 
     @property
     def label(self) -> str:
         # semicolon-separated so labels stay a single CSV field
         if not self.params:
             return self.entry_id
-        inner = ";".join(f"{k}={v:g}" for k, v in self._param_items)
+        inner = ";".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
         return f"{self.entry_id}({inner})"
 
 
@@ -109,11 +104,8 @@ def oracle_root(entry: RadiusEntry, method: str = "bisect") -> float:
 
 
 def _circle_max_condition(phi) -> Callable[[float], float]:
-    # every circle-max target (the _CIRCLE_MAX maps, bs and alpha_exp at
-    # real alpha) has real Taylor coefficients, so Re phi takes the same
-    # value at z and conj z and the upper half circle is exact
     def condition(r: float) -> float:
-        return oracle.extremize_on_circle(phi, r, real_coefficients=True).value - 1.5
+        return oracle.extremize_on_circle(phi, r).value - 1.5
 
     return condition
 
@@ -259,11 +251,8 @@ def inner_disc_radius(target: str, **params) -> float:
     corollary conditions below do not import the constants they verify.
     """
     phi = target_map(target, **params)
-    # every named target has real Taylor coefficients at real parameters,
-    # and so has phi - 1: |phi - 1| takes the same value at z and conj z.
-    # The minimum is the negated maximum of -|phi - 1|.
-    return -oracle.extremize_on_circle(lambda z: -abs(phi(z) - 1.0), 1.0,
-                                       real_coefficients=True).value
+    # the minimum is the negated maximum of -|phi - 1|
+    return -oracle.extremize_on_circle(lambda z: -abs(phi(z) - 1.0), 1.0).value
 
 
 _SQRT2 = math.sqrt(2.0)

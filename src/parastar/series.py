@@ -135,7 +135,7 @@ def integrate_over_t(s: PowerSeries) -> PowerSeries:
 
 
 def _kernel_series(n_max: int, reflected: bool) -> PowerSeries:
-    p = p0_coefficients(max(n_max, 1))
+    p = p0_coefficients(n_max)
     coeffs = p.coeffs
     if reflected:
         coeffs = coeffs.copy()

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 def quoted_ok(value: float, quoted: float, digits: int, truncated: bool = False) -> bool:
     """Whether a value matches a decimal quoted to ``digits`` places.
@@ -26,3 +28,40 @@ def assert_quoted(value: float, quoted: float, digits: int, truncated: bool = Fa
 def log_ratio(r: float) -> float:
     s = math.sqrt(r)
     return math.log((1.0 + s) / (1.0 - s))
+
+
+# the uniform 4096-point angular grid and its points e^{i theta}, computed
+# with the operations of the extremizer's own grid
+FULL_GRID = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+FULL_GRID_UNIT = np.exp(1j * FULL_GRID)
+# theta = -pi and the upper half [0, pi), the extremizer's first pass
+HALF = np.r_[0, 2048:4096]
+_FUNCTIONALS = {"re": np.real, "abs": np.abs}
+
+
+def sequential_extremize(map_fn, r, functional="re", *, half=True):
+    """(min, max, argmin angle, argmax angle) of a functional on |z| = r.
+
+    The round-by-round reference for ``oracle.extremize_on_circle``: a
+    first pass on the half grid (or on the full 4096-point grid with
+    ``half=False``), then six rounds of 33-point windows re-centred on
+    their best points, one map call per round for both extremes.
+    """
+    fun = _FUNCTIONALS[functional]
+    grid, unit = (FULL_GRID[HALF], FULL_GRID_UNIT[HALF]) if half else (FULL_GRID, FULL_GRID_UNIT)
+    vals = fun(np.asarray(map_fn(r * unit)))
+    i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
+    th_min, v_min = grid[i_min], vals[i_min]
+    th_max, v_max = grid[i_max], vals[i_max]
+
+    k = 33
+    offsets = np.linspace(-1.0, 1.0, k)
+    h = 2.0 * math.pi / 4096
+    while h > 1e-10:
+        angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
+        vals = fun(np.asarray(map_fn(r * np.exp(1j * angles))))
+        j_min, j_max = int(np.argmin(vals[:k])), k + int(np.argmax(vals[k:]))
+        th_min, v_min = angles[j_min], vals[j_min]
+        th_max, v_max = angles[j_max], vals[j_max]
+        h *= 2.0 / (k - 1)
+    return float(v_min), float(v_max), float(th_min), float(th_max)

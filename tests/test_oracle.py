@@ -36,7 +36,8 @@ from parastar import (
     sample_schwarz_function,
     target_map,
 )
-from support import assert_quoted, log_ratio
+from support import (FULL_GRID, FULL_GRID_UNIT, HALF, assert_quoted, log_ratio,
+                     sequential_extremize)
 
 PI = math.pi
 
@@ -185,35 +186,39 @@ class TestExtremize:
             extremize_on_circle(left_parabola, 1.0)
 
     def test_extremum_off_grid_and_off_axis(self):
-        # Re(1 + sin(e^{ia} z)) peaks where e^{ia} z is real and positive,
-        # at angle -a, which is no multiple of the grid step 2 pi / 4096
-        alpha, r = 0.3 + 0.37 * 2.0 * PI / 4096, 0.4
-        res = extremize_on_circle(lambda z: 1.0 + np.sin(np.exp(1j * alpha) * z), r)
-        assert abs(res.value - (1.0 + math.sin(r))) < 1e-12
-        off = (res.angle + alpha + PI) % (2.0 * PI) - PI
-        assert abs(off) < 1e-6
+        # Re(a z - z^2) = a r cos t - r^2 (2 cos^2 t - 1) on |z| = r peaks at
+        # cos t = a/(4r), value r^2 (2 cos^2 t0 + 1): at t0 in the upper
+        # half, which is no multiple of the grid step 2 pi / 4096
+        theta0, r = 1.0 + 0.37 * 2.0 * PI / 4096, 0.4
+        a = 4.0 * r * math.cos(theta0)
+        res = extremize_on_circle(lambda z: a * z - z * z, r)
+        assert abs(res.value - r * r * (2.0 * math.cos(theta0) ** 2 + 1.0)) < 1e-15
+        assert abs(res.angle - theta0) < 1e-7
 
     def test_refinement_failure_is_singular(self):
         # the map fails only on the refinement batches, never on the grid
+        sizes = []
+
         def phi(z):
-            if np.size(z) != 4096:
+            sizes.append(np.size(z))
+            if np.size(z) != oracle._GRID.size:
                 raise DomainError("refinement point rejected")
             return left_parabola(z)
 
         with pytest.raises(SingularOnCircle):
             extremize_on_circle(phi, 0.5)
+        assert sizes == [oracle._GRID.size, 6 * 33]
 
-    @pytest.mark.parametrize("target, r, real_coefficients, budget", [
-        # the first pass, the speculative windows and at most five fresh rounds
-        ("left_parabola", 0.5, False, 8),
+    @pytest.mark.parametrize("target, r, budget", [
+        # the first pass, one speculative call of all six rounds, and one
+        # more of the rounds left each time the maximum moves
+        ("left_parabola", 0.5, 4),
+        ("ronning_parabola", 0.4, 4),
         # the maximum stays at its window centre in the first rounds
-        ("sine", 0.4, True, 4),
-        ("ronning_parabola", 0.4, True, 4),
-        # the maximum is on the real axis; the off-axis minimum, which
-        # took four more calls when it was refined too, is not asked for
-        ("cardioid", 0.4, True, 3),
+        ("sine", 0.4, 3),
+        ("cardioid", 0.4, 3),
     ])
-    def test_map_call_budget(self, target, r, real_coefficients, budget):
+    def test_map_call_budget(self, target, r, budget):
         calls = []
         map_fn = target_map(target)
 
@@ -221,98 +226,59 @@ class TestExtremize:
             calls.append(np.size(z))
             return map_fn(z)
 
-        extremize_on_circle(phi, r, real_coefficients=real_coefficients)
+        extremize_on_circle(phi, r)
         assert len(calls) <= budget
         assert all(n > 1 for n in calls)
 
-    @staticmethod
-    def _first_pass(r, **kwargs):
+    def test_half_circle_first_pass(self):
+        # the first pass is theta = -pi and the upper half [0, pi) of the
+        # 4096-point grid, bit for bit
         calls = []
 
         def phi(z):
             calls.append(np.array(z))
             return left_parabola(z)
 
-        extremize_on_circle(phi, r, **kwargs)
-        return calls
-
-    def test_half_circle_first_pass(self):
-        # by default the first pass is the full 4096-point grid; with real
-        # coefficients it is theta = -pi and the upper half [0, pi), and
-        # refinement is unchanged
         r = 0.5
-        full = self._first_pass(r)
-        calls = self._first_pass(r, real_coefficients=True)
+        extremize_on_circle(phi, r)
         first = calls[0]
-        assert full[0].size == 4096
         assert first.size == 2049
         assert np.all(first.imag[1:] >= 0.0)
         assert r in first
         assert np.min(np.abs(first + r)) < 1e-16
-        assert [c.size for c in calls[1:]] == [c.size for c in full[1:]]
+        assert np.array_equal(oracle._GRID, FULL_GRID[HALF])
+        assert np.array_equal(oracle._GRID_UNIT, FULL_GRID_UNIT[HALF])
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.9])
     @pytest.mark.parametrize("functional", ["re", "abs"])
     def test_half_circle_values_match(self, r, functional):
-        # an off-axis extreme may be refined at its mirror angle, which can
-        # move its value in the last bits
+        # against the full circle, an off-axis extreme may be refined at
+        # its mirror angle, which can move its value in the last bits
         phi = target_map("cardioid")
-        half = _min_and_max(phi, r, functional, real_coefficients=True)
-        full = _min_and_max(phi, r, functional)
+        half = _min_and_max(phi, r, functional)
+        full = sequential_extremize(phi, r, functional, half=False)
         for a, b in zip(half[:2], full[:2]):
             assert abs(a - b) <= 1e-15 * abs(b)
         for a, b in zip(half[2:], full[2:]):
             assert abs(abs(a) - abs(b)) < 1e-6
 
     def test_half_circle_misses_off_axis_peak(self):
-        # the flag is a promise about the map: the rotated sine has complex
-        # coefficients and peaks at angle -a in the lower half, which the
-        # half circle never samples
+        # conjugate symmetry is a promise about the map: the rotated sine
+        # has complex coefficients and peaks at 1 + sin r at angle -a in
+        # the lower half, which the half circle never samples
         alpha, r = 0.3 + 0.37 * 2.0 * PI / 4096, 0.4
         phi = lambda z: 1.0 + np.sin(np.exp(1j * alpha) * z)
-        half = extremize_on_circle(phi, r, real_coefficients=True)
-        assert half.value < extremize_on_circle(phi, r).value - 1e-3
+        assert extremize_on_circle(phi, r).value < 1.0 + math.sin(r) - 1e-3
 
 
-_FUNCTIONALS = {"re": np.real, "abs": np.abs}
-
-
-def _min_and_max(map_fn, r, functional="re", **kwargs):
+def _min_and_max(map_fn, r, functional="re"):
     # (min, max, argmin angle, argmax angle) of the functional on |z| = r
     # from two maximizations: of the map (of |map| for "abs") and of its
     # negation
     f = map_fn if functional == "re" else lambda z: np.abs(map_fn(z))
-    high = extremize_on_circle(f, r, **kwargs)
-    low = extremize_on_circle(lambda z: -f(z), r, **kwargs)
+    high = extremize_on_circle(f, r)
+    low = extremize_on_circle(lambda z: -f(z), r)
     return -low.value, high.value, low.angle, high.angle
-
-
-def _sequential_extremize(map_fn, r, functional="re", *, real_coefficients=False):
-    # the sequential refinement loop for both extremes, which
-    # extremize_on_circle replays for one: one map call per round for both
-    # windows, re-centred on their best points; returns (min, max, argmin
-    # angle, argmax angle)
-    fun = _FUNCTIONALS[functional]
-    if real_coefficients:
-        grid, unit = oracle._HALF_GRID, oracle._HALF_GRID_UNIT
-    else:
-        grid, unit = oracle._GRID, oracle._GRID_UNIT
-    vals = fun(oracle._circle_values(map_fn, r, r * unit))
-    i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
-    th_min, v_min = grid[i_min], vals[i_min]
-    th_max, v_max = grid[i_max], vals[i_max]
-
-    k = 33
-    offsets = np.linspace(-1.0, 1.0, k)
-    h = 2.0 * math.pi / 4096
-    while h > 1e-10:
-        angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
-        vals = fun(oracle._circle_values(map_fn, r, r * np.exp(1j * angles)))
-        j_min, j_max = int(np.argmin(vals[:k])), k + int(np.argmax(vals[k:]))
-        th_min, v_min = angles[j_min], vals[j_min]
-        th_max, v_max = angles[j_max], vals[j_max]
-        h *= 2.0 / (k - 1)
-    return float(v_min), float(v_max), float(th_min), float(th_max)
 
 
 def _bs_map(alpha):
@@ -321,8 +287,9 @@ def _bs_map(alpha):
 
 class TestSpeculativeRefinement:
     # the speculative windows decide every round at the angles of the
-    # sequential loop, so the maximum of the map and the negated maximum
-    # of the negated map agree with its maximum and minimum bit for bit
+    # round-by-round loop, so the maximum of the map and the negated
+    # maximum of the negated map agree with its maximum and minimum bit
+    # for bit
 
     @pytest.mark.parametrize("name, map_fn", [
         *((cid, target_map(target)) for cid, (_, target, _) in radii._CIRCLE_MAX.items()),
@@ -330,12 +297,12 @@ class TestSpeculativeRefinement:
         *((f"alpha_exp({a})", target_map("alpha_exp", alpha=a)) for a in (0.0, 0.3, 0.6, 0.9)),
     ])
     def test_circle_max_maps_match_sequential(self, name, map_fn):
-        for r in np.linspace(0.05, 0.95, 37):
+        # r = 1e-9, where Re map is flat to rounding, moves the pick in
+        # most rounds
+        for r in (1e-9, *np.linspace(0.05, 0.95, 37)):
             for functional in ("re", "abs"):
-                for real_coefficients in (False, True):
-                    kwargs = {"real_coefficients": real_coefficients}
-                    assert (_min_and_max(map_fn, r, functional, **kwargs)
-                            == _sequential_extremize(map_fn, r, functional, **kwargs))
+                assert (_min_and_max(map_fn, r, functional)
+                        == sequential_extremize(map_fn, r, functional))
 
     @pytest.mark.parametrize("entry_id", list(radii._COROLLARY))
     def test_inner_disc_minima_match_sequential(self, entry_id):
@@ -345,10 +312,7 @@ class TestSpeculativeRefinement:
         def shifted(z):
             return phi(z) - 1.0
 
-        for real_coefficients in (False, True):
-            kwargs = {"real_coefficients": real_coefficients}
-            assert (_min_and_max(shifted, 1.0, "abs", **kwargs)
-                    == _sequential_extremize(shifted, 1.0, "abs", **kwargs))
+        assert _min_and_max(shifted, 1.0, "abs") == sequential_extremize(shifted, 1.0, "abs")
 
 
 class TestGrowthBounds:

@@ -21,7 +21,7 @@ from parastar import (
     target_map,
 )
 from parastar.radii import _CIRCLE_MAX, _COROLLARY
-from support import assert_quoted
+from support import assert_quoted, sequential_extremize
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -185,21 +185,28 @@ class TestCorollaryRadii:
 
 
 def _half_and_full(monkeypatch):
-    """Make every radii extremization also run on the full circle; returns
-    the list that collects (half-circle, full-circle) results per call."""
+    """Make every radii extremization also run the round-by-round loop on
+    the full circle; returns the list that collects (map, half-circle
+    result, full-circle maximum) per call."""
     import parastar.oracle as oracle
 
-    pairs = []
+    calls = []
     extremize = oracle.extremize_on_circle
 
-    def both(map_fn, r, *, real_coefficients):
-        assert real_coefficients
-        half = extremize(map_fn, r, real_coefficients=True)
-        pairs.append((half, extremize(map_fn, r)))
+    def both(map_fn, r):
+        half = extremize(map_fn, r)
+        calls.append((map_fn, half, sequential_extremize(map_fn, r, half=False)[1]))
         return half
 
     monkeypatch.setattr(oracle, "extremize_on_circle", both)
-    return pairs
+    return calls
+
+
+_CIRCLE_MAX_ROWS = [
+    *((cid, {}) for cid in _CIRCLE_MAX),
+    *(("bs", {"alpha": a}) for a in (0.0, 0.3, 0.6, 0.9)),
+    *(("alpha_exp", {"alpha": a}) for a in (0.0, 0.3, 0.6, 0.9)),
+]
 
 
 class TestHalfCircle:
@@ -207,27 +214,57 @@ class TestHalfCircle:
     # first pass on the upper half circle only; their maps have real
     # coefficients, so the extremes match the full circle bit for bit
 
-    @pytest.mark.parametrize("entry_id, params", [
-        *((cid, {}) for cid in _CIRCLE_MAX),
-        *(("bs", {"alpha": a}) for a in (0.0, 0.3, 0.6, 0.9)),
-        *(("alpha_exp", {"alpha": a}) for a in (0.0, 0.3, 0.6, 0.9)),
-    ])
+    @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
     def test_circle_max_bit_equal(self, monkeypatch, entry_id, params):
         entry = get_entry(entry_id, **params)
-        pairs = _half_and_full(monkeypatch)
+        calls = _half_and_full(monkeypatch)
         radii = np.linspace(0.05, 0.95, 13)
         for r in radii:
             entry.condition(r)
-        assert len(pairs) == radii.size
-        assert [h.value for h, _ in pairs] == [f.value for _, f in pairs]
+        assert len(calls) == radii.size
+        assert [h.value for _, h, _ in calls] == [f for _, _, f in calls]
 
     @pytest.mark.parametrize("entry_id", list(_COROLLARY))
     def test_inner_disc_minimum_bit_equal(self, monkeypatch, entry_id):
         _, target, params = _COROLLARY[entry_id]
-        pairs = _half_and_full(monkeypatch)
+        calls = _half_and_full(monkeypatch)
         constant = inner_disc_radius.__wrapped__(target.value, **params)
-        ((half, full),) = pairs
-        assert constant == -half.value == -full.value
+        ((_, half, full),) = calls
+        assert constant == -half.value == -full
+
+
+def _assert_conjugate_symmetric(phi):
+    # phi(conj z) = conj phi(z) on seeded points of the disc |z| < 0.95, to
+    # 1e-15 relative; a value below 1 in modulus is measured against 1, the
+    # scale of a map normalised to phi(0) = 1 (left_parabola's 1 - (...)
+    # cancels to 0.4 with a 2-ulp error of 1)
+    rng = np.random.default_rng(7)
+    z = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, 256)) * np.exp(1j * rng.uniform(-PI, PI, 256))
+    w = np.asarray(phi(z))
+    gap = np.abs(np.asarray(phi(np.conj(z))) - np.conj(w))
+    assert np.all(gap <= 1e-15 * np.maximum(np.abs(w), 1.0))
+
+
+class TestConjugateSymmetry:
+    # extremize_on_circle samples the upper half circle only, which is
+    # exact for phi(conj z) = conj phi(z); a target without this symmetry
+    # fails here instead of being extremized on the wrong half circle
+
+    @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
+    def test_circle_max_target(self, monkeypatch, entry_id, params):
+        # the map the condition really extremizes
+        calls = _half_and_full(monkeypatch)
+        get_entry(entry_id, **params).condition(0.5)
+        ((phi, _, _),) = calls
+        _assert_conjugate_symmetric(phi)
+
+    @pytest.mark.parametrize("entry_id", list(_COROLLARY))
+    def test_corollary_target(self, entry_id):
+        _, target, params = _COROLLARY[entry_id]
+        _assert_conjugate_symmetric(target_map(target, **params))
+
+    def test_left_parabola(self):
+        _assert_conjugate_symmetric(left_parabola)
 
 
 class TestRatioClass:
