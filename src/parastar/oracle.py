@@ -28,7 +28,7 @@ from .errors import (
     SingularOnCircle,
 )
 from .maps import parabola_map, validate_janowski
-from .series import PowerSeries, integrate_over_t, p0_coefficients
+from .series import PowerSeries
 
 # version of every JSON and CSV output format
 SCHEMA = 1
@@ -280,8 +280,7 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
 # --- growth bounds -------------------------------------------------------
 
 # Integrands of int_0^r k(+-t)/t dt for the parabola kernel k, on arrays of
-# t.  Near 0 the removable singularity is handled by the kernel series on
-# [0, 0.1].
+# t; both extend analytically to t = 0, which no Gauss node reaches.
 
 
 def _lower_integrand(t: np.ndarray) -> np.ndarray:
@@ -290,23 +289,6 @@ def _lower_integrand(t: np.ndarray) -> np.ndarray:
 
 def _upper_integrand(t: np.ndarray) -> np.ndarray:
     return (8.0 / _PI_SQ) * np.arctan(np.sqrt(t)) ** 2 / t
-
-
-@cache
-def _kernel_integral_series() -> PowerSeries:
-    # int_0^x k(t)/t dt to degree 64; evaluated at -x it gives the
-    # reflected-kernel integral.
-    return integrate_over_t(p0_coefficients(64))
-
-
-_SERIES_CUT = 0.1
-
-
-@cache
-def _series_at_cut() -> tuple[float, float]:
-    # (lower, upper) kernel integrals over [0, _SERIES_CUT]
-    iser = _kernel_integral_series()
-    return iser(_SERIES_CUT).real, iser(-_SERIES_CUT).real
 
 
 _QUAD_TARGET = 1e-10
@@ -381,23 +363,23 @@ def _quad_checked(fn, a: float, b: float) -> float:
     return val
 
 
+def _growth(integrand, r: float) -> float:
+    """r exp(int_0^r integrand(t) dt), by adaptive quadrature from 0."""
+    return r * math.exp(_quad_checked(integrand, 0.0, r))
+
+
 def growth_bounds(r: float) -> tuple[float, float]:
     """Sharp growth sandwich (lower, upper) for |f| at |z| = r.
 
-    Both bounds are r exp(int_0^r k(+-t)/t dt), evaluated by kernel series
-    on [0, 0.1] and adaptive quadrature beyond; relative accuracy 1e-10.
+    Both bounds are r exp(int_0^r k(+-t)/t dt), evaluated by adaptive
+    quadrature from 0, the one route for these bounds, the covering limit
+    and member moduli; relative accuracy 1e-10.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError("radius must lie in [0, 1)")
     if r == 0.0:
         return 0.0, 0.0
-    if r <= _SERIES_CUT:
-        iser = _kernel_integral_series()
-        return r * math.exp(iser(r).real), r * math.exp(iser(-r).real)
-    i_lower, i_upper = _series_at_cut()
-    i_lower += _quad_checked(_lower_integrand, _SERIES_CUT, r)
-    i_upper += _quad_checked(_upper_integrand, _SERIES_CUT, r)
-    return r * math.exp(i_lower), r * math.exp(i_upper)
+    return _growth(_lower_integrand, r), _growth(_upper_integrand, r)
 
 
 @dataclass(frozen=True)
@@ -421,15 +403,10 @@ def covering_constant() -> CoveringEstimate:
     converges linearly in 2^{-k}, so successive Richardson extrapolants
     are compared until they differ by less than 1e-8.
     """
-
-    def upper(rr: float) -> float:
-        return rr * math.exp(_series_at_cut()[1]
-                             + _quad_checked(_upper_integrand, _SERIES_CUT, rr))
-
-    evals = [upper(1.0 - 0.5**k) for k in (2, 3)]
+    evals = [_growth(_upper_integrand, 1.0 - 0.5**k) for k in (2, 3)]
     prev = 2.0 * evals[-1] - evals[-2]
     for k in range(4, _MAX_REFINEMENTS + 1):
-        evals.append(upper(1.0 - 0.5**k))
+        evals.append(_growth(_upper_integrand, 1.0 - 0.5**k))
         extrap = 2.0 * evals[-1] - evals[-2]
         delta = abs(extrap - prev)
         if delta < _COVERING_TOL:
@@ -593,5 +570,4 @@ def member_growth_modulus(w_fn, r: float) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         return (parabola_map(w_fn(t)) / t).real
 
-    val = _quad_checked(integrand, 1e-12, r)
-    return r * math.exp(val)
+    return _growth(integrand, r)

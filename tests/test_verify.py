@@ -1,7 +1,9 @@
 import pytest
 
 import parastar.radii as radii
-from parastar.verify import run_all
+import parastar.verify as verify
+from parastar import ParamRange
+from parastar.verify import certify_sample_members, run_all
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +52,24 @@ class TestFullRun:
     def test_solved_lines_name_itp(self, full_run):
         notes = [r.notes for r in full_run if r.check_id.startswith("radius/")]
         assert sum(n.endswith("oracle=itp") for n in notes) == len(notes) - 2
+
+    def test_implication_counts_requested_members(self, full_run):
+        (rep,) = [r for r in full_run if r.check_id == "certify/implication_t0"]
+        assert rep.passed
+        assert rep.closed_form == rep.oracle_value == rep.samples == 50
+
+
+class TestImplication:
+    def test_bad_parameter_raises(self):
+        # only a vanishing f or f' skips a member; t outside [0, 1] is an error
+        with pytest.raises(ParamRange):
+            certify_sample_members(2, t=1.5)
+
+    @pytest.mark.parametrize("drawn", [0, 1])
+    def test_short_draw_fails(self, monkeypatch, drawn):
+        draw = verify.certify_sample_members
+        monkeypatch.setattr(verify, "certify_sample_members",
+                            lambda n_members, t, seed: draw(drawn, t, seed))
+        (rep,) = run_all(only="certify/implication", samples=2)
+        assert rep.samples == drawn
+        assert not rep.passed
