@@ -1,4 +1,4 @@
-"""Growth sandwich and covering constant, each computed by two routes.
+"""Growth sandwich and its limits at r = 1, each computed by two routes.
 
 Run:  python demos/03_growth_and_covering.py
 """
@@ -29,9 +29,11 @@ for i in range(5):
     print(f"  member {i}: |f(0.6)| = {val:.8f}  in [{lo:.8f}, {hi:.8f}]"
           f"  ({len(zeros)} Blaschke factor(s))")
 
-# Covering constant: the limit of the upper extremal along the positive
-# axis, via Richardson extrapolation of r = 1 - 2^{-k} evaluations.
-est = ps.covering_constant()
-print(f"\ncovering constant: {est.value:.10f} "
-      f"(stable to {est.last_delta:.1e} after {est.refinements} refinements)")
-print("raw sequence tail:", ", ".join(f"{v:.8f}" for v in est.evaluations[-4:]))
+# Limits at r = 1: one quadrature each against the closed forms in
+# Catalan's G and zeta(3).  The upper limit bounds |f| on the disc; the
+# lower one is the radius of the disc that every image covers (Rouche).
+lo, hi = ps.growth_bounds(1.0)
+print(f"\nupper limit, |f| < {hi:.16f} on the disc "
+      f"(closed form {ps.region.GROWTH_UPPER_LIMIT:.16f})")
+print(f"covered radius     {lo:.16f} "
+      f"(closed form {ps.region.COVERED_RADIUS:.16f})")

@@ -13,7 +13,6 @@ from .errors import (
     DerivativeVanishes,
     DomainError,
     MaxIterExceeded,
-    NoConvergence,
     NonzeroConstantTerm,
     NoSignChange,
     ParamRange,

@@ -45,10 +45,6 @@ class QuadratureFailure(ParastarError):
     """Adaptive quadrature could not certify the requested error."""
 
 
-class NoConvergence(ParastarError):
-    """Limit estimation did not stabilise within the allowed refinements."""
-
-
 class SingularOnCircle(ParastarError):
     """A circle sample hit a singular or non-finite map value."""
 

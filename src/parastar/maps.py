@@ -74,7 +74,7 @@ def _log_ratio_sq(w: np.ndarray) -> np.ndarray:
 
 
 def parabola_map(z, tau: float = 0.0, theta: float = 0.0):
-    """Kernel (2 e^{i(theta+pi)}/pi^2) log^2((1+e^{i tau} sqrt z)/(1-e^{i tau} sqrt z)).
+    """Kernel -(2 e^{i theta}/pi^2) log^2((1+e^{i tau} sqrt z)/(1-e^{i tau} sqrt z)).
 
     Maps the unit circle onto a parabola with focus at the origin; theta
     rotates the image axis and tau the pre-image.  (0, 0) gives the kernel
@@ -89,7 +89,8 @@ def parabola_map(z, tau: float = 0.0, theta: float = 0.0):
     _check_disc(z)
     w = cmath.exp(1j * tau) * _sqrt_upper(z)
     _guard_log_singularity(w)
-    factor = _TWO_OVER_PI_SQ * cmath.exp(1j * (theta + math.pi))
+    # not e^{i(theta + pi)}, whose float sin(pi) != 0 leaves Im != 0 at theta = 0
+    factor = -_TWO_OVER_PI_SQ * cmath.exp(1j * theta)
     return _ret(factor * _log_ratio_sq(w))
 
 

@@ -20,7 +20,6 @@ from .errors import (
     DerivativeVanishes,
     DomainError,
     MaxIterExceeded,
-    NoConvergence,
     NoSignChange,
     ParamRange,
     ParastarError,
@@ -369,14 +368,16 @@ def _growth(integrand, r: float) -> float:
 
 
 def growth_bounds(r: float) -> tuple[float, float]:
-    """Sharp growth sandwich (lower, upper) for |f| at |z| = r.
+    """Sharp growth sandwich (lower, upper) for |f| at |z| = r, 0 <= r <= 1.
 
     Both bounds are r exp(int_0^r k(+-t)/t dt), evaluated by adaptive
-    quadrature from 0, the one route for these bounds, the covering limit
-    and member moduli; relative accuracy 1e-10.
+    quadrature from 0, the one route for these bounds and member moduli;
+    relative accuracy 1e-10.  No Gauss node reaches t = 1, so r = 1 gives
+    the limits: |f| < 1.8727 on the disc, and every image covers
+    |w| < 0.18175 (f(0) = 0, the lower bound on every circle, and Rouche).
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError("radius must lie in [0, 1)")
+    if not 0.0 <= r <= 1.0:
+        raise DomainError("radius must lie in [0, 1]")
     if r == 0.0:
         return 0.0, 0.0
     return _growth(_lower_integrand, r), _growth(_upper_integrand, r)
@@ -384,37 +385,20 @@ def growth_bounds(r: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CoveringEstimate:
-    """Limit of the upper extremal modulus along the real axis toward 1."""
+    """Upper growth bound at r = 1 and its distance from the closed form."""
 
     value: float
-    refinements: int
     last_delta: float
-    evaluations: tuple[float, ...]
-
-
-_MAX_REFINEMENTS = 48
-_COVERING_TOL = 1e-8
 
 
 def covering_constant() -> CoveringEstimate:
-    """Radius of the disc covered by every class member's image.
+    """Upper growth bound at r = 1, by one quadrature: |f| < 1.8727 on the disc.
 
-    Evaluates the upper growth bound at r = 1 - 2^{-k}; the raw sequence
-    converges linearly in 2^{-k}, so successive Richardson extrapolants
-    are compared until they differ by less than 1e-8.
+    An outer bound, not a covered radius; that is ``growth_bounds(1.0)[0]``.
+    ``last_delta`` is the distance from ``region.GROWTH_UPPER_LIMIT``.
     """
-    evals = [_growth(_upper_integrand, 1.0 - 0.5**k) for k in (2, 3)]
-    prev = 2.0 * evals[-1] - evals[-2]
-    for k in range(4, _MAX_REFINEMENTS + 1):
-        evals.append(_growth(_upper_integrand, 1.0 - 0.5**k))
-        extrap = 2.0 * evals[-1] - evals[-2]
-        delta = abs(extrap - prev)
-        if delta < _COVERING_TOL:
-            return CoveringEstimate(value=extrap, refinements=k, last_delta=delta,
-                                    evaluations=tuple(evals))
-        prev = extrap
-    raise NoConvergence(f"covering sequence not stable after {_MAX_REFINEMENTS} refinements: "
-                        f"{evals}")
+    value = _growth(_upper_integrand, 1.0)
+    return CoveringEstimate(value=value, last_delta=abs(value - region.GROWTH_UPPER_LIMIT))
 
 
 # --- containment and certification ---------------------------------------

@@ -58,6 +58,16 @@ def kernel_modulus(r):
     return (2.0 / _PI_SQ) * log_ratio(r) ** 2
 
 
+# Catalan's G, Apery's zeta(3), and the growth bounds' limits at r = 1: with
+# u = sqrt t, int_0^1 atan^2(u)/u du = pi G/2 - 7 zeta(3)/8 and int_0^1
+# artanh^2(u)/u du = 7 zeta(3)/8.  The upper limit bounds |f| < 1.8727 on the
+# disc; by Rouche (f(0) = 0) every image covers |w| < the lower limit, 0.18175.
+_CATALAN = 0.915965594177219
+_ZETA3 = 1.2020569031595942
+GROWTH_UPPER_LIMIT = math.exp(8.0 * _CATALAN / math.pi - 14.0 * _ZETA3 / _PI_SQ)
+COVERED_RADIUS = math.exp(-14.0 * _ZETA3 / _PI_SQ)
+
+
 def real_part_bounds(r: float) -> tuple[float, float]:
     """Sharp (min, max) of the real part of the parabola kernel on |z| = r.
 

@@ -99,34 +99,33 @@ def _real_part_bounds(check_id):
 
 def _profile_monotone(check_id):
     bounds = [region.real_part_bounds(r) for r in _PROFILE_RADII]
-    ok = all(hi > prev_hi and lo < prev_lo
-             for (prev_lo, prev_hi), (lo, hi) in zip(bounds, bounds[1:]))
-    return VerificationReport.from_pair(check_id, 0.0, 0.0, 0.0,
-                                        notes="max increasing, min decreasing in r",
-                                        passed=ok)
+    violations = sum(not (hi > prev_hi and lo < prev_lo)
+                     for (prev_lo, prev_hi), (lo, hi) in zip(bounds, bounds[1:]))
+    return VerificationReport.from_pair(check_id, 0.0, violations, 0.0,
+                                        notes="max increasing, min decreasing in r")
 
 
 def _inscribed_disc_probes(check_id):
-    # inner probe holds, outer probe fails
-    ok = True
+    # inner probe holds, outer probe fails; counts the probes that do not
+    violations = 0
     phis = np.linspace(-_PI, _PI, 256, endpoint=False)
     for a in (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.4):
         disc = region.inscribed_disc(a)
         inner = a + disc.radius * (1.0 - 1e-9) * np.exp(1j * phis)
         outer = a + disc.radius * (1.0 + 1e-3) * np.exp(1j * phis)
-        ok &= bool(np.all(region.margin(inner) > 0.0))
-        ok &= bool(np.any(region.margin(outer) <= 0.0))
-    return VerificationReport.from_pair(check_id, 0.0, 0.0, 0.0, samples=256, passed=ok)
+        violations += not (region.margin(inner) > 0.0).all()
+        violations += not (region.margin(outer) <= 0.0).any()
+    return VerificationReport.from_pair(check_id, 0.0, violations, 0.0, samples=256)
 
 
 def _argument_sector(check_id, seed):
-    # interior points satisfy the sharp argument sector
+    # interior points satisfy the sharp argument sector; counts those that do not
     rng = np.random.default_rng(seed)
     xs = 1.5 - rng.exponential(2.0, 20000)
     ys = rng.uniform(-1.0, 1.0, 20000) * np.sqrt(3.0 - 2.0 * xs)
     w = (xs * 0.9999 + 0.00005) + 1j * (ys * 0.9999)
-    ok = bool(np.all(region.argument_sector_check(w)))
-    return VerificationReport.from_pair(check_id, 0.0, 0.0, 0.0, samples=20000, passed=ok)
+    violations = np.count_nonzero(~region.argument_sector_check(w))
+    return VerificationReport.from_pair(check_id, 0.0, violations, 0.0, samples=20000)
 
 
 def _series_vs_quadrature(check_id):
@@ -154,11 +153,15 @@ def _random_members(check_id, samples, seed):
 
 
 def _covering_constant(check_id):
-    est = oracle.covering_constant()
     return VerificationReport.from_pair(
-        check_id, 0.0, est.value, 1e-8, samples=est.refinements,
-        notes=f"extrapolated at k={est.refinements}, delta={est.last_delta:.3e}",
-        passed=est.last_delta < 1e-8)
+        check_id, region.GROWTH_UPPER_LIMIT, oracle.covering_constant().value, 1e-12,
+        notes="upper growth bound at r = 1: |f| below it on the disc")
+
+
+def _covered_radius(check_id):
+    return VerificationReport.from_pair(
+        check_id, region.COVERED_RADIUS, oracle.growth_bounds(1.0)[0], 1e-12,
+        notes="lower growth bound at r = 1: every image covers this disc")
 
 
 def _implication(check_id, samples, seed):
@@ -194,6 +197,7 @@ def _checks(tol, samples, seed):
         ("growth/random_members",
          partial(_random_members, samples=20 if samples is None else samples, seed=seed)),
         ("growth/covering_constant", _covering_constant),
+        ("growth/covered_radius", _covered_radius),
         ("certify/implication_t0",
          partial(_implication, samples=50 if samples is None else samples, seed=seed)),
         ("certify/quadratic_c0.3", partial(_quadratic, c=0.3, expect=True)),

@@ -202,14 +202,18 @@ def test_criterion_7_growth_sandwich(capsys):
             violation = max(violation, lo - val, val - hi)
     members_ok = violation <= 1e-8
 
-    est = ps.covering_constant()
-    covering_ok = est.last_delta < 1e-8
+    # both limits at r = 1 against their closed forms
+    upper = ps.covering_constant().value
+    covered = ps.growth_bounds(1.0)[0]
+    upper_gap = abs(upper - ps.region.GROWTH_UPPER_LIMIT)
+    covered_gap = abs(covered - ps.region.COVERED_RADIUS)
+    covering_ok = upper_gap < 1e-8 and covered_gap < 1e-8
 
     ok = two_route_ok and members_ok and covering_ok
     announce(capsys, 7, "growth sandwich and covering", ok,
              detail=f"two-route gap {worst:.2e}, worst member violation "
-                    f"{violation:.2e}, covering {est.value:.8f} "
-                    f"(delta {est.last_delta:.2e})")
+                    f"{violation:.2e}, |f| < {upper:.8f} (gap {upper_gap:.2e}), "
+                    f"covered radius {covered:.8f} (gap {covered_gap:.2e})")
     assert ok
 
 

@@ -292,7 +292,7 @@ class TestScipyFree:
                                "verify", "--only", "growth"],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
-        assert len(proc.stdout.splitlines()) == 3
+        assert len(proc.stdout.splitlines()) == 4
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                     if line.startswith("import time:")]
         assert "parastar.oracle" in imported

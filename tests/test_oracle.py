@@ -347,6 +347,16 @@ class TestGrowthBounds:
         assert all(b < a for a, b in zip(lows, lows[1:]))
         assert all(b > a for a, b in zip(highs, highs[1:]))
 
+    def test_limits_at_one(self):
+        lo, hi = growth_bounds(1.0)
+        assert abs(lo - region.COVERED_RADIUS) < 1e-12
+        assert abs(hi - region.GROWTH_UPPER_LIMIT) < 1e-12
+
+    @pytest.mark.parametrize("r", [1.0 + 1e-15, 1.5])
+    def test_beyond_one_raises(self, r):
+        with pytest.raises(DomainError):
+            growth_bounds(r)
+
     def test_no_series_evaluated(self, monkeypatch):
         # growth/series_vs_quadrature compares two independent routes only
         # if the growth bounds never evaluate a series
@@ -370,11 +380,36 @@ class TestGrowthBounds:
 
 class TestCovering:
     def test_convergence_and_monotonicity(self):
+        # the upper bound at r = 1 - 2^-k increases in r toward its value at r = 1
         est = covering_constant()
         assert est.last_delta < 1e-8
-        seq = est.evaluations
+        seq = [growth_bounds(1.0 - 0.5**k)[1] for k in range(2, 16)]
         assert all(b > a for a, b in zip(seq, seq[1:]))
         assert est.value >= seq[-1]
+
+    def test_one_quadrature(self, monkeypatch):
+        quad = oracle._quad_checked
+        calls = []
+        monkeypatch.setattr(oracle, "_quad_checked",
+                            lambda fn, a, b: calls.append((a, b)) or quad(fn, a, b))
+        covering_constant()
+        assert calls == [(0.0, 1.0)]
+
+    def test_closed_forms_match_mpmath(self):
+        # G and zeta(3) as stored, and both limits against 30-digit
+        # quadrature of the integrals they close (u = sqrt t)
+        import mpmath as mp
+
+        with mp.workdps(30):
+            assert region._CATALAN == float(mp.catalan)
+            assert region._ZETA3 == float(mp.zeta(3))
+            upper = mp.exp(16 / mp.pi**2 * mp.quad(lambda u: mp.atan(u) ** 2 / u, [0, 1]))
+            lower = mp.exp(-16 / mp.pi**2 * mp.quad(lambda u: mp.atanh(u) ** 2 / u, [0, 1]))
+            assert abs(mp.exp(8 * mp.catalan / mp.pi - 14 * mp.zeta(3) / mp.pi**2) - upper) < 1e-28
+            assert abs(mp.exp(-14 * mp.zeta(3) / mp.pi**2) - lower) < 1e-28
+            for value, ref in ((region.GROWTH_UPPER_LIMIT, upper),
+                               (region.COVERED_RADIUS, lower)):
+                assert abs(value - ref) <= 2 * math.ulp(value)
 
     def test_bracketed_by_late_evaluation(self):
         # the limit sits a hair above the upper bound at r = 1 - 1e-6
