@@ -36,7 +36,6 @@ from .oracle import (
     ExtremeResult,
     VerificationReport,
     bracket_root,
-    caratheodory_order_check,
     certify_sufficient_condition,
     check_subordination_inclusion,
     covering_constant,

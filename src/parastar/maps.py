@@ -89,8 +89,9 @@ def parabola_map(z, tau: float = 0.0, theta: float = 0.0):
     _check_disc(z)
     w = cmath.exp(1j * tau) * _sqrt_upper(z)
     _guard_log_singularity(w)
-    # not e^{i(theta + pi)}, whose float sin(pi) != 0 leaves Im != 0 at theta = 0
-    factor = -_TWO_OVER_PI_SQ * cmath.exp(1j * theta)
+    # -(2/pi^2) e^{i theta}, real at theta = 0 and pi: the float e^{i pi} has
+    # sin(pi) != 0, which would leave Im != 0 on the real axis
+    factor = _TWO_OVER_PI_SQ if theta == math.pi else -_TWO_OVER_PI_SQ * cmath.exp(1j * theta)
     return _ret(factor * _log_ratio_sq(w))
 
 

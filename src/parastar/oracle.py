@@ -46,9 +46,9 @@ class VerificationReport:
     """Outcome of one closed-form-versus-oracle comparison."""
 
     check_id: str
-    closed_form: float | None
-    oracle_value: float | None
-    gap: float | None
+    closed_form: float
+    oracle_value: float
+    gap: float
     tolerance: float
     samples: int
     passed: bool
@@ -57,8 +57,14 @@ class VerificationReport:
     @classmethod
     def from_pair(cls, check_id, closed_form, oracle_value, tolerance,
                   samples=0, notes="", passed=None):
-        """Report on the gap between two values; passes iff gap <= tolerance
-        unless ``passed`` gives the outcome of a check the gap does not decide."""
+        """Report on the gap between two values; passes iff gap <= tolerance.
+
+        Every verify row passes by its gap.  Only the inclusion sweep (worst
+        margin > 0) and the certifier (sup < bound, then the conclusion
+        margins) give ``passed``: a strict inequality is not a gap, and
+        perfbench and ``parastar certify`` read those reports' fields as
+        they are.
+        """
         gap = abs(closed_form - oracle_value)
         return cls(check_id=check_id, closed_form=float(closed_form),
                    oracle_value=float(oracle_value), gap=float(gap),
@@ -486,20 +492,6 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
                   f"region {region_margin:.3e}")
     return VerificationReport.from_pair("certify", bound, sup, 0.0, samples=z.size,
                                         notes=notes, passed=passed)
-
-
-def caratheodory_order_check(p_fn, alpha: float, r: float) -> VerificationReport:
-    """Is min Re p on |z| = r at least alpha?  (p normalised to p(0) = 1.)
-
-    ``p_fn`` must be conjugate-symmetric, p(conj z) = conj p(z), as
-    :func:`extremize_on_circle` requires; the report counts the 2049
-    first-pass samples of the half circle.
-    """
-    ext = extremize_on_circle(lambda z: -p_fn(z), r)
-    low = -ext.value
-    return VerificationReport.from_pair("caratheodory", alpha, low, 0.0, samples=_GRID.size,
-                                        notes=f"argmin angle {ext.angle:.6f}",
-                                        passed=low >= alpha)
 
 
 # --- disc bounds for Carathéodory-type functions --------------------------

@@ -8,7 +8,6 @@ magnitude rather than a bare boolean.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,13 +43,11 @@ def support_margin(w):
 def log_ratio(r):
     """log((1+sqrt r)/(1-sqrt r)), the kernel's logarithm on 0 <= r < 1.
 
-    An array is evaluated elementwise with numpy.  A scalar goes through
-    ``math``, whose log can differ from numpy's in the last bit, so the
-    radius conditions that call this keep their roots.
+    An array is evaluated elementwise; a scalar gives a float.
     """
-    xp = np if np.ndim(r) else math
-    s = xp.sqrt(r)
-    return xp.log((1.0 + s) / (1.0 - s))
+    s = np.sqrt(r)
+    out = np.log((1.0 + s) / (1.0 - s))
+    return out if out.ndim else float(out)
 
 
 def kernel_modulus(r):
@@ -175,18 +172,14 @@ def argument_sector_check(w):
 
     The whole parabolic region satisfies this: its boundary touches the
     sector's rays y = +-(x - 2) at the points 1 +- i only.  An array is
-    checked elementwise with numpy and gives a boolean array; a scalar
-    goes through ``cmath``.  Any point equal to 2 raises ``ArgUndefined``.
+    checked elementwise and gives a boolean array; a scalar gives a bool.
+    Any point equal to 2 raises ``ArgUndefined``.
     """
-    if np.ndim(w):
-        u = np.asarray(w, dtype=np.complex128) - 2.0
-        if np.any(u == 0):
-            raise ArgUndefined("argument undefined at w = 2")
-        return np.abs(np.angle(u)) > 0.75 * math.pi
-    u = complex(w) - 2.0
-    if u == 0:
+    u = np.asarray(w, dtype=np.complex128) - 2.0
+    if (u == 0).any():
         raise ArgUndefined("argument undefined at w = 2")
-    return abs(cmath.phase(u)) > 0.75 * math.pi
+    ok = np.abs(np.angle(u)) > 0.75 * math.pi
+    return ok if ok.ndim else bool(ok)
 
 
 def boundary_points(n: int) -> np.ndarray:

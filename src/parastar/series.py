@@ -70,12 +70,6 @@ class PowerSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return PowerSeries(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, PowerSeries) else -1 * other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:

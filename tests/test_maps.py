@@ -77,11 +77,12 @@ class TestParabolaMap:
         tail = 2.0 * abs(coeffs[n]) * 0.5 ** (n + 1) / (1.0 - 0.5)
         assert np.max(np.abs(direct - partial)) <= tail + 1e-13
 
-    def test_real_on_real_axis(self):
-        # at theta = 0 the factor -2/pi^2 is real, so no imaginary residue
+    @pytest.mark.parametrize("theta", [0.0, PI])
+    def test_real_on_real_axis(self, theta):
+        # at theta = 0 and pi the factor -+2/pi^2 is real, so no imaginary residue
         r = np.linspace(0.0, 1.0, 64, endpoint=False)
-        assert (parabola_map(r).imag == 0.0).all()
-        assert all(parabola_map(float(x)).imag == 0.0 for x in r)
+        assert (parabola_map(r, theta=theta).imag == 0.0).all()
+        assert all(parabola_map(float(x), theta=theta).imag == 0.0 for x in r)
 
     def test_right_parabola_divergence_near_one(self):
         val = parabola_map(1.0 - 1e-6, theta=PI)

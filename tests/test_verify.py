@@ -37,13 +37,9 @@ class TestFullRun:
         assert len(ids) == len(set(ids)) == 74
 
     def test_passed_follows_gap(self, full_run):
-        # only these rows decide pass/fail by more than gap <= tolerance
-        overrides = {"growth/random_members", "certify/quadratic_c0.3",
-                     "certify/quadratic_c0.4"}
-        assert overrides <= {r.check_id for r in full_run}
+        # every row passes or fails by gap <= tolerance, with no override
         for r in full_run:
-            if r.check_id not in overrides:
-                assert r.passed == (r.gap <= r.tolerance), r.check_id
+            assert r.passed == (r.gap <= r.tolerance), r.check_id
 
     @pytest.mark.parametrize("only", ["growth", "radius/sp", "witness", "region", "certify",
                                       "janowski", "c0.3"])
