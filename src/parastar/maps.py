@@ -87,10 +87,10 @@ def parabola_map(z, tau: float = 0.0, theta: float = 0.0):
         raise ParamRange("tau and theta must lie in (-pi, pi]")
     z = _as_complex(z)
     _check_disc(z)
-    w = cmath.exp(1j * tau) * _sqrt_upper(z)
+    # e^{i tau} and -(2/pi^2) e^{i theta} are exactly real at 0 and pi: the
+    # float e^{i pi} has sin(pi) != 0, which would leave Im != 0 on the real axis
+    w = (-1.0 if tau == math.pi else cmath.exp(1j * tau)) * _sqrt_upper(z)
     _guard_log_singularity(w)
-    # -(2/pi^2) e^{i theta}, real at theta = 0 and pi: the float e^{i pi} has
-    # sin(pi) != 0, which would leave Im != 0 on the real axis
     factor = _TWO_OVER_PI_SQ if theta == math.pi else -_TWO_OVER_PI_SQ * cmath.exp(1j * theta)
     return _ret(factor * _log_ratio_sq(w))
 

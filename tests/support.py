@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from parastar.oracle import extremize_on_circle
+
 
 def quoted_ok(value: float, quoted: float, digits: int, truncated: bool = False) -> bool:
     """Whether a value matches a decimal quoted to ``digits`` places.
@@ -65,3 +67,14 @@ def sequential_extremize(map_fn, r, functional="re", *, half=True):
         th_max, v_max = angles[j_max], vals[j_max]
         h *= 2.0 / (k - 1)
     return float(v_min), float(v_max), float(th_min), float(th_max)
+
+
+def min_and_max(map_fn, r, functional="re"):
+    """(min, max, argmin angle, argmax angle) of a functional on |z| = r from
+    two ``oracle.extremize_on_circle`` calls: the maximum of the map (of
+    |map| for "abs") and of its negation; comparable bit for bit with
+    :func:`sequential_extremize`."""
+    f = map_fn if functional == "re" else lambda z: np.abs(map_fn(z))
+    high = extremize_on_circle(f, r)
+    low = extremize_on_circle(lambda z: -f(z), r)
+    return -low.value, high.value, low.angle, high.angle

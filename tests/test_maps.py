@@ -79,10 +79,12 @@ class TestParabolaMap:
 
     @pytest.mark.parametrize("theta", [0.0, PI])
     def test_real_on_real_axis(self, theta):
-        # at theta = 0 and pi the factor -+2/pi^2 is real, so no imaginary residue
+        # at tau = 0 and pi the pre-image rotation is +-1, and at theta = 0
+        # and pi the factor -+2/pi^2 is real, so no imaginary residue
         r = np.linspace(0.0, 1.0, 64, endpoint=False)
-        assert (parabola_map(r, theta=theta).imag == 0.0).all()
-        assert all(parabola_map(float(x), theta=theta).imag == 0.0 for x in r)
+        for tau in (0.0, PI):
+            assert (parabola_map(r, tau=tau, theta=theta).imag == 0.0).all()
+            assert all(parabola_map(float(x), tau=tau, theta=theta).imag == 0.0 for x in r)
 
     def test_right_parabola_divergence_near_one(self):
         val = parabola_map(1.0 - 1e-6, theta=PI)

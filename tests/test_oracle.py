@@ -36,7 +36,7 @@ from parastar import (
     target_map,
 )
 from support import (FULL_GRID, FULL_GRID_UNIT, HALF, assert_quoted, log_ratio,
-                     sequential_extremize)
+                     min_and_max, sequential_extremize)
 
 PI = math.pi
 
@@ -195,27 +195,29 @@ class TestExtremize:
         assert abs(res.angle - theta0) < 1e-7
 
     def test_refinement_failure_is_singular(self):
-        # the map fails only on the refinement batches, never on the grid
+        # the map fails only on the refinement batches, never on the first
+        # pass: the coarse pass and the grid window, clipped at theta = pi
+        # where the kernel peaks
         sizes = []
 
         def phi(z):
             sizes.append(np.size(z))
-            if np.size(z) != oracle._GRID.size:
+            if len(sizes) > 2:
                 raise DomainError("refinement point rejected")
             return left_parabola(z)
 
         with pytest.raises(SingularOnCircle):
             extremize_on_circle(phi, 0.5)
-        assert sizes == [oracle._GRID.size, 6 * 33]
+        assert sizes == [129, 17, 6 * 33]
 
     @pytest.mark.parametrize("target, r, budget", [
-        # the first pass, one speculative call of all six rounds, and one
-        # more of the rounds left each time the maximum moves
-        ("left_parabola", 0.5, 4),
-        ("ronning_parabola", 0.4, 4),
+        # the coarse pass, the grid window, one speculative call of all six
+        # rounds, and one more of the rounds left each time the maximum moves
+        ("left_parabola", 0.5, 5),
+        ("ronning_parabola", 0.4, 5),
         # the maximum stays at its window centre in the first rounds
-        ("sine", 0.4, 3),
-        ("cardioid", 0.4, 3),
+        ("sine", 0.4, 4),
+        ("cardioid", 0.4, 4),
     ])
     def test_map_call_budget(self, target, r, budget):
         calls = []
@@ -230,8 +232,9 @@ class TestExtremize:
         assert all(n > 1 for n in calls)
 
     def test_half_circle_first_pass(self):
-        # the first pass is theta = -pi and the upper half [0, pi) of the
-        # 4096-point grid, bit for bit
+        # the first pass samples theta = -pi and the upper half [0, pi) of
+        # the 4096-point grid, bit for bit: the coarse pass every 16th
+        # angle, the grid window only grid angles
         calls = []
 
         def phi(z):
@@ -240,11 +243,12 @@ class TestExtremize:
 
         r = 0.5
         extremize_on_circle(phi, r)
-        first = calls[0]
-        assert first.size == 2049
-        assert np.all(first.imag[1:] >= 0.0)
-        assert r in first
-        assert np.min(np.abs(first + r)) < 1e-16
+        coarse, window = calls[:2]
+        assert np.array_equal(coarse, r * FULL_GRID_UNIT[HALF][np.r_[0, 1:2049:16]])
+        assert np.isin(window, r * FULL_GRID_UNIT[HALF]).all()
+        assert np.all(coarse.imag[1:] >= 0.0)
+        assert r in coarse
+        assert np.min(np.abs(coarse + r)) < 1e-16
         assert np.array_equal(oracle._GRID, FULL_GRID[HALF])
         assert np.array_equal(oracle._GRID_UNIT, FULL_GRID_UNIT[HALF])
 
@@ -254,7 +258,7 @@ class TestExtremize:
         # against the full circle, an off-axis extreme may be refined at
         # its mirror angle, which can move its value in the last bits
         phi = target_map("cardioid")
-        half = _min_and_max(phi, r, functional)
+        half = min_and_max(phi, r, functional)
         full = sequential_extremize(phi, r, functional, half=False)
         for a, b in zip(half[:2], full[:2]):
             assert abs(a - b) <= 1e-15 * abs(b)
@@ -269,15 +273,22 @@ class TestExtremize:
         phi = lambda z: 1.0 + np.sin(np.exp(1j * alpha) * z)
         assert extremize_on_circle(phi, r).value < 1.0 + math.sin(r) - 1e-3
 
-
-def _min_and_max(map_fn, r, functional="re"):
-    # (min, max, argmin angle, argmax angle) of the functional on |z| = r
-    # from two maximizations: of the map (of |map| for "abs") and of its
-    # negation
-    f = map_fn if functional == "re" else lambda z: np.abs(map_fn(z))
-    high = extremize_on_circle(f, r)
-    low = extremize_on_circle(lambda z: -f(z), r)
-    return -low.value, high.value, low.angle, high.angle
+    def test_first_pass_misses_narrow_peak(self):
+        # the first pass resolves peaks at 16 grid steps: a spike of width
+        # about 3 grid steps at a grid angle midway between two coarse
+        # angles, on a broad bump a z peaking at theta = 0, is lower than
+        # the bump at every coarse angle; the 2049-angle reference finds
+        # the spike, the coarse pass picks the bump
+        h = 2.0 * PI / 4096
+        theta0, r, q, eps = (16 * 41 + 8) * h, 0.5, 0.995 / 0.5, 0.004
+        rot = np.exp(1j * theta0)
+        # real Taylor coefficients: spikes at theta0 and -theta0
+        phi = lambda z: z + eps / (1.0 - q * z / rot) + eps / (1.0 - q * z * rot)
+        spike = sequential_extremize(phi, r)[1]
+        assert spike > 1.0
+        res = extremize_on_circle(phi, r)
+        assert res.value < 0.6
+        assert abs(res.angle) < 1e-6
 
 
 def _bs_map(alpha):
@@ -300,7 +311,7 @@ class TestSpeculativeRefinement:
         # most rounds
         for r in (1e-9, *np.linspace(0.05, 0.95, 37)):
             for functional in ("re", "abs"):
-                assert (_min_and_max(map_fn, r, functional)
+                assert (min_and_max(map_fn, r, functional)
                         == sequential_extremize(map_fn, r, functional))
 
     @pytest.mark.parametrize("entry_id", list(radii._COROLLARY))
@@ -311,7 +322,7 @@ class TestSpeculativeRefinement:
         def shifted(z):
             return phi(z) - 1.0
 
-        assert _min_and_max(shifted, 1.0, "abs") == sequential_extremize(shifted, 1.0, "abs")
+        assert min_and_max(shifted, 1.0, "abs") == sequential_extremize(shifted, 1.0, "abs")
 
 
 class TestGrowthBounds:

@@ -21,7 +21,7 @@ from parastar import (
     target_map,
 )
 from parastar.radii import _CIRCLE_MAX, _COROLLARY
-from support import assert_quoted, sequential_extremize
+from support import assert_quoted, min_and_max, sequential_extremize
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -233,6 +233,46 @@ class TestHalfCircle:
         assert constant == -half.value == -full
 
 
+def _condition_map(monkeypatch, entry_id, params):
+    """The map that the entry's condition extremizes."""
+    calls = _half_and_full(monkeypatch)
+    get_entry(entry_id, **params).condition(0.5)
+    ((phi, _, _),) = calls
+    return phi
+
+
+class TestBracketEnds:
+    # peaks are sharpest at the ends of the solver bracket, where the
+    # coarse pass and its grid window must still pick the best grid angle
+
+    @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
+    def test_bit_equal_at_bracket_ends(self, monkeypatch, entry_id, params):
+        phi = _condition_map(monkeypatch, entry_id, params)
+        for r in (0.0, 1e-9, 0.99, 0.999, 1.0 - 1e-9):
+            for functional in ("re", "abs"):
+                assert min_and_max(phi, r, functional) == sequential_extremize(phi, r, functional)
+
+    def test_point_budget(self, monkeypatch):
+        # one condition call: a 129-angle coarse pass and a grid window of at
+        # most 33 angles, then speculative calls of the rounds left, 33
+        # points each, at most 6 + 5 + ... + 1 rounds when every round moves
+        # the maximum; fewer points in all than the 2049 angles of a full
+        # first pass alone
+        import parastar.oracle as oracle
+
+        points = []
+        extremize = oracle.extremize_on_circle
+
+        def counted(map_fn, r):
+            return extremize(lambda z: points.append(np.size(z)) or map_fn(z), r)
+
+        monkeypatch.setattr(oracle, "extremize_on_circle", counted)
+        get_entry("sp").condition(0.4)
+        assert points[0] == 129 and points[1] <= 33
+        assert all(n % 33 == 0 for n in points[2:])
+        assert sum(points) <= 129 + 33 + 21 * 33 < 2049
+
+
 def _assert_conjugate_symmetric(phi):
     # phi(conj z) = conj phi(z) on seeded points of the disc |z| < 0.95, to
     # 1e-15 relative; a value below 1 in modulus is measured against 1, the
@@ -253,10 +293,7 @@ class TestConjugateSymmetry:
     @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
     def test_circle_max_target(self, monkeypatch, entry_id, params):
         # the map the condition really extremizes
-        calls = _half_and_full(monkeypatch)
-        get_entry(entry_id, **params).condition(0.5)
-        ((phi, _, _),) = calls
-        _assert_conjugate_symmetric(phi)
+        _assert_conjugate_symmetric(_condition_map(monkeypatch, entry_id, params))
 
     @pytest.mark.parametrize("entry_id", list(_COROLLARY))
     def test_corollary_target(self, entry_id):
