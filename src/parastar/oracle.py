@@ -201,8 +201,9 @@ def _circle_values(map_fn, r: float, z: np.ndarray) -> np.ndarray:
 # Half grid: theta = -pi and the upper half [0, pi) of a uniform 4096-point
 # grid, 2049 angles sliced from the full grid and its points e^{i theta} on
 # the unit circle (both computed once).  The first pass samples 129 + <= 33
-# of them (see _COARSE), so an extremization takes 3 to 8 map calls, about
-# 4.25 over the radius catalog.
+# of them (see _COARSE) in two map calls, and the second call also carries
+# the refinement rounds, so an extremization takes 2 to 8 map calls, about
+# 2.05 over the radius catalog.
 _N_GRID = 4096
 
 
@@ -271,8 +272,8 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
 
     A minimum, or an extreme of another real functional, is the maximum
     of a negated or real-valued map: -Re f, or -|f - c| for the smallest
-    distance to c.  Negation is exact and ``argmax`` of -x picks the same
-    first index as ``argmin`` of x, so these cost nothing in accuracy.
+    distance to c.  Negation is exact and every pick on -x is the pick
+    for the minimum of x, so these cost nothing in accuracy.
 
     The first pass finds the best of 2049 angles of a uniform 4096-point
     grid in two map calls: a coarse pass on every 16th of them (129
@@ -280,7 +281,10 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
     best coarse angle, clipped to [0, pi].  Nested local grids refine
     around its best point: each round re-centres the window on its best
     point and shrinks it by 16, for six rounds, until the step is at
-    most 1e-10.
+    most 1e-10.  A round moves only to a strictly larger value: where the
+    centre's value ties with the window maximum, as it does once Re map
+    is flat to rounding, the centre stays, where ``argmax`` alone would
+    take the first tied point and walk away from the peak.
 
     The first pass resolves peaks at 16 times the grid step.  Where the
     highest peak of Re map is narrower than that and lies between two
@@ -292,31 +296,46 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
     over the whole half grid.  The tests check this on every map of the
     radius catalog, up to the ends of the solver bracket.
 
-    Refinement is speculative.  Each map call samples every remaining
-    round's window (33 points each) about the current centre.  The
-    rounds are replayed on those values while the best point stays at
-    the window centre; the round where it moves sets the centre of the
-    next call.  Every value that decides a round is taken at the same
-    angle as in the round-by-round loop, so the result is the same bit
-    for bit.  A maximum that stays at the centre of every window costs
-    three map calls in all; the worst case is eight.  A failing or
+    Refinement is speculative.  The grid-window call also samples every
+    round's window (33 points each) about the best coarse angle.  Those
+    rounds stand if the window's best angle is that coarse angle, as for
+    every peak on the real axis, and are dropped otherwise.  Each later
+    call samples every remaining round's window about the current
+    centre.  The rounds are replayed on those values while the centre
+    holds; the round where it moves sets the centre of the next call.
+    Every value that decides a round is taken at the same angle as in
+    the round-by-round loop, so the result is the same bit for bit.  A
+    maximum at a coarse angle that stays at the centre of every window
+    costs two map calls in all, and the worst case is eight; over the
+    radius catalog an extremization takes about 2.05.  A failing or
     non-finite map value anywhere in the speculative windows raises
     ``SingularOnCircle``, even where the round-by-round loop would not
     have looked.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("circle radius must lie in [0, 1]")
-    window = _grid_window(int(_COARSE[_circle_values(map_fn, r, r * _COARSE_UNIT).real.argmax()]))
-    th = _GRID[window][_circle_values(map_fn, r, r * _GRID_UNIT[window]).real.argmax()]
+    c = int(_COARSE[_circle_values(map_fn, r, r * _COARSE_UNIT).real.argmax()])
+    window = _grid_window(c)
+    # the grid window, then every round about the coarse pick: they stand
+    # if the grid pick is the coarse pick, else refinement starts afresh
+    angles = _GRID[c] + _REFINE_DELTAS
+    z = np.concatenate((_GRID_UNIT[window], np.exp(1j * angles.ravel())))
+    w = _circle_values(map_fn, r, r * z).real
+    th = _GRID[window][w[:-angles.size].argmax()]
+    vals = w[-angles.size:].reshape(angles.shape) if th == _GRID[c] else None
     j = 0
     while j < len(_REFINE_DELTAS):
-        angles = th + _REFINE_DELTAS[j:]
-        vals = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real.reshape(angles.shape)
-        # replay the rounds while the pick stays at the window centre
-        picks = vals.argmax(axis=1).tolist()
+        if vals is None:
+            angles = th + _REFINE_DELTAS[j:]
+            vals = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real.reshape(angles.shape)
+        # replay the rounds while the pick stays at the window centre; a
+        # round moves only to a strictly larger value than the centre's
+        stay = vals[:, _CENTRE] == vals.max(axis=1)
+        picks = np.where(stay, _CENTRE, vals.argmax(axis=1)).tolist()
         k = next((k for k, i in enumerate(picks) if i != _CENTRE), len(picks) - 1)
         th, v = angles[k, picks[k]], vals[k, picks[k]]
         j += k + 1
+        vals = None
     return ExtremeResult(value=float(v), angle=float(th))
 
 

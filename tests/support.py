@@ -41,13 +41,17 @@ HALF = np.r_[0, 2048:4096]
 _FUNCTIONALS = {"re": np.real, "abs": np.abs}
 
 
-def sequential_extremize(map_fn, r, functional="re", *, half=True):
+def sequential_extremize(map_fn, r, functional="re", *, half=True, first_index=False):
     """(min, max, argmin angle, argmax angle) of a functional on |z| = r.
 
     The round-by-round reference for ``oracle.extremize_on_circle``: a
     first pass on the half grid (or on the full 4096-point grid with
     ``half=False``), then six rounds of 33-point windows re-centred on
-    their best points, one map call per round for both extremes.
+    their best points, one map call per round for both extremes.  A round
+    moves only to a strictly better value: where the window centre ties
+    with the window's extreme, the centre stays.  ``first_index=True``
+    is the earlier rule, which moves to the first tied index as
+    ``argmin`` / ``argmax`` do.
     """
     fun = _FUNCTIONALS[functional]
     grid, unit = (FULL_GRID[HALF], FULL_GRID_UNIT[HALF]) if half else (FULL_GRID, FULL_GRID_UNIT)
@@ -63,6 +67,9 @@ def sequential_extremize(map_fn, r, functional="re", *, half=True):
         angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
         vals = fun(np.asarray(map_fn(r * np.exp(1j * angles))))
         j_min, j_max = int(np.argmin(vals[:k])), k + int(np.argmax(vals[k:]))
+        if not first_index:
+            j_min = k // 2 if vals[k // 2] == vals[j_min] else j_min
+            j_max = k + k // 2 if vals[k + k // 2] == vals[j_max] else j_max
         th_min, v_min = angles[j_min], vals[j_min]
         th_max, v_max = angles[j_max], vals[j_max]
         h *= 2.0 / (k - 1)

@@ -241,6 +241,23 @@ def _condition_map(monkeypatch, entry_id, params):
     return phi
 
 
+def _map_call_sizes(monkeypatch):
+    """Record the map calls of every radii extremization; returns the list
+    that collects, per extremization, the point count of each call."""
+    import parastar.oracle as oracle
+
+    calls = []
+    extremize = oracle.extremize_on_circle
+
+    def counted(map_fn, r):
+        sizes = []
+        calls.append(sizes)
+        return extremize(lambda z: sizes.append(np.size(z)) or map_fn(z), r)
+
+    monkeypatch.setattr(oracle, "extremize_on_circle", counted)
+    return calls
+
+
 class TestBracketEnds:
     # peaks are sharpest at the ends of the solver bracket, where the
     # coarse pass and its grid window must still pick the best grid angle
@@ -253,24 +270,59 @@ class TestBracketEnds:
                 assert min_and_max(phi, r, functional) == sequential_extremize(phi, r, functional)
 
     def test_point_budget(self, monkeypatch):
-        # one condition call: a 129-angle coarse pass and a grid window of at
-        # most 33 angles, then speculative calls of the rounds left, 33
-        # points each, at most 6 + 5 + ... + 1 rounds when every round moves
-        # the maximum; fewer points in all than the 2049 angles of a full
-        # first pass alone
-        import parastar.oracle as oracle
-
-        points = []
-        extremize = oracle.extremize_on_circle
-
-        def counted(map_fn, r):
-            return extremize(lambda z: points.append(np.size(z)) or map_fn(z), r)
-
-        monkeypatch.setattr(oracle, "extremize_on_circle", counted)
+        # one condition call: a 129-angle coarse pass; a second call of the
+        # grid window, at most 33 angles, and all six rounds about the
+        # coarse pick, 6 x 33 points; then speculative calls of the rounds
+        # left, 33 points each, at most 6 + 5 + ... + 1 rounds when the
+        # second call's rounds are dropped and every round moves the
+        # maximum; fewer points in all than the 2049 angles of a full first
+        # pass alone
+        calls = _map_call_sizes(monkeypatch)
         get_entry("sp").condition(0.4)
-        assert points[0] == 129 and points[1] <= 33
+        (points,) = calls
+        assert points[0] == 129 and 6 * 33 < points[1] <= 33 + 6 * 33
         assert all(n % 33 == 0 for n in points[2:])
-        assert sum(points) <= 129 + 33 + 21 * 33 < 2049
+        assert sum(points) <= 129 + 33 + 6 * 33 + 21 * 33 < 2049
+
+
+class TestTieRule:
+    # a round moves only to a strictly larger value; the earlier rule moved
+    # to the first tied point, as argmax does.  The rule changes the angles
+    # that are returned, not the values on the catalog maps
+
+    @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
+    def test_condition_values_as_first_index_rule(self, monkeypatch, entry_id, params):
+        phi = _condition_map(monkeypatch, entry_id, params)
+        for r in (0.0, 1e-9, *np.linspace(0.05, 0.95, 19), 0.99, 0.999, 1.0 - 1e-9):
+            first = sequential_extremize(phi, r, first_index=True)[1]
+            assert extremize_on_circle(phi, r).value == first
+
+    @pytest.mark.parametrize("entry_id", list(_COROLLARY))
+    def test_inner_disc_constant_as_first_index_rule(self, entry_id):
+        _, target, params = _COROLLARY[entry_id]
+        phi = target_map(target, **params)
+        shifted = lambda z: phi(z) - 1.0
+        first = sequential_extremize(shifted, 1.0, "abs", first_index=True)[0]
+        assert inner_disc_radius.__wrapped__(target.value, **params) == first
+
+    def test_map_call_count(self, monkeypatch):
+        # every circle-max condition of the default catalog at fixed radii,
+        # up to the solver bracket's ends, and the nine inner-disc
+        # constants: 105 extremizations in 235 map calls, as measured (485
+        # when every round took the first tied point and the rounds about
+        # the coarse pick had a call of their own); a maximum on a coarse
+        # angle takes two calls
+        entries = default_entries()
+        calls = _map_call_sizes(monkeypatch)
+        for entry in entries:
+            for r in (1e-9, *np.linspace(0.1, 0.9, 9), 0.99, 1.0 - 1e-9):
+                entry.condition(r)
+        for _, target, params in _COROLLARY.values():
+            inner_disc_radius.__wrapped__(target.value, **params)
+        counts = [len(sizes) for sizes in calls]
+        assert len(counts) == 105
+        assert sum(counts) <= 235
+        assert counts.count(2) >= 98
 
 
 def _assert_conjugate_symmetric(phi):
