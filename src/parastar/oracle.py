@@ -198,58 +198,26 @@ def _circle_values(map_fn, r: float, z: np.ndarray) -> np.ndarray:
     return w
 
 
-# Half grid: theta = -pi and the upper half [0, pi) of a uniform 4096-point
-# grid, 2049 angles sliced from the full grid and its points e^{i theta} on
-# the unit circle (both computed once).  The first pass samples 129 + <= 33
-# of them (see _COARSE) in two map calls, and the second call also carries
-# the refinement rounds, so an extremization takes 2 to 8 map calls, about
-# 2.05 over the radius catalog.
-_N_GRID = 4096
-
-
-def _half_grid() -> tuple[np.ndarray, np.ndarray]:
-    full = np.linspace(-math.pi, math.pi, _N_GRID, endpoint=False)
-    half = np.r_[0, _N_GRID // 2:_N_GRID]
-    return full[half], np.exp(1j * full)[half]
-
-
-_GRID, _GRID_UNIT = _half_grid()
-_GRID.setflags(write=False)
-_GRID_UNIT.setflags(write=False)
+# Coarse pass: theta = -pi and the upper half [0, pi) of a uniform 256-point
+# grid, 129 angles and their points e^{i theta} on the unit circle (both
+# computed once).
+_COARSE = np.linspace(-math.pi, math.pi, 256, endpoint=False)[np.r_[0, 128:256]]
+_COARSE_UNIT = np.exp(1j * _COARSE)
+_COARSE.setflags(write=False)
+_COARSE_UNIT.setflags(write=False)
 _ANGLE_TOL = 1e-10
 # Refinement windows: _REFINE_POINTS offsets in [-1, 1] (odd, so each window
-# keeps its centre) times one step per round.  The steps start at the grid
+# keeps its centre) times one step per round.  The steps start at the coarse
 # step and shrink by (_REFINE_POINTS - 1)/2 = 16 per round while they exceed
-# _ANGLE_TOL, six rounds in all; _REFINE_DELTAS[j] is round j's window about
-# its centre.
+# _ANGLE_TOL, seven rounds in all; _REFINE_DELTAS[j] is round j's window
+# about its centre.  Round 0 spans the coarse neighbours at the spacing of a
+# 4096-point grid.
 _REFINE_POINTS = 33
 _CENTRE = _REFINE_POINTS // 2
 
 
-# First pass, one more level of the same nesting: a coarse pass on every
-# _CENTRE-th = 16th half-grid angle, theta = -pi and every 16th angle from 0,
-# 129 in all; then the grid window about the best of them.
-_COARSE = np.r_[0, 1:len(_GRID):_CENTRE]
-_COARSE_UNIT = _GRID_UNIT[_COARSE]
-_COARSE_UNIT.setflags(write=False)
-
-
-def _grid_window(i: int) -> slice | np.ndarray:
-    """Half-grid indices within _CENTRE grid steps of half-grid index i.
-
-    In angular order, index i >= 1 is theta = (i - 1) h for the grid step
-    h, and index 0, theta = -pi = pi, follows index n - 1.  The window is
-    clipped to [0, pi] and kept in index order, so that ``argmax`` over it
-    breaks ties as over the whole half grid: index 0 comes first.
-    """
-    n = len(_GRID)
-    lo, hi = (max(i - _CENTRE, 1), min(i + _CENTRE, n)) if i else (n - _CENTRE, n)
-    # hi == n stands for index 0
-    return slice(lo, hi + 1) if hi < n else np.r_[0, lo:n]
-
-
 def _refine_steps() -> list[float]:
-    h, steps = 2.0 * math.pi / _N_GRID, []
+    h, steps = 2.0 * math.pi / 256, []
     while h > _ANGLE_TOL:
         steps.append(h)
         h *= 2.0 / (_REFINE_POINTS - 1)
@@ -266,45 +234,38 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
     ``map_fn`` must be conjugate-symmetric, map(conj z) = conj map(z), as
     every map with real Taylor coefficients is (each target of the
     package, and real-valued functions of them like -|phi - 1|).  Re map
-    then repeats on the lower half circle, so only theta = -pi and the
-    upper half [0, pi) are sampled; a map without the symmetry may peak
-    where the extremizer never looks.
+    then repeats on the lower half circle, so the coarse pass samples
+    only theta = -pi and the upper half [0, pi); a map without the
+    symmetry may peak where the extremizer never looks.
 
     A minimum, or an extreme of another real functional, is the maximum
     of a negated or real-valued map: -Re f, or -|f - c| for the smallest
     distance to c.  Negation is exact and every pick on -x is the pick
     for the minimum of x, so these cost nothing in accuracy.
 
-    The first pass finds the best of 2049 angles of a uniform 4096-point
-    grid in two map calls: a coarse pass on every 16th of them (129
-    angles), then the <= 33 grid angles within 16 grid steps of the
-    best coarse angle, clipped to [0, pi].  Nested local grids refine
-    around its best point: each round re-centres the window on its best
-    point and shrinks it by 16, for six rounds, until the step is at
-    most 1e-10.  A round moves only to a strictly larger value: where the
-    centre's value ties with the window maximum, as it does once Re map
-    is flat to rounding, the centre stays, where ``argmax`` alone would
-    take the first tied point and walk away from the peak.
+    The coarse pass takes the best of 129 angles, theta = -pi and every
+    2 pi / 256 from 0.  Nested local grids refine around it: each round
+    samples 33 points about its centre, moves to the best of them and
+    shrinks the window by 16, for seven rounds, from 16 steps of a
+    4096-point grid about the coarse angle down to a step of at most
+    1e-10.  Round 0 about theta = 0 or -pi reaches into the lower half
+    circle, where Re map repeats.  A round moves only to a strictly
+    larger value: where the centre's value ties with the window maximum,
+    as it does once Re map is flat to rounding, the centre stays, where
+    ``argmax`` alone would take the first tied point and walk away from
+    the peak.
 
-    The first pass resolves peaks at 16 times the grid step.  Where the
-    highest peak of Re map is narrower than that and lies between two
+    The coarse pass resolves peaks at its own step, 16 grid steps.  Where
+    the highest peak of Re map is narrower than that and lies between two
     coarse angles, a broader peak that is higher at the coarse angles
-    wins, and the lower maximum is returned.  Where the best grid angle
-    lies in the window, the result is the same, bit for bit, as from a
-    first pass over all 2049 angles: the window takes its points from the
-    same grid, in grid order, so values and ties are as in one ``argmax``
-    over the whole half grid.  The tests check this on every map of the
-    radius catalog, up to the ends of the solver bracket.
+    wins, and the lower maximum is returned.
 
-    Refinement is speculative.  The grid-window call also samples every
-    round's window (33 points each) about the best coarse angle.  Those
-    rounds stand if the window's best angle is that coarse angle, as for
-    every peak on the real axis, and are dropped otherwise.  Each later
-    call samples every remaining round's window about the current
-    centre.  The rounds are replayed on those values while the centre
-    holds; the round where it moves sets the centre of the next call.
-    Every value that decides a round is taken at the same angle as in
-    the round-by-round loop, so the result is the same bit for bit.  A
+    Refinement is speculative.  Each map call after the coarse pass
+    samples every remaining round's window about the current centre.
+    The rounds are replayed on those values while the centre holds; the
+    round where it moves sets the centre of the next call.  Every value
+    that decides a round is taken at the same angle as in the
+    round-by-round loop, so the result is the same bit for bit.  A
     maximum at a coarse angle that stays at the centre of every window
     costs two map calls in all, and the worst case is eight; over the
     radius catalog an extremization takes about 2.05.  A failing or
@@ -314,20 +275,11 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("circle radius must lie in [0, 1]")
-    c = int(_COARSE[_circle_values(map_fn, r, r * _COARSE_UNIT).real.argmax()])
-    window = _grid_window(c)
-    # the grid window, then every round about the coarse pick: they stand
-    # if the grid pick is the coarse pick, else refinement starts afresh
-    angles = _GRID[c] + _REFINE_DELTAS
-    z = np.concatenate((_GRID_UNIT[window], np.exp(1j * angles.ravel())))
-    w = _circle_values(map_fn, r, r * z).real
-    th = _GRID[window][w[:-angles.size].argmax()]
-    vals = w[-angles.size:].reshape(angles.shape) if th == _GRID[c] else None
+    th = _COARSE[_circle_values(map_fn, r, r * _COARSE_UNIT).real.argmax()]
     j = 0
     while j < len(_REFINE_DELTAS):
-        if vals is None:
-            angles = th + _REFINE_DELTAS[j:]
-            vals = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real.reshape(angles.shape)
+        angles = th + _REFINE_DELTAS[j:]
+        vals = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real.reshape(angles.shape)
         # replay the rounds while the pick stays at the window centre; a
         # round moves only to a strictly larger value than the centre's
         stay = vals[:, _CENTRE] == vals.max(axis=1)
@@ -335,7 +287,6 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
         k = next((k for k, i in enumerate(picks) if i != _CENTRE), len(picks) - 1)
         th, v = angles[k, picks[k]], vals[k, picks[k]]
         j += k + 1
-        vals = None
     return ExtremeResult(value=float(v), angle=float(th))
 
 

@@ -32,11 +32,11 @@ def log_ratio(r: float) -> float:
     return math.log((1.0 + s) / (1.0 - s))
 
 
-# the uniform 4096-point angular grid and its points e^{i theta}, computed
-# with the operations of the extremizer's own grid
+# the uniform 4096-point angular grid and its points e^{i theta}; every 16th
+# angle is bit for bit an angle of the extremizer's coarse pass
 FULL_GRID = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
 FULL_GRID_UNIT = np.exp(1j * FULL_GRID)
-# theta = -pi and the upper half [0, pi), the extremizer's first pass
+# theta = -pi and the upper half [0, pi)
 HALF = np.r_[0, 2048:4096]
 _FUNCTIONALS = {"re": np.real, "abs": np.abs}
 
@@ -45,16 +45,18 @@ def sequential_extremize(map_fn, r, functional="re", *, half=True, first_index=F
     """(min, max, argmin angle, argmax angle) of a functional on |z| = r.
 
     The round-by-round reference for ``oracle.extremize_on_circle``: a
-    first pass on the half grid (or on the full 4096-point grid with
-    ``half=False``), then six rounds of 33-point windows re-centred on
-    their best points, one map call per round for both extremes.  A round
-    moves only to a strictly better value: where the window centre ties
-    with the window's extreme, the centre stays.  ``first_index=True``
-    is the earlier rule, which moves to the first tied index as
-    ``argmin`` / ``argmax`` do.
+    first pass on every 16th angle of the half grid (or of the full
+    4096-point grid with ``half=False``), then seven rounds of 33-point
+    windows re-centred on their best points, from a step of 2 pi / 256
+    down, one map call per round for both extremes.  A round moves only
+    to a strictly better value: where the window centre ties with the
+    window's extreme, the centre stays.  ``first_index=True`` is the
+    earlier rule, which moves to the first tied index as ``argmin`` /
+    ``argmax`` do.
     """
     fun = _FUNCTIONALS[functional]
-    grid, unit = (FULL_GRID[HALF], FULL_GRID_UNIT[HALF]) if half else (FULL_GRID, FULL_GRID_UNIT)
+    first = np.r_[0, 2048:4096:16] if half else slice(None, None, 16)
+    grid, unit = FULL_GRID[first], FULL_GRID_UNIT[first]
     vals = fun(np.asarray(map_fn(r * unit)))
     i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
     th_min, v_min = grid[i_min], vals[i_min]
@@ -62,7 +64,7 @@ def sequential_extremize(map_fn, r, functional="re", *, half=True, first_index=F
 
     k = 33
     offsets = np.linspace(-1.0, 1.0, k)
-    h = 2.0 * math.pi / 4096
+    h = 2.0 * math.pi / 256
     while h > 1e-10:
         angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
         vals = fun(np.asarray(map_fn(r * np.exp(1j * angles))))

@@ -195,26 +195,25 @@ class TestExtremize:
         assert abs(res.angle - theta0) < 1e-7
 
     def test_refinement_failure_is_singular(self):
-        # the map fails only on refinement points, never on first-pass grid
-        # points: the coarse pass goes through, and the second call, the
-        # grid window clipped at theta = pi where the kernel peaks plus the
-        # six speculative rounds, fails at its off-grid points
+        # the map fails only off the coarse pass: the coarse pass goes
+        # through, and the second call, all seven speculative rounds about
+        # the coarse pick, fails at its other points
         sizes, r = [], 0.5
 
         def phi(z):
             sizes.append(np.size(z))
-            if not np.isin(z, r * FULL_GRID_UNIT[HALF]).all():
+            if not np.isin(z, r * FULL_GRID_UNIT[HALF][np.r_[0, 1:2049:16]]).all():
                 raise DomainError("refinement point rejected")
             return left_parabola(z)
 
         with pytest.raises(SingularOnCircle):
             extremize_on_circle(phi, r)
-        assert sizes == [129, 17 + 6 * 33]
+        assert sizes == [129, 7 * 33]
 
     @pytest.mark.parametrize("target, r, budget", [
-        # the coarse pass, then the grid window with all six rounds about
-        # the coarse pick: each maximum peaks at a coarse angle and stays
-        # at the centre of every window
+        # the coarse pass, then all seven rounds about the coarse pick:
+        # each maximum peaks at a coarse angle and stays at the centre of
+        # every window
         ("left_parabola", 0.5, 2),
         ("ronning_parabola", 0.4, 2),
         ("sine", 0.4, 2),
@@ -245,29 +244,26 @@ class TestExtremize:
         assert extremize_on_circle(target_map(target), r).angle == angle
 
     def test_half_circle_first_pass(self):
-        # the first pass samples theta = -pi and the upper half [0, pi) of
-        # the 4096-point grid, bit for bit: the coarse pass every 16th
-        # angle; the second call begins with the grid window, only grid
-        # angles, and goes on with the six rounds about the coarse pick
+        # the coarse pass samples theta = -pi and every 16th angle of the
+        # upper half [0, pi) of the 4096-point grid, bit for bit; the second
+        # call is all seven rounds about the coarse pick
         calls = []
 
         def phi(z):
             calls.append(np.array(z))
             return left_parabola(z)
 
-        r = 0.5
+        r, coarse_angles = 0.5, np.r_[0, 1:2049:16]
         extremize_on_circle(phi, r)
         coarse, second = calls[:2]
-        window, rounds = second[:-6 * 33], second[-6 * 33:].reshape(6, 33)
-        assert np.array_equal(coarse, r * FULL_GRID_UNIT[HALF][np.r_[0, 1:2049:16]])
-        assert 0 < window.size <= 33
-        assert np.isin(window, r * FULL_GRID_UNIT[HALF]).all()
+        rounds = second.reshape(7, 33)
+        assert np.array_equal(coarse, r * FULL_GRID_UNIT[HALF][coarse_angles])
         assert np.isin(rounds[:, 16], coarse).all() and np.unique(rounds[:, 16]).size == 1
         assert np.all(coarse.imag[1:] >= 0.0)
         assert r in coarse
         assert np.min(np.abs(coarse + r)) < 1e-16
-        assert np.array_equal(oracle._GRID, FULL_GRID[HALF])
-        assert np.array_equal(oracle._GRID_UNIT, FULL_GRID_UNIT[HALF])
+        assert np.array_equal(oracle._COARSE, FULL_GRID[HALF][coarse_angles])
+        assert np.array_equal(oracle._COARSE_UNIT, FULL_GRID_UNIT[HALF][coarse_angles])
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.9])
     @pytest.mark.parametrize("functional", ["re", "abs"])
@@ -291,18 +287,17 @@ class TestExtremize:
         assert extremize_on_circle(phi, r).value < 1.0 + math.sin(r) - 1e-3
 
     def test_first_pass_misses_narrow_peak(self):
-        # the first pass resolves peaks at 16 grid steps: a spike of width
+        # the coarse pass resolves peaks at 16 grid steps: a spike of width
         # about 3 grid steps at a grid angle midway between two coarse
         # angles, on a broad bump a z peaking at theta = 0, is lower than
-        # the bump at every coarse angle; the 2049-angle reference finds
-        # the spike, the coarse pass picks the bump
+        # the bump at every coarse angle: the spike tops 1 at theta0, the
+        # coarse pass picks the bump
         h = 2.0 * PI / 4096
         theta0, r, q, eps = (16 * 41 + 8) * h, 0.5, 0.995 / 0.5, 0.004
         rot = np.exp(1j * theta0)
         # real Taylor coefficients: spikes at theta0 and -theta0
         phi = lambda z: z + eps / (1.0 - q * z / rot) + eps / (1.0 - q * z * rot)
-        spike = sequential_extremize(phi, r)[1]
-        assert spike > 1.0
+        assert phi(r * rot).real > 1.0
         res = extremize_on_circle(phi, r)
         assert res.value < 0.6
         assert abs(res.angle) < 1e-6

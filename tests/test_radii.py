@@ -211,7 +211,7 @@ _CIRCLE_MAX_ROWS = [
 
 class TestHalfCircle:
     # the circle-max conditions and the inner-disc constants sample the
-    # first pass on the upper half circle only; their maps have real
+    # coarse pass on the upper half circle only; their maps have real
     # coefficients, so the extremes match the full circle bit for bit
 
     @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
@@ -260,7 +260,8 @@ def _map_call_sizes(monkeypatch):
 
 class TestBracketEnds:
     # peaks are sharpest at the ends of the solver bracket, where the
-    # coarse pass and its grid window must still pick the best grid angle
+    # coarse pass and the speculative rounds must still pick as the
+    # round-by-round loop does
 
     @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
     def test_bit_equal_at_bracket_ends(self, monkeypatch, entry_id, params):
@@ -270,19 +271,17 @@ class TestBracketEnds:
                 assert min_and_max(phi, r, functional) == sequential_extremize(phi, r, functional)
 
     def test_point_budget(self, monkeypatch):
-        # one condition call: a 129-angle coarse pass; a second call of the
-        # grid window, at most 33 angles, and all six rounds about the
-        # coarse pick, 6 x 33 points; then speculative calls of the rounds
-        # left, 33 points each, at most 6 + 5 + ... + 1 rounds when the
-        # second call's rounds are dropped and every round moves the
-        # maximum; fewer points in all than the 2049 angles of a full first
-        # pass alone
+        # one condition call: a 129-angle coarse pass; a second call of all
+        # seven rounds about the coarse pick, 7 x 33 points; then
+        # speculative calls of the rounds left, 33 points each, at most
+        # 6 + 5 + ... + 1 rounds when every round moves the maximum; fewer
+        # points in all than the 2049 angles of a half-grid pass alone
         calls = _map_call_sizes(monkeypatch)
         get_entry("sp").condition(0.4)
         (points,) = calls
-        assert points[0] == 129 and 6 * 33 < points[1] <= 33 + 6 * 33
+        assert points[0] == 129 and points[1] == 7 * 33
         assert all(n % 33 == 0 for n in points[2:])
-        assert sum(points) <= 129 + 33 + 6 * 33 + 21 * 33 < 2049
+        assert sum(points) <= 129 + 7 * 33 + 21 * 33 < 2049
 
 
 class TestTieRule:
@@ -309,9 +308,9 @@ class TestTieRule:
         # every circle-max condition of the default catalog at fixed radii,
         # up to the solver bracket's ends, and the nine inner-disc
         # constants: 105 extremizations in 235 map calls, as measured (485
-        # when every round took the first tied point and the rounds about
-        # the coarse pick had a call of their own); a maximum on a coarse
-        # angle takes two calls
+        # when every round took the first tied point and round 0, the
+        # window about the coarse pick, had a call of its own); a maximum
+        # on a coarse angle takes two calls
         entries = default_entries()
         calls = _map_call_sizes(monkeypatch)
         for entry in entries:
