@@ -226,6 +226,11 @@ def _refine_steps() -> list[float]:
 
 _REFINE_DELTAS = np.array(_refine_steps())[:, None] * np.linspace(-1.0, 1.0, _REFINE_POINTS)
 _REFINE_DELTAS.setflags(write=False)
+# The first map call's points on the unit circle: the coarse pass, then the
+# seven round windows about theta = 0 (_COARSE[1]), where every circle-max
+# map of the radius catalog peaks (computed once).
+_FIRST_UNIT = np.concatenate((_COARSE_UNIT, np.exp(1j * (_COARSE[1] + _REFINE_DELTAS)).ravel()))
+_FIRST_UNIT.setflags(write=False)
 
 
 def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
@@ -260,26 +265,35 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
     coarse angles, a broader peak that is higher at the coarse angles
     wins, and the lower maximum is returned.
 
-    Refinement is speculative.  Each map call after the coarse pass
-    samples every remaining round's window about the current centre.
-    The rounds are replayed on those values while the centre holds; the
-    round where it moves sets the centre of the next call.  Every value
-    that decides a round is taken at the same angle as in the
-    round-by-round loop, so the result is the same bit for bit.  A
-    maximum at a coarse angle that stays at the centre of every window
-    costs two map calls in all, and the worst case is eight; over the
-    radius catalog an extremization takes about 2.05.  A failing or
-    non-finite map value anywhere in the speculative windows raises
-    ``SingularOnCircle``, even where the round-by-round loop would not
-    have looked.
+    Refinement is speculative.  The first map call samples the coarse
+    angles and then all seven rounds' windows about theta = 0, where
+    every circle-max map of the radius catalog peaks; these serve the
+    rounds when the coarse pick is theta = 0.  Otherwise, and after a
+    round that moves, each map call samples every remaining round's
+    window about the current centre.  The rounds are replayed on those
+    values while the centre holds; the round where it moves sets the
+    centre of the next call.  Every value that decides a round is taken
+    at the same angle as in the round-by-round loop, so the result is the
+    same bit for bit.  A maximum at theta = 0 that stays at the centre of
+    every window costs one map call, one at another coarse angle two, and
+    the worst case is eight; over the radius catalog an extremization
+    takes about 1.06.  A failing or non-finite map value anywhere in the
+    speculative windows raises ``SingularOnCircle``, even where the
+    round-by-round loop would not have looked: in the first call's
+    windows about theta = 0, it raises whatever the coarse pick.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("circle radius must lie in [0, 1]")
-    th = _COARSE[_circle_values(map_fn, r, r * _COARSE_UNIT).real.argmax()]
+    first = _circle_values(map_fn, r, r * _FIRST_UNIT).real
+    th = _COARSE[first[:_COARSE.size].argmax()]
+    # a pick at theta = 0 finds every round's window in the first call
+    ahead = first[_COARSE.size:] if th == _COARSE[1] else None
     j = 0
     while j < len(_REFINE_DELTAS):
         angles = th + _REFINE_DELTAS[j:]
-        vals = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real.reshape(angles.shape)
+        if ahead is None:
+            ahead = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real
+        vals, ahead = ahead.reshape(angles.shape), None
         # replay the rounds while the pick stays at the window centre; a
         # round moves only to a strictly larger value than the centre's
         stay = vals[:, _CENTRE] == vals.max(axis=1)

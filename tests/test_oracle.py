@@ -195,29 +195,58 @@ class TestExtremize:
         assert abs(res.angle - theta0) < 1e-7
 
     def test_refinement_failure_is_singular(self):
-        # the map fails only off the coarse pass: the coarse pass goes
-        # through, and the second call, all seven speculative rounds about
-        # the coarse pick, fails at its other points
+        # the map fails only off the first call, the coarse pass and the
+        # seven rounds' windows about theta = 0: left_parabola peaks at -pi,
+        # so the first call goes through, and the second call, all seven
+        # speculative rounds about -pi, fails at its other points
         sizes, r = [], 0.5
+        first = r * np.concatenate((FULL_GRID_UNIT[HALF][np.r_[0, 1:2049:16]],
+                                    np.exp(1j * oracle._REFINE_DELTAS).ravel()))
 
         def phi(z):
             sizes.append(np.size(z))
-            if not np.isin(z, r * FULL_GRID_UNIT[HALF][np.r_[0, 1:2049:16]]).all():
+            if not np.isin(z, first).all():
                 raise DomainError("refinement point rejected")
             return left_parabola(z)
 
         with pytest.raises(SingularOnCircle):
             extremize_on_circle(phi, r)
-        assert sizes == [129, 7 * 33]
+        assert sizes == [129 + 7 * 33, 7 * 33]
+
+    def test_axis_window_failure_is_singular(self):
+        # the first call samples the rounds' windows about theta = 0 whatever
+        # the coarse pick, so a map that fails only inside them, at angles
+        # strictly between 0 and half the coarse step, raises on that call.
+        # Re(a z - z^2) peaks at +-theta0 and is least at -pi: the
+        # round-by-round loop refines there only and never meets a failure
+        theta0, r = 1.0, 0.4
+        a = 4.0 * r * math.cos(theta0)
+        sizes = []
+
+        def phi(z):
+            sizes.append(np.size(z))
+            t = np.abs(np.angle(z))
+            if ((t > 0.0) & (t < PI / 256)).any():
+                raise DomainError("point near the real axis rejected")
+            return a * z - z * z
+
+        v_max = sequential_extremize(phi, r)[1]
+        assert abs(v_max - r * r * (2.0 * math.cos(theta0) ** 2 + 1.0)) < 1e-15
+        sizes.clear()
+        with pytest.raises(SingularOnCircle):
+            extremize_on_circle(phi, r)
+        assert sizes == [129 + 7 * 33]
 
     @pytest.mark.parametrize("target, r, budget", [
-        # the coarse pass, then all seven rounds about the coarse pick:
-        # each maximum peaks at a coarse angle and stays at the centre of
-        # every window
+        # the first call holds the coarse pass and all seven rounds about
+        # theta = 0: a maximum there that stays at the centre of every
+        # window takes that one call
+        ("ronning_parabola", 0.4, 1),
+        ("sine", 0.4, 1),
+        ("cardioid", 0.4, 1),
+        # a maximum at another coarse angle, here -pi, takes a second call
+        # of all seven rounds about it
         ("left_parabola", 0.5, 2),
-        ("ronning_parabola", 0.4, 2),
-        ("sine", 0.4, 2),
-        ("cardioid", 0.4, 2),
     ])
     def test_map_call_budget(self, target, r, budget):
         calls = []
@@ -228,7 +257,7 @@ class TestExtremize:
             return map_fn(z)
 
         extremize_on_circle(phi, r)
-        assert len(calls) <= budget
+        assert len(calls) == budget
         assert all(n > 1 for n in calls)
 
     @pytest.mark.parametrize("target, r, angle", [
@@ -244,9 +273,10 @@ class TestExtremize:
         assert extremize_on_circle(target_map(target), r).angle == angle
 
     def test_half_circle_first_pass(self):
-        # the coarse pass samples theta = -pi and every 16th angle of the
-        # upper half [0, pi) of the 4096-point grid, bit for bit; the second
-        # call is all seven rounds about the coarse pick
+        # the first call's coarse pass samples theta = -pi and every 16th
+        # angle of the upper half [0, pi) of the 4096-point grid, bit for
+        # bit, and then all seven rounds' windows about theta = 0; the
+        # second call is all seven rounds about the coarse pick, -pi
         calls = []
 
         def phi(z):
@@ -255,9 +285,11 @@ class TestExtremize:
 
         r, coarse_angles = 0.5, np.r_[0, 1:2049:16]
         extremize_on_circle(phi, r)
-        coarse, second = calls[:2]
+        first, second = calls
+        coarse, axis_rounds = first[:129], first[129:].reshape(7, 33)
         rounds = second.reshape(7, 33)
         assert np.array_equal(coarse, r * FULL_GRID_UNIT[HALF][coarse_angles])
+        assert np.array_equal(axis_rounds, r * np.exp(1j * (0.0 + oracle._REFINE_DELTAS)))
         assert np.isin(rounds[:, 16], coarse).all() and np.unique(rounds[:, 16]).size == 1
         assert np.all(coarse.imag[1:] >= 0.0)
         assert r in coarse
