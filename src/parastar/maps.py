@@ -44,9 +44,18 @@ def _as_complex(z) -> np.ndarray:
     return arr
 
 
-def _check_disc(z: np.ndarray) -> None:
-    if (np.abs(z) > 1.0 + 1e-12).any():
+def _disc_points(z) -> np.ndarray:
+    """z as a complex array whose points are finite and in the closed disc.
+
+    One pass: NaN and inf fail the modulus test too, and only then is
+    finiteness checked, so a non-finite point is reported first.
+    """
+    arr = np.asarray(z, dtype=np.complex128)
+    if not np.abs(arr).max(initial=0.0) <= 1.0 + 1e-12:
+        if not np.isfinite(arr).all():
+            raise DomainError("non-finite input point")
         raise DomainError("point outside the closed unit disc")
+    return arr
 
 
 def _sqrt_upper(z: np.ndarray) -> np.ndarray:
@@ -85,8 +94,7 @@ def parabola_map(z, tau: float = 0.0, theta: float = 0.0):
     """
     if not (-math.pi < tau <= math.pi) or not (-math.pi < theta <= math.pi):
         raise ParamRange("tau and theta must lie in (-pi, pi]")
-    z = _as_complex(z)
-    _check_disc(z)
+    z = _disc_points(z)
     # e^{i tau} and -(2/pi^2) e^{i theta} are exactly real at 0 and pi: the
     # float e^{i pi} has sin(pi) != 0, which would leave Im != 0 on the real axis
     w = (-1.0 if tau == math.pi else cmath.exp(1j * tau)) * _sqrt_upper(z)
@@ -101,8 +109,7 @@ def left_parabola(z):
     Real on (-1, 1); sends -1 to the vertex value 3/2 and blows up only
     at z = 1.
     """
-    z = _as_complex(z)
-    _check_disc(z)
+    z = _disc_points(z)
     w = _sqrt_upper(z)
     _guard_log_singularity(w)
     return _ret(1.0 - _TWO_OVER_PI_SQ * _log_ratio_sq(w))
@@ -113,8 +120,7 @@ def ronning_parabola(z):
 
     The classical parabolic-starlike target; its image is {w : Re w > |w-1|}.
     """
-    z = _as_complex(z)
-    _check_disc(z)
+    z = _disc_points(z)
     w = _sqrt_upper(z)
     _guard_log_singularity(w)
     return _ret(1.0 + _TWO_OVER_PI_SQ * _log_ratio_sq(w))
@@ -213,8 +219,7 @@ def target_map(target, **params):
         return formula
 
     def phi(z):
-        z = _as_complex(z)
-        _check_disc(z)
+        z = _disc_points(z)
         return _ret(formula(z, *args))
 
     return phi

@@ -268,7 +268,10 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
     Refinement is speculative.  The first map call samples the coarse
     angles and then all seven rounds' windows about theta = 0, where
     every circle-max map of the radius catalog peaks; these serve the
-    rounds when the coarse pick is theta = 0.  Otherwise, and after a
+    rounds when the coarse pick is theta = 0.  Every one of those windows
+    is centred on the coarse point z = r itself, so one comparison
+    settles them all: when no window value exceeds that point's, every
+    round holds and the point is the result.  Otherwise, and after a
     round that moves, each map call samples every remaining round's
     window about the current centre.  The rounds are replayed on those
     values while the centre holds; the round where it moves sets the
@@ -286,20 +289,26 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
         raise DomainError("circle radius must lie in [0, 1]")
     first = _circle_values(map_fn, r, r * _FIRST_UNIT).real
     th = _COARSE[first[:_COARSE.size].argmax()]
-    # a pick at theta = 0 finds every round's window in the first call
-    ahead = first[_COARSE.size:] if th == _COARSE[1] else None
+    ahead = None
+    if th == _COARSE[1]:
+        # a pick at theta = 0 finds every round's window in the first call;
+        # each window's centre is z = r, coarse point 1, so every round
+        # holds exactly when no window value exceeds that point's
+        ahead = first[_COARSE.size:]
+        if ahead.max() <= first[1]:
+            return ExtremeResult(value=float(first[1]), angle=float(th))
     j = 0
     while j < len(_REFINE_DELTAS):
-        angles = th + _REFINE_DELTAS[j:]
+        deltas = _REFINE_DELTAS[j:]
         if ahead is None:
-            ahead = _circle_values(map_fn, r, r * np.exp(1j * angles.ravel())).real
-        vals, ahead = ahead.reshape(angles.shape), None
+            ahead = _circle_values(map_fn, r, r * np.exp(1j * (th + deltas).ravel())).real
+        vals, ahead = ahead.reshape(deltas.shape), None
         # replay the rounds while the pick stays at the window centre; a
         # round moves only to a strictly larger value than the centre's
         stay = vals[:, _CENTRE] == vals.max(axis=1)
         picks = np.where(stay, _CENTRE, vals.argmax(axis=1)).tolist()
         k = next((k for k, i in enumerate(picks) if i != _CENTRE), len(picks) - 1)
-        th, v = angles[k, picks[k]], vals[k, picks[k]]
+        th, v = th + deltas[k, picks[k]], vals[k, picks[k]]
         j += k + 1
     return ExtremeResult(value=float(v), angle=float(th))
 
@@ -404,11 +413,15 @@ def growth_bounds(r: float) -> tuple[float, float]:
     the limits: |f| < 1.8727 on the disc, and every image covers
     |w| < 0.18175 (f(0) = 0, the lower bound on every circle, and Rouche).
     """
+    upper = growth_upper_bound(r)
+    return (_growth(_lower_integrand, r) if r else 0.0), upper
+
+
+def growth_upper_bound(r: float) -> float:
+    """The upper bound of ``growth_bounds(r)`` alone, by one quadrature."""
     if not 0.0 <= r <= 1.0:
         raise DomainError("radius must lie in [0, 1]")
-    if r == 0.0:
-        return 0.0, 0.0
-    return _growth(_lower_integrand, r), _growth(_upper_integrand, r)
+    return _growth(_upper_integrand, r) if r else 0.0
 
 
 @dataclass(frozen=True)
@@ -425,7 +438,7 @@ def covering_constant() -> CoveringEstimate:
     An outer bound, not a covered radius; that is ``growth_bounds(1.0)[0]``.
     ``last_delta`` is the distance from ``region.GROWTH_UPPER_LIMIT``.
     """
-    value = _growth(_upper_integrand, 1.0)
+    value = growth_upper_bound(1.0)
     return CoveringEstimate(value=value, last_delta=abs(value - region.GROWTH_UPPER_LIMIT))
 
 

@@ -398,7 +398,7 @@ def _peng_zhong_condition(r: float) -> float:
 
 def _peng_zhong_quadrature_condition(r: float) -> float:
     # the same bound with g(r) as the quadrature upper growth bound
-    return oracle.growth_bounds(r)[1] * kernel_modulus(r) - 0.5
+    return oracle.growth_upper_bound(r) * kernel_modulus(r) - 0.5
 
 
 @cache

@@ -14,6 +14,7 @@ from parastar import (
     UnknownTarget,
     eval_target,
     left_parabola,
+    maps,
     parabola_map,
     ronning_parabola,
     sqrt_upper,
@@ -52,6 +53,48 @@ class TestSqrtUpper:
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
             sqrt_upper(complex("nan"))
+
+
+# the four entry points that check their input with maps._disc_points
+_DISC_MAPS = [parabola_map, left_parabola, ronning_parabola, target_map("sine")]
+
+
+class TestDiscPoints:
+    def test_edge_of_tolerance_accepted(self):
+        edge = 1.0 + 1e-12
+        z = maps._disc_points([edge, -edge, 1j * edge])
+        assert z.dtype == np.complex128 and np.array_equal(z, [edge, -edge, 1j * edge])
+        with pytest.raises(DomainError, match="outside the closed unit disc"):
+            maps._disc_points(np.nextafter(edge, 2.0))
+
+    @pytest.mark.parametrize("z", [1.5, [0.1, 2j], [[0.2, 0.3], [0.4, -1.01]], 1e308 + 1e308j])
+    def test_outside_rejected(self, z):
+        with pytest.raises(DomainError, match="outside the closed unit disc"):
+            maps._disc_points(z)
+        for fn in _DISC_MAPS:
+            with pytest.raises(DomainError, match="outside the closed unit disc"):
+                fn(z)
+
+    @pytest.mark.parametrize("z", [
+        math.nan, math.inf, complex(0.0, -math.inf), [0.1, math.nan],
+        # the non-finite point is reported even next to an outside point
+        [5.0, math.nan], [math.inf, 2.0], [2.0, complex(math.nan, 0.0)],
+    ])
+    def test_non_finite_rejected_first(self, z):
+        with pytest.raises(DomainError, match="non-finite input point"):
+            maps._disc_points(z)
+        for fn in _DISC_MAPS:
+            with pytest.raises(DomainError, match="non-finite input point"):
+                fn(z)
+
+    def test_empty_and_scalar_accepted(self):
+        assert maps._disc_points([]).shape == (0,)
+        assert maps._disc_points(np.zeros((0, 3))).shape == (0, 3)
+        scalar = maps._disc_points(0.25)
+        assert scalar.shape == () and scalar == 0.25
+        for fn in _DISC_MAPS:
+            assert fn(np.array([])).shape == (0,)
+            assert isinstance(fn(0.25), complex)
 
 
 class TestParabolaMap:

@@ -237,6 +237,38 @@ class TestExtremize:
             extremize_on_circle(phi, r)
         assert sizes == [129 + 7 * 33]
 
+    @pytest.mark.parametrize("round_", [0, 3, 6])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_axis_settle_edge(self, round_, above):
+        # Re sine peaks at theta = 0, the centre of every window of the first
+        # call; one point of the chosen round's window is overridden with
+        # the centre's value (a tie, where the round holds) or one ulp above
+        # it (where the round moves)
+        r, base = 0.4, target_map("sine")
+        spot = r * np.exp(1j * (0.0 + oracle._REFINE_DELTAS[round_, 3]))
+        centre = base(r).real
+        value = np.nextafter(centre, 2.0) if above else centre
+        calls = []
+
+        def phi(z):
+            calls.append(np.size(z))
+            w = np.array(base(z))
+            w[z == spot] = value
+            return w
+
+        expected = sequential_extremize(phi, r)
+        calls.clear()
+        res = extremize_on_circle(phi, r)
+        assert (res.value, res.angle) == (expected[1], expected[3])
+        if above:
+            # the replay moves to the raised point; only the last round
+            # decides without a second call
+            assert (res.value, res.angle) == (value, oracle._REFINE_DELTAS[round_, 3])
+            assert len(calls) == (1 if round_ == 6 else 2)
+        else:
+            assert (res.value, res.angle) == (centre, 0.0)
+            assert len(calls) == 1
+
     @pytest.mark.parametrize("target, r, budget", [
         # the first call holds the coarse pass and all seven rounds about
         # theta = 0: a maximum there that stays at the centre of every
@@ -421,6 +453,18 @@ class TestGrowthBounds:
         for r in (0.05, *np.arange(0.1, 0.91, 0.1)):
             growth_bounds(r)
         covering_constant()
+
+    def test_upper_bound_alone(self, monkeypatch):
+        # growth_upper_bound is the upper bound of the sandwich, bit for bit,
+        # and the peng_zhong quadrature condition takes only its one quadrature
+        for r in (0.0, 0.3, 0.6, 0.9, 1.0):
+            assert oracle.growth_upper_bound(r) == growth_bounds(r)[1]
+        quad = oracle._quad_checked
+        calls = []
+        monkeypatch.setattr(oracle, "_quad_checked",
+                            lambda fn, a, b: calls.append(fn) or quad(fn, a, b))
+        radii._peng_zhong_quadrature_condition(0.5)
+        assert calls == [oracle._upper_integrand]
 
     def test_sandwich_for_random_members(self):
         rng = np.random.default_rng(0)
