@@ -458,19 +458,34 @@ def check_subordination_inclusion(map_fn, r: float, samples: int = 4096) -> Veri
     Both defining forms of the region are checked by their signed margins,
     positive inside.  Failure at any sample is conclusive; a pass is
     necessary-condition evidence only and the report says at how many
-    samples it was verified.  The sweep walks the ``samples`` equally
-    spaced angles from -pi in blocks of 2^17, one map call per block, and
-    keeps only the running minimum of each margin, so its memory does not
-    depend on ``samples``.
+    samples it was verified.
+
+    ``map_fn`` must be conjugate-symmetric, map(conj z) = conj map(z), as
+    every map with real Taylor coefficients is (each target of the
+    package).  The region is symmetric about the real axis, so both
+    margins repeat on the lower half circle: of the N = ``samples`` angles
+    equally spaced from -pi the sweep evaluates theta = -pi and the upper
+    half [0, pi), 1 + N // 2 points, and reports N.  A map without the
+    symmetry may leave the region where the sweep never looks.  At even N
+    the worst margin is the whole grid's, bit for bit; at odd N the grid
+    does not mirror and it may differ in the last bit.  Blocks of at most
+    2^17 points (the first also holds theta = -pi), one map call each,
+    keep only the running minimum of each margin, so memory does not
+    depend on N.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
-    # the angles np.linspace(-pi, pi, samples, endpoint=False), bit for bit
+    # angles of np.linspace(-pi, pi, samples, endpoint=False), bit for bit:
+    # index 0, which the first block's extra slot holds, and [ceil(N/2), N)
     step = 2.0 * math.pi / samples
     margins = (region.margin, region.support_margin)
     lows = np.full(len(margins), np.inf)
-    for start in range(0, samples, _SWEEP_BLOCK):
-        theta = np.arange(start, min(start + _SWEEP_BLOCK, samples)) * step - math.pi
+    half = (samples + 1) // 2
+    for start in range(half, max(samples, half + 1), _SWEEP_BLOCK):
+        first = start == half
+        theta = np.arange(start - first, min(start + _SWEEP_BLOCK, samples)) * step - math.pi
+        if first:
+            theta[0] = -math.pi
         w = _circle_values(map_fn, r, r * np.exp(1j * theta))
         # np.minimum keeps a NaN margin, as one np.min over every sample does
         lows = np.minimum(lows, [np.min(mf(w)) for mf in margins])

@@ -616,20 +616,72 @@ class TestInclusion:
                 assert rep.passed == (ref > 0.0)
                 assert rep.samples == samples
 
+    # (target map, radius entry) pairs: maps with real Taylor coefficients,
+    # each swept about its entry's radius
+    _SYMMETRIC = [
+        (("ronning_parabola", {}), ("sp", {})),
+        *(((tid, {}), (tid, {})) for tid in ("sine", "lune", "cosh_sqrt", "asinh", "cardioid")),
+        (("sigmoid", {}), ("r6_sigmoid", {})),
+        (("nephroid", {}), ("r7_nephroid", {})),
+        (("lemniscate", {}), ("r8_lemniscate", {})),
+        (("reverse_lemniscate", {}), ("r9_reverse_lemniscate", {})),
+        (("alpha_exp", {"alpha": 0.0}), ("alpha_exp", {"alpha": 0.0})),
+        (("janowski", {"A": 0.5, "B": -0.5}), ("janowski", {"A": 0.5, "B": -0.5})),
+    ]
+
+    @pytest.mark.parametrize("target, entry", _SYMMETRIC, ids=lambda p: p[0])
+    def test_half_sweep_matches_full_circle(self, target, entry):
+        # even N mirrors every lower angle onto an upper one: bit for bit
+        block = oracle._SWEEP_BLOCK
+        phi = target_map(target[0], **target[1])
+        radius = radii.get_entry(entry[0], **entry[1]).closed_form
+        for r in (0.9 * radius, min(1.1 * radius, 0.999)):
+            for samples in (1, 2, 3, 7, 4096, 4097, block - 1, block, block + 1, 2 * block,
+                            2 * block + 3):
+                rep = check_subordination_inclusion(phi, r, samples)
+                ref = self._one_array_worst(phi, r, samples)
+                if samples % 2 == 0:
+                    assert rep.oracle_value == ref
+                else:
+                    assert abs(rep.oracle_value - ref) <= 1e-15
+                assert rep.passed == (ref > 0.0)
+                assert rep.samples == samples
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4096, (1 << 17) - 1, (1 << 17) + 1,
+                                         1 << 18, 1 << 20])
+    def test_points_are_minus_pi_and_upper_half(self, samples):
+        theta = np.linspace(-PI, PI, samples, endpoint=False)[np.r_[0, (samples + 1) // 2:samples]]
+        assert theta[0] == -PI and (theta[1:] >= 0.0).all() and (theta < PI).all()
+        expected = 0.5 * np.exp(1j * theta)
+        sizes = []
+
+        def counting(z):
+            done = sum(sizes)
+            assert z.size <= oracle._SWEEP_BLOCK + 1
+            assert np.array_equal(z, expected[done:done + z.size])
+            sizes.append(z.size)
+            return np.ones_like(z)
+
+        rep = check_subordination_inclusion(counting, 0.5, samples)
+        assert sum(sizes) == 1 + samples // 2 == theta.size
+        assert rep.samples == samples
+
     def test_non_finite_value_in_last_block_is_singular(self):
+        # 2^18 + 3 samples: one call holds -pi and 2^17 upper angles, the
+        # next the last upper angle
         block = oracle._SWEEP_BLOCK
         sizes = []
 
         def inf_at_last_sample(z):
             sizes.append(z.size)
             w = np.ones_like(z)
-            if len(sizes) == 3:
+            if len(sizes) == 2:
                 w[-1] = np.inf
             return w
 
         with pytest.raises(SingularOnCircle):
             check_subordination_inclusion(inf_at_last_sample, 0.5, 2 * block + 3)
-        assert sizes == [block, block, 3]
+        assert sizes == [block + 1, 1]
 
     def test_memory_does_not_grow_with_samples(self):
         # one array of 2^20 points is 16 MiB, and the one-array sweep
