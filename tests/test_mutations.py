@@ -1,0 +1,104 @@
+"""A first slice of the mutation matrix: a fault in one primitive must fail
+verify rows.
+
+Each mutant is a text edit of a copy of ``src/`` under ``tmp_path``, and
+``verify --all`` runs on it in a fresh interpreter, so no name bound at
+import (``from .region import kernel_modulus``) escapes the edit.  Every
+mutant must exit 1 and fail at least the rows listed with it; the
+unmutated copy is the control and must pass all 74 rows.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the disc and corollary radii: |k(r)| against a level
+_KERNEL_LEVEL_ROWS = [
+    "radius/disc_class(alpha=1)", "radius/disc_class(alpha=0.5)", "radius/beta_disc(beta=0.5)",
+    "radius/r1_exp", "radius/r2_sine", "radius/r3_cosh_sqrt", "radius/r4_cardioid",
+    "radius/r5_asinh", "radius/r6_sigmoid", "radius/r7_nephroid", "radius/r8_lemniscate",
+    "radius/r9_reverse_lemniscate"]
+# rows that hold the map L on the real axis against a tanh^2 closed form, so
+# a fault on either side fails them
+_L_VS_TANH_SQ_ROWS = [
+    "radius/sp", "witness/sp", "radius/caratheodory(alpha=0)",
+    "radius/caratheodory(alpha=0.5)", "witness/caratheodory(alpha=0)",
+    "witness/caratheodory(alpha=0.5)", "witness/disc_class(alpha=1)",
+    "witness/disc_class(alpha=0.5)", "witness/beta_disc(beta=0.5)"]
+
+# name: (file under src/parastar, text, replacement, rows that must fail),
+# the rows as measured on the unrefactored catalog
+MUTATIONS = {
+    "kernel_modulus": (
+        "region.py", "return (2.0 / _PI_SQ) * log_ratio(r) ** 2",
+        "return (2.0 / _PI_SQ) * (1.0 + 5e-7) * log_ratio(r) ** 2",
+        [*_KERNEL_LEVEL_ROWS, "region/real_part_bounds", "growth/covered_radius",
+         "growth/series_vs_quadrature"]),
+    "two_over_pi_sq": (
+        "maps.py", "_TWO_OVER_PI_SQ = 2.0 / math.pi**2",
+        "_TWO_OVER_PI_SQ = 2.0 / math.pi**2 * (1.0 + 5e-7)",
+        [*_L_VS_TANH_SQ_ROWS, "radius/majorization", "region/real_part_bounds",
+         "witness/mbeta(beta=1.1)", "witness/mbeta(beta=1.25)", "witness/mbeta(beta=1.4)"]),
+    "reverse_lemniscate_eta": (
+        "maps.py", "eta = _SQRT2 - 1.0", "eta = (_SQRT2 - 1.0) * (1.0 + 1e-6)",
+        ["radius/r9_reverse_lemniscate"]),
+    "angle_tol": (
+        "oracle.py", "_ANGLE_TOL = 1e-10", "_ANGLE_TOL = 1e-2",
+        ["radius/r9_reverse_lemniscate"]),
+    "janowski_disc_radius": (
+        "oracle.py", "return (1.0 - A * B * r2) / den, abs(A - B) * r / den",
+        "return (1.0 - A * B * r2) / den, abs(A - B) * r / den * (1.0 + 1e-6)",
+        ["radius/janowski(A=0.5;B=-0.5)", "radius/janowski(A=1;B=-0.9)"]),
+    "tanh_sq": (
+        "radii.py", "return math.tanh(x) ** 2", "return math.tanh(x) ** 2 * (1.0 + 1e-8)",
+        [*_KERNEL_LEVEL_ROWS, *_L_VS_TANH_SQ_ROWS]),
+}
+
+
+def _run(root: Path, mutation) -> tuple[int, dict]:
+    pkg = root / "src" / "parastar"
+    shutil.copytree(_SRC / "parastar", pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutation is not None:
+        name, text, new, _ = mutation
+        source = (pkg / name).read_text(encoding="utf-8")
+        assert source.count(text) == 1, f"{text!r} must occur once in {name}"
+        (pkg / name).write_text(source.replace(text, new), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "parastar", "verify", "--all"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    return proc.returncode, {row["id"]: row["passed"] for row in rows}
+
+
+@pytest.fixture(scope="module")
+def outcomes(tmp_path_factory):
+    # ~0.4 s per run; two interpreters at a time
+    jobs = {"control": None, **MUTATIONS}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = {name: pool.submit(_run, tmp_path_factory.mktemp(name), mutation)
+                   for name, mutation in jobs.items()}
+        return {name: future.result() for name, future in futures.items()}
+
+
+def test_control_passes_every_row(outcomes):
+    code, rows = outcomes["control"]
+    assert code == 0
+    assert len(rows) == 74 and all(rows.values())
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_mutant_fails_its_rows(outcomes, name):
+    code, rows = outcomes[name]
+    expected = MUTATIONS[name][3]
+    assert code == 1
+    assert len(rows) == 74
+    failed = sorted(cid for cid, passed in rows.items() if not passed)
+    assert set(expected) <= set(failed), failed

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 import parastar.radii as radii
@@ -35,6 +37,14 @@ class TestFullRun:
     def test_ids_unique(self, full_run):
         ids = [r.check_id for r in full_run]
         assert len(ids) == len(set(ids)) == 74
+
+    def test_lines_match_committed_output(self, full_run):
+        # byte for byte the `verify --all` output at seed 0; a change that
+        # moves a value on purpose regenerates tests/data/verify_all_seed0.jsonl
+        # and names every changed line
+        path = Path(__file__).resolve().parent / "data" / "verify_all_seed0.jsonl"
+        expected = path.read_text(encoding="utf-8")
+        assert "".join(r.to_json() + "\n" for r in full_run) == expected
 
     def test_passed_follows_gap(self, full_run):
         # every row passes or fails by gap <= tolerance, with no override
