@@ -13,7 +13,7 @@ import parastar as ps
 # The region {(Im w)^2 < 3 - 2 Re w} has vertex 3/2 and opens leftward.
 # Membership comes with a signed margin, positive inside.
 for w in (1.0, 1.5, 1 + 1j, -2 + 1j, 0.5 - 0.5j):
-    print(f"w = {w!s:>12}: margin = {ps.margin(w):+.6f}  inside = {ps.in_region(w)}")
+    print(f"w = {w!s:>12}: margin = {ps.margin(w):+.6f}  inside = {ps.margin(w) > 0.0}")
 
 # The map value at -r maximises the real part on |z| = r, the value at +r
 # minimises it; compare the closed bounds with brute force at r = 0.5.

@@ -61,7 +61,6 @@ from .region import (
     boundary_distance_profile,
     boundary_points,
     distance_critical_points,
-    in_region,
     inscribed_disc,
     margin,
     real_part_bounds,

@@ -99,6 +99,11 @@ def _cmd_verify(args) -> int:
     return 0 if reports and all(r.passed for r in reports) else 1
 
 
+# the largest coefficient index certify reads: the reader builds max index + 1
+# coefficients, and certification costs degree x 11,264 grid points
+MAX_DEGREE = 4096
+
+
 def _read_series_csv(path: str) -> PowerSeries:
     rows = {}
     with open(path, encoding="utf-8") as fh:
@@ -110,6 +115,9 @@ def _read_series_csv(path: str) -> PowerSeries:
             i = int(idx)
             if i < 0:
                 raise ParamRange(f"negative coefficient index {i} in {path}")
+            if i > MAX_DEGREE:
+                raise ParamRange(f"coefficient index {i} in {path} exceeds the maximum "
+                                 f"degree {MAX_DEGREE}")
             if i in rows:
                 raise ParamRange(f"duplicate coefficient index {i} in {path}")
             rows[i] = complex(float(re_), float(im_))

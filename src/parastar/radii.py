@@ -3,35 +3,27 @@
 Each :class:`RadiusEntry` bundles a closed-form radius with the scalar
 condition whose unique root in (0, 1) it is, a bracket for root solvers,
 and (where the extremal construction is explicit) a witness margin that
-vanishes exactly at the radius.  The conditions are built from circle
+vanishes exactly at the radius.  Conditions come from circle
 extremization or kernel evaluation, not from the closed forms, so
-"closed form equals the solver's root" is a genuine two-route check.
-Where a radius has no closed form and is itself a memoized ITP root
-(cardioid, majorization, peng_zhong), the condition reaches it by another
-route: the circle maximum, the map's series, or growth quadrature.  Every
-condition is solved by ITP (``oracle.bracket_root``); golden-section
-shrinking is the cross-check solver.
+"closed form equals the solver's root" is a genuine two-route check; a
+memoized-root radius (cardioid, majorization, peng_zhong) is reached by
+another route.  Every condition is solved by ITP
+(``oracle.bracket_root``); golden-section shrinking is the cross-check.
 
-:func:`get_entry` is the one way to build an entry: it looks the id up in
-``_ENTRIES`` and checks the class parameters.  ``TABLE_ROWS`` lists the
-representative catalog as ``(id, params)`` rows, and
-:func:`default_entries` builds it through :func:`get_entry`.
+Two tables hold most entries, and one function builds the entries of each:
 
-Two directions of membership appear:
+* ``_CIRCLE_MAX``: every member of a classical class (sine, lune, ...)
+  is parabolic on |z| < r, up to max Re phi on |z| = r reaching 3/2;
+* ``_KERNEL_LEVEL``: every parabolic-class member lies in another class
+  up to |k(r)| reaching a level, the parameter or the class's inner-disc
+  constant min |phi - 1| on |z| = 1.
 
-* largest disc on which every member of a classical class (parabolic
-  starlike, sine, lune, ...) belongs to the parabolic class: the
-  condition is max Re of the class target on |z| = r reaching the
-  vertex value 3/2;
-* largest disc on which every parabolic-class member lands in another
-  class: the condition compares the kernel modulus |k(r)| with the
-  target class's inner-disc constant.
-
-Both extremes come from ``oracle.extremize_on_circle``, which finds one
-maximum of Re map on |z| = r: the circle maxima as max Re phi, and the
-inner-disc constants (min |phi - 1| on |z| = 1) as -max(-|phi - 1|).
-Every target here has real Taylor coefficients, which makes it
-conjugate-symmetric as that extremizer requires (see its docstring).
+``entry.target`` is the phi that such a condition samples (None where
+it samples none), extremized by ``oracle.extremize_on_circle`` as
+max Re phi or -max(-|phi - 1|).  Every target has real Taylor
+coefficients, so it is conjugate-symmetric as that extremizer requires.
+:func:`get_entry` is the one way to build an entry, and
+:func:`default_entries` builds the ``TABLE_ROWS`` catalog with it.
 """
 
 from __future__ import annotations
@@ -62,7 +54,8 @@ def _kernel_level_radius(x: float) -> float:
 
 @dataclass
 class RadiusEntry:
-    """One radius result: closed form, defining condition, witness."""
+    """One radius result: closed form, defining condition, witness, and the
+    map the condition samples (``target``, None where it samples none)."""
 
     entry_id: str
     params: dict
@@ -72,6 +65,7 @@ class RadiusEntry:
     witness_margin: Callable[[], float] | None = None
     capped: bool = False
     notes: str = ""
+    target: Callable | None = None
 
     @property
     def label(self) -> str:
@@ -103,13 +97,6 @@ def oracle_root(entry: RadiusEntry, method: str = "bisect") -> float:
     return getattr(oracle, _METHODS[method])(entry.condition, *entry.bracket)
 
 
-def _circle_max_condition(phi) -> Callable[[float], float]:
-    def condition(r: float) -> float:
-        return oracle.extremize_on_circle(phi, r).value - 1.5
-
-    return condition
-
-
 def _vertex_witness(phi, radius: float) -> Callable[[], float]:
     # the extremal construction puts z f'/f = phi at z0 = radius, which
     # lands on the region boundary; the boundary margin should vanish
@@ -127,48 +114,42 @@ def _cardioid_root() -> float:
 
 
 _CIRCLE_MAX = {
-    # class id: (closed form, target map whose max Re on |z| = r reaches 3/2,
-    # report note, set where the radius is a memoized root, not a closed form)
-    "sp": (lambda: _tanh_sq(_PI / 4.0), TargetId.RONNING_PARABOLA, ""),
-    "sine": (lambda: _PI / 6.0, TargetId.SINE, ""),
-    "lune": (lambda: 5.0 / 12.0, TargetId.LUNE, ""),
-    "cosh_sqrt": (lambda: math.acosh(1.5) ** 2, TargetId.COSH_SQRT, ""),
-    "asinh": (lambda: math.sinh(0.5), TargetId.ASINH, ""),
-    "cardioid": (_cardioid_root, TargetId.CARDIOID,
+    # class id: (parameters with their radius-table values, closed form,
+    # target map whose max Re on |z| = r reaches 3/2, report note); the
+    # closed form and the map are functions of the parameters, each an
+    # alpha in [0, 1)
+    "sp": ({}, lambda: _tanh_sq(_PI / 4.0),
+           partial(target_map, TargetId.RONNING_PARABOLA), ""),
+    "sine": ({}, lambda: _PI / 6.0, partial(target_map, TargetId.SINE), ""),
+    "lune": ({}, lambda: 5.0 / 12.0, partial(target_map, TargetId.LUNE), ""),
+    "cosh_sqrt": ({}, lambda: math.acosh(1.5) ** 2,
+                  partial(target_map, TargetId.COSH_SQRT), ""),
+    "asinh": ({}, lambda: math.sinh(0.5), partial(target_map, TargetId.ASINH), ""),
+    "cardioid": ({}, _cardioid_root, partial(target_map, TargetId.CARDIOID),
                  "no closed form; memoized root of r e^r = 1/2"),
+    "bs": ({"alpha": 0.5},
+           lambda alpha: 0.5 if alpha == 0.0 else (math.sqrt(1.0 + alpha) - 1.0) / alpha,
+           lambda alpha: lambda z: 1.0 + z / (1.0 - alpha * z * z), ""),
+    "alpha_exp": ({"alpha": 0.0}, lambda alpha: math.log(1.0 - 1.0 / (2.0 * (alpha - 1.0))),
+                  partial(target_map, TargetId.ALPHA_EXP), ""),
 }
 
 
-def _circle_max_radius(class_id: str) -> RadiusEntry:
-    closed_fn, target, notes = _CIRCLE_MAX[class_id]
-    phi = target_map(target)
-    closed = closed_fn()
-    return RadiusEntry(class_id, {}, closed, _circle_max_condition(phi),
-                       witness_margin=_vertex_witness(phi, closed), notes=notes)
-
-
-def _bs_radius(alpha: float) -> RadiusEntry:
-    if not 0.0 <= alpha < 1.0:
-        raise ParamRange("bs needs alpha in [0, 1)")
-    closed = 0.5 if alpha == 0.0 else (math.sqrt(1.0 + alpha) - 1.0) / alpha
-
-    def phi(z):
-        return 1.0 + z / (1.0 - alpha * z * z)
-
-    return RadiusEntry("bs", {"alpha": alpha}, closed, _circle_max_condition(phi),
-                       witness_margin=_vertex_witness(phi, closed))
-
-
-def _alpha_exp_radius(alpha: float) -> RadiusEntry:
-    if not 0.0 <= alpha < 1.0:
-        raise ParamRange("alpha_exp needs alpha in [0, 1)")
-    phi = target_map(TargetId.ALPHA_EXP, alpha=alpha)
-    raw = math.log(1.0 - 1.0 / (2.0 * (alpha - 1.0)))
-    capped = raw >= 1.0
-    closed = 1.0 if capped else raw
-    return RadiusEntry("alpha_exp", {"alpha": alpha}, closed, _circle_max_condition(phi),
+def _circle_max_radius(class_id: str, **params) -> RadiusEntry:
+    """Radius on which the class lies in the parabolic class: max Re phi on
+    |z| = r reaching the vertex 3/2, witnessed by the region margin of phi
+    at the closed form.  A closed form >= 1 caps it at 1, with no witness."""
+    names, closed_fn, map_fn, notes = _CIRCLE_MAX[class_id]
+    for name in names:
+        if not 0.0 <= params[name] < 1.0:
+            raise ParamRange(f"{class_id} needs {name} in [0, 1)")
+    phi = map_fn(**params)
+    closed = closed_fn(**params)
+    capped = closed >= 1.0
+    return RadiusEntry(class_id, params, 1.0 if capped else closed,
+                       lambda r: oracle.extremize_on_circle(phi, r).value - 1.5,
                        witness_margin=None if capped else _vertex_witness(phi, closed),
-                       capped=capped)
+                       capped=capped, notes=notes, target=phi)
 
 
 def _janowski_radius(A: float, B: float) -> RadiusEntry:
@@ -209,38 +190,19 @@ def _caratheodory_radius(alpha: float) -> RadiusEntry:
                        witness_margin=lambda: left_parabola(closed).real - alpha)
 
 
-def _disc_radius(entry_id: str, name: str, x: float) -> RadiusEntry:
-    # the disc radius behind both disc entries: the root of |k(r)| = x,
-    # witnessed by |L(closed) - 1| = x
-    closed = _kernel_level_radius(x)
-    return RadiusEntry(entry_id, {name: x}, closed, lambda r: kernel_modulus(r) - x,
-                       witness_margin=lambda: abs(left_parabola(closed) - 1.0) - x)
-
-
-def _disc_class_radius(alpha: float) -> RadiusEntry:
-    """Radius on which members satisfy |z f'/f - 1| < alpha.
-
-    Unique positive root of |k(r)| = alpha, that is of
-    2 log^2((1+sqrt r)/(1-sqrt r)) = alpha pi^2, in closed form
-    tanh^2(pi sqrt(alpha)/(2 sqrt 2)).
-    """
+def _disc_class_level(alpha: float) -> float:
+    # disc_class: members satisfy |z f'/f - 1| < alpha
     if not 0.0 < alpha <= 1.0:
         raise ParamRange("alpha must lie in (0, 1]")
-    return _disc_radius("disc_class", "alpha", alpha)
+    return alpha
 
 
-def _beta_disc_radius(beta: float) -> RadiusEntry:
-    """Same disc radius stated for the parameter beta = 1 - order.
-
-    Dual to the caratheodory entry: the value here at beta equals the
-    order radius at 1 - beta exactly.
-    """
+def _beta_disc_level(beta: float) -> float:
+    # beta_disc: the same disc radius stated for beta = 1 - order, dual to
+    # the caratheodory entry, whose value at 1 - beta it equals exactly
     if not 0.0 < beta < 1.0:
         raise ParamRange("beta must lie in (0, 1)")
-    return _disc_radius("beta_disc", "beta", beta)
-
-
-# --- corollary radii through inner-disc constants ---------------------------
+    return beta
 
 
 @cache
@@ -263,18 +225,15 @@ _COROLLARY = {
                TargetId.ALPHA_EXP, {"alpha": 0.0}),
     "r2_sine": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(2.0 / math.sin(1.0)))),
                 TargetId.SINE, {}),
-    "r3_cosh_sqrt": (lambda: _tanh_sq(_PI * math.sin(0.5) / 2.0),
-                     TargetId.COSH_SQRT, {}),
+    "r3_cosh_sqrt": (lambda: _tanh_sq(_PI * math.sin(0.5) / 2.0), TargetId.COSH_SQRT, {}),
     "r4_cardioid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(2.0 * math.e))),
                     TargetId.CARDIOID, {}),
     "r5_asinh": (lambda: _tanh_sq(_PI * math.sqrt(0.5 * math.asinh(1.0)) / 2.0),
                  TargetId.ASINH, {}),
     "r6_sigmoid": (lambda: _kernel_level_radius((math.e - 1.0) / (math.e + 1.0)),
                    TargetId.SIGMOID, {}),
-    "r7_nephroid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(3.0))),
-                    TargetId.NEPHROID, {}),
-    "r8_lemniscate": (lambda: _kernel_level_radius(_SQRT2 - 1.0),
-                      TargetId.LEMNISCATE, {}),
+    "r7_nephroid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(3.0))), TargetId.NEPHROID, {}),
+    "r8_lemniscate": (lambda: _kernel_level_radius(_SQRT2 - 1.0), TargetId.LEMNISCATE, {}),
     "r9_reverse_lemniscate": (
         lambda: _tanh_sq(_PI * (math.sqrt(2.0 * (_SQRT2 - 1.0))
                                 * (1.0 - math.sqrt(2.0 * (_SQRT2 - 1.0)))) ** 0.25
@@ -282,21 +241,35 @@ _COROLLARY = {
         TargetId.REVERSE_LEMNISCATE, {}),
 }
 
+_KERNEL_LEVEL = {
+    # entry id: (parameters with their radius-table values, level, closed
+    # form, target map), the last three functions of the parameters; the
+    # disc entries' level is their parameter, r1..r9's the inner-disc
+    # constant of the target map
+    "disc_class": ({"alpha": 1.0}, _disc_class_level, _kernel_level_radius, None),
+    "beta_disc": ({"beta": 0.5}, _beta_disc_level, _kernel_level_radius, None),
+    **{rid: ({}, partial(inner_disc_radius, target.value, **tparams), closed_fn,
+             partial(target_map, target, **tparams))
+       for rid, (closed_fn, target, tparams) in _COROLLARY.items()},
+}
 
-def _corollary_radius(entry_id: str) -> RadiusEntry:
-    """Radius r1..r9 on which every member lands in a named classical class.
 
-    Condition: the kernel modulus |k(r)| reaching the target class's
-    numerically derived inner-disc constant.
+def _kernel_level_entry(entry_id: str, **params) -> RadiusEntry:
+    """Radius on which every parabolic-class member lands in another class.
+
+    Unique positive root of |k(r)| = level, that is of
+    2 log^2((1+sqrt r)/(1-sqrt r)) = level pi^2.  A parameter level has
+    the closed form tanh^2(pi sqrt(level)/(2 sqrt 2)), witnessed by
+    |L(closed) - 1| = level; an inner-disc level is reported in the notes.
     """
-    closed_fn, target, tparams = _COROLLARY[entry_id]
-    constant = inner_disc_radius(target.value, **tparams)
-
-    def condition(r: float) -> float:
-        return kernel_modulus(r) - constant
-
-    return RadiusEntry(entry_id, {}, closed_fn(), condition,
-                       notes=f"inner-disc constant {constant:.12g}")
+    _, level_fn, closed_fn, map_fn = _KERNEL_LEVEL[entry_id]
+    level = level_fn(*params.values())
+    closed = closed_fn(*params.values())
+    if map_fn is None:  # the level is the parameter, the closed form its root
+        fields = {"witness_margin": lambda: abs(left_parabola(closed) - 1.0) - level}
+    else:  # the level is the target's inner-disc constant
+        fields = {"target": map_fn(), "notes": f"inner-disc constant {level:.12g}"}
+    return RadiusEntry(entry_id, params, closed, lambda r: kernel_modulus(r) - level, **fields)
 
 
 # --- remaining radii ---------------------------------------------------------
@@ -427,14 +400,12 @@ def _peng_zhong_radius() -> RadiusEntry:
 
 # entry id: (constructor, the parameters it takes, all of them required)
 _ENTRIES = {
-    **{cid: (partial(_circle_max_radius, cid), ()) for cid in _CIRCLE_MAX},
-    "bs": (_bs_radius, ("alpha",)),
-    "alpha_exp": (_alpha_exp_radius, ("alpha",)),
+    **{cid: (partial(_circle_max_radius, cid), tuple(row[0]))
+       for cid, row in _CIRCLE_MAX.items()},
     "janowski": (_janowski_radius, ("A", "B")),
     "caratheodory": (_caratheodory_radius, ("alpha",)),
-    "disc_class": (_disc_class_radius, ("alpha",)),
-    "beta_disc": (_beta_disc_radius, ("beta",)),
-    **{rid: (partial(_corollary_radius, rid), ()) for rid in _COROLLARY},
+    **{eid: (partial(_kernel_level_entry, eid), tuple(row[0]))
+       for eid, row in _KERNEL_LEVEL.items()},
     "ratio": (_ratio_radius, ("A",)),
     "mbeta": (_mbeta_radius, ("beta",)),
     "majorization": (_majorization_radius, ()),
@@ -444,14 +415,10 @@ _ENTRIES = {
 # the representative catalog behind the radius table, in table order:
 # (entry id, parameters) rows, each built by get_entry
 TABLE_ROWS = (
-    *((cid, {}) for cid in _CIRCLE_MAX),
-    ("bs", {"alpha": 0.5}),
-    ("alpha_exp", {"alpha": 0.0}),
+    *((cid, dict(row[0])) for cid, row in _CIRCLE_MAX.items()),
     ("janowski", {"A": 0.5, "B": -0.5}),
     ("caratheodory", {"alpha": 0.0}),
-    ("disc_class", {"alpha": 1.0}),
-    ("beta_disc", {"beta": 0.5}),
-    *((rid, {}) for rid in _COROLLARY),
+    *((eid, dict(row[0])) for eid, row in _KERNEL_LEVEL.items()),
     ("ratio", {"A": -1.0}),
     ("ratio", {"A": 1.0}),
     ("mbeta", {"beta": 1.25}),

@@ -27,12 +27,6 @@ def margin(w):
     return m if m.ndim else float(m)
 
 
-def in_region(w):
-    """Strict membership in the open parabolic region."""
-    m = margin(w)
-    return m > 0.0 if np.ndim(m) else bool(m > 0.0)
-
-
 def support_margin(w):
     """Margin of the equivalent support form |1 - w| < 2 - Re w."""
     w = np.asarray(w, dtype=np.complex128)

@@ -3,12 +3,14 @@ import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from parastar.cli import main
+from parastar.cli import MAX_DEGREE, _read_series_csv, main
 
 PI = math.pi
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*args):
@@ -116,6 +118,13 @@ class TestRadiusTable:
         assert out.startswith("| id |")
         assert "| sine |" in out
 
+    def test_csv_matches_committed_output(self, capsys):
+        # byte for byte; a change that moves a value on purpose regenerates
+        # tests/data/radius_table.csv and names every changed line
+        assert main(["radius-table"]) == 0
+        expected = (DATA / "radius_table.csv").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
 
 class TestVerify:
     def test_only_filter_single_report(self, capsys):
@@ -199,6 +208,19 @@ class TestCertify:
         path.write_text("index,re,im\n0,0,0\n1,1,0\n2,0.3,0\n2,0.4,0\n")
         assert main(["certify", "--series", str(path), "--t", "0"]) == 2
         assert "duplicate coefficient index 2" in capsys.readouterr().err
+
+    def test_index_above_max_degree_is_usage_error(self, tmp_path, capsys):
+        # a normalised series that would certify, padded by one zero row past
+        # the cap: the reader would otherwise allocate max index + 1 terms
+        path = tmp_path / "long.csv"
+        path.write_text(f"index,re,im\n0,0,0\n1,1,0\n2,0.3,0\n{MAX_DEGREE + 1},0,0\n")
+        assert main(["certify", "--series", str(path), "--t", "0"]) == 2
+        assert f"coefficient index {MAX_DEGREE + 1}" in capsys.readouterr().err
+
+    def test_index_at_max_degree_is_read(self, tmp_path):
+        path = tmp_path / "cap.csv"
+        path.write_text(f"index,re,im\n0,0,0\n1,1,0\n2,0.3,0\n{MAX_DEGREE},0,0\n")
+        assert len(_read_series_csv(str(path)).coeffs) == MAX_DEGREE + 1
 
 
 class TestPlot:

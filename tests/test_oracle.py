@@ -367,10 +367,6 @@ class TestExtremize:
         assert abs(res.angle) < 1e-6
 
 
-def _bs_map(alpha):
-    return lambda z: 1.0 + z / (1.0 - alpha * z * z)
-
-
 class TestSpeculativeRefinement:
     # the speculative windows decide every round at the angles of the
     # round-by-round loop, so the maximum of the map and the negated
@@ -378,9 +374,10 @@ class TestSpeculativeRefinement:
     # for bit
 
     @pytest.mark.parametrize("name, map_fn", [
-        *((cid, target_map(target)) for cid, (_, target, _) in radii._CIRCLE_MAX.items()),
-        *((f"bs({a})", _bs_map(a)) for a in (0.0, 0.3, 0.6, 0.9)),
-        *((f"alpha_exp({a})", target_map("alpha_exp", alpha=a)) for a in (0.0, 0.3, 0.6, 0.9)),
+        *((cid, radii.get_entry(cid).target)
+          for cid, (names, *_) in radii._CIRCLE_MAX.items() if not names),
+        *((f"{cid}({a})", radii.get_entry(cid, alpha=a).target)
+          for cid in ("bs", "alpha_exp") for a in (0.0, 0.3, 0.6, 0.9)),
     ])
     def test_circle_max_maps_match_sequential(self, name, map_fn):
         # r = 1e-9, where Re map is flat to rounding, moves the pick in
@@ -392,8 +389,7 @@ class TestSpeculativeRefinement:
 
     @pytest.mark.parametrize("entry_id", list(radii._COROLLARY))
     def test_inner_disc_minima_match_sequential(self, entry_id):
-        _, target, params = radii._COROLLARY[entry_id]
-        phi = target_map(target, **params)
+        phi = radii.get_entry(entry_id).target
 
         def shifted(z):
             return phi(z) - 1.0

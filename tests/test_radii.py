@@ -203,7 +203,7 @@ def _half_and_full(monkeypatch):
 
 
 _CIRCLE_MAX_ROWS = [
-    *((cid, {}) for cid in _CIRCLE_MAX),
+    *((cid, {}) for cid, (names, *_) in _CIRCLE_MAX.items() if not names),
     *(("bs", {"alpha": a}) for a in (0.0, 0.3, 0.6, 0.9)),
     *(("alpha_exp", {"alpha": a}) for a in (0.0, 0.3, 0.6, 0.9)),
 ]
@@ -233,14 +233,6 @@ class TestHalfCircle:
         assert constant == -half.value == -full
 
 
-def _condition_map(monkeypatch, entry_id, params):
-    """The map that the entry's condition extremizes."""
-    calls = _half_and_full(monkeypatch)
-    get_entry(entry_id, **params).condition(0.5)
-    ((phi, _, _),) = calls
-    return phi
-
-
 def _map_call_sizes(monkeypatch):
     """Record the map calls of every radii extremization; returns the list
     that collects, per extremization, the point count of each call."""
@@ -264,8 +256,8 @@ class TestBracketEnds:
     # round-by-round loop does
 
     @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
-    def test_bit_equal_at_bracket_ends(self, monkeypatch, entry_id, params):
-        phi = _condition_map(monkeypatch, entry_id, params)
+    def test_bit_equal_at_bracket_ends(self, entry_id, params):
+        phi = get_entry(entry_id, **params).target
         for r in (0.0, 1e-9, 0.99, 0.999, 1.0 - 1e-9):
             for functional in ("re", "abs"):
                 assert min_and_max(phi, r, functional) == sequential_extremize(phi, r, functional)
@@ -291,8 +283,8 @@ class TestTieRule:
     # that are returned, not the values on the catalog maps
 
     @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
-    def test_condition_values_as_first_index_rule(self, monkeypatch, entry_id, params):
-        phi = _condition_map(monkeypatch, entry_id, params)
+    def test_condition_values_as_first_index_rule(self, entry_id, params):
+        phi = get_entry(entry_id, **params).target
         for r in (0.0, 1e-9, *np.linspace(0.05, 0.95, 19), 0.99, 0.999, 1.0 - 1e-9):
             first = sequential_extremize(phi, r, first_index=True)[1]
             assert extremize_on_circle(phi, r).value == first
@@ -300,7 +292,7 @@ class TestTieRule:
     @pytest.mark.parametrize("entry_id", list(_COROLLARY))
     def test_inner_disc_constant_as_first_index_rule(self, entry_id):
         _, target, params = _COROLLARY[entry_id]
-        phi = target_map(target, **params)
+        phi = get_entry(entry_id).target
         shifted = lambda z: phi(z) - 1.0
         first = sequential_extremize(shifted, 1.0, "abs", first_index=True)[0]
         assert inner_disc_radius.__wrapped__(target.value, **params) == first
@@ -345,8 +337,8 @@ class TestDenseReference:
     # than the dense step, 1/512 of the coarse step
 
     @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
-    def test_circle_max_maps(self, monkeypatch, entry_id, params):
-        phi = _condition_map(monkeypatch, entry_id, params)
+    def test_circle_max_maps(self, entry_id, params):
+        phi = get_entry(entry_id, **params).target
         for r in _DENSE_RADII:
             w = phi(r * _DENSE_UNIT)
             for name, fn in _DENSE_FUNCTIONALS.items():
@@ -357,7 +349,7 @@ class TestDenseReference:
     def test_inner_disc_constants(self, entry_id):
         _, target, params = _COROLLARY[entry_id]
         constant = inner_disc_radius(target.value, **params)
-        dense = np.min(np.abs(target_map(target, **params)(_DENSE_UNIT) - 1.0))
+        dense = np.min(np.abs(get_entry(entry_id).target(_DENSE_UNIT) - 1.0))
         assert dense >= constant - _DENSE_TOL * max(1.0, constant)
 
 
@@ -376,20 +368,44 @@ def _assert_conjugate_symmetric(phi):
 class TestConjugateSymmetry:
     # extremize_on_circle samples the upper half circle only, which is
     # exact for phi(conj z) = conj phi(z); a target without this symmetry
-    # fails here instead of being extremized on the wrong half circle
+    # fails here instead of being extremized on the wrong half circle.
+    # Together the two row lists hold every entry that carries a target
 
     @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
-    def test_circle_max_target(self, monkeypatch, entry_id, params):
-        # the map the condition really extremizes
-        _assert_conjugate_symmetric(_condition_map(monkeypatch, entry_id, params))
+    def test_circle_max_target(self, entry_id, params):
+        _assert_conjugate_symmetric(get_entry(entry_id, **params).target)
 
     @pytest.mark.parametrize("entry_id", list(_COROLLARY))
     def test_corollary_target(self, entry_id):
-        _, target, params = _COROLLARY[entry_id]
-        _assert_conjugate_symmetric(target_map(target, **params))
+        _assert_conjugate_symmetric(get_entry(entry_id).target)
+
+    def test_rows_cover_every_target(self):
+        from parastar.verify import _verification_catalog
+
+        rows = {entry_id for entry_id, _ in _CIRCLE_MAX_ROWS} | set(_COROLLARY)
+        with_target = {e.entry_id for e in _verification_catalog() if e.target is not None}
+        assert with_target == rows
 
     def test_left_parabola(self):
         _assert_conjugate_symmetric(left_parabola)
+
+
+class TestEntryTarget:
+    # the map on the entry is the map its condition samples: the tests above
+    # read it from entry.target rather than from the extremizer's arguments
+
+    @pytest.mark.parametrize("entry_id, params", _CIRCLE_MAX_ROWS)
+    def test_condition_extremizes_target(self, monkeypatch, entry_id, params):
+        import parastar.oracle as oracle
+
+        entry = get_entry(entry_id, **params)
+        extremize = oracle.extremize_on_circle
+        seen = []
+        monkeypatch.setattr(oracle, "extremize_on_circle",
+                            lambda map_fn, r: seen.append(map_fn) or extremize(map_fn, r))
+        for r in (1e-9, 0.5, 1.0 - 1e-9):
+            entry.condition(r)
+        assert len(seen) == 3 and all(phi is entry.target for phi in seen)
 
 
 class TestRatioClass:
@@ -590,7 +606,7 @@ class TestOracleRoute:
             assert len(set(calls)) == len(calls), (entry.label, sorted(calls))
             return len(calls)
 
-        circle_max = set(_CIRCLE_MAX) | {"bs", "alpha_exp"}
+        circle_max = set(_CIRCLE_MAX)
         counts = {e.label: (evaluations(e), e.entry_id in circle_max)
                   for e in _verification_catalog() if not e.capped}
         assert len(counts) == 34

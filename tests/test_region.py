@@ -10,7 +10,6 @@ from parastar import (
     argument_sector_check,
     boundary_distance_profile,
     distance_critical_points,
-    in_region,
     inscribed_disc,
     margin,
     parabola_map,
@@ -24,14 +23,13 @@ PI = math.pi
 
 class TestMembership:
     def test_center_inside(self):
-        assert in_region(1.0)
         assert margin(1.0) == 1.0
 
     def test_vertex_excluded(self):
-        assert not in_region(1.5)
+        assert margin(1.5) <= 0.0
 
     def test_tangency_point_excluded(self):
-        assert not in_region(1 + 1j)
+        assert margin(1 + 1j) <= 0.0
 
     def test_support_form_agrees(self):
         # both defining forms carve out the same open set
