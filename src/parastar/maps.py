@@ -13,8 +13,12 @@ Branch conventions
 ------------------
 ``sqrt_upper`` picks the square root with nonnegative imaginary part; on
 the positive real axis the positive root is returned, so the cut sits on
-the positive reals.  With that choice the Moebius ratio (1+w)/(1-w) stays
-in the closed right half-plane for |w| <= 1, hence the principal logarithm
+the positive reals.  The parabola maps take the principal root instead:
+log^2 of the Moebius ratio (1+w)/(1-w) is even in w, so both roots give
+the same value, and the principal one keeps the maps conjugate-symmetric
+bit for bit, map(conj z) = conj map(z), as ``np.sqrt``, the ratio, the
+logarithm and the square each are.  For either root the ratio stays in
+the closed right half-plane for |w| <= 1, hence the principal logarithm
 never meets its cut on the disc.  All evaluation is double precision and
 vectorised; every function is pure.
 """
@@ -73,12 +77,11 @@ def sqrt_upper(z):
     return _ret(_sqrt_upper(z))
 
 
-def _guard_log_singularity(w: np.ndarray) -> None:
+def _log_ratio_sq(w: np.ndarray) -> np.ndarray:
+    """log((1 + w)/(1 - w))**2; raises ``SingularPoint`` within
+    ``SINGULAR_TOL`` of w = +-1."""
     if (np.abs(1.0 - w) < SINGULAR_TOL).any() or (np.abs(1.0 + w) < SINGULAR_TOL).any():
         raise SingularPoint("evaluation within tolerance of the log singularity")
-
-
-def _log_ratio_sq(w: np.ndarray) -> np.ndarray:
     return np.log((1.0 + w) / (1.0 - w)) ** 2
 
 
@@ -97,8 +100,7 @@ def parabola_map(z, tau: float = 0.0, theta: float = 0.0):
     z = _disc_points(z)
     # e^{i tau} and -(2/pi^2) e^{i theta} are exactly real at 0 and pi: the
     # float e^{i pi} has sin(pi) != 0, which would leave Im != 0 on the real axis
-    w = (-1.0 if tau == math.pi else cmath.exp(1j * tau)) * _sqrt_upper(z)
-    _guard_log_singularity(w)
+    w = (-1.0 if tau == math.pi else cmath.exp(1j * tau)) * np.sqrt(z)
     factor = _TWO_OVER_PI_SQ if theta == math.pi else -_TWO_OVER_PI_SQ * cmath.exp(1j * theta)
     return _ret(factor * _log_ratio_sq(w))
 
@@ -110,9 +112,7 @@ def left_parabola(z):
     at z = 1.
     """
     z = _disc_points(z)
-    w = _sqrt_upper(z)
-    _guard_log_singularity(w)
-    return _ret(1.0 - _TWO_OVER_PI_SQ * _log_ratio_sq(w))
+    return _ret(1.0 - _TWO_OVER_PI_SQ * _log_ratio_sq(np.sqrt(z)))
 
 
 def ronning_parabola(z):
@@ -121,9 +121,7 @@ def ronning_parabola(z):
     The classical parabolic-starlike target; its image is {w : Re w > |w-1|}.
     """
     z = _disc_points(z)
-    w = _sqrt_upper(z)
-    _guard_log_singularity(w)
-    return _ret(1.0 + _TWO_OVER_PI_SQ * _log_ratio_sq(w))
+    return _ret(1.0 + _TWO_OVER_PI_SQ * _log_ratio_sq(np.sqrt(z)))
 
 
 class TargetId(str, enum.Enum):

@@ -97,8 +97,14 @@ def _value(f, x: float) -> float:
 
 
 def _end_values(f, lo: float, hi: float) -> tuple[float, float, float | None]:
-    """f at both bracket ends, and the end where f is exactly 0 (else None);
-    raises ``NoSignChange`` when f has the same sign at both ends."""
+    """f at both bracket ends, and the end where f is exactly 0 (else None).
+
+    Raises ``DomainError`` before f is evaluated unless lo < hi and both
+    ends are finite, and ``NoSignChange`` when f has the same sign at
+    both ends.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"bracket [{lo}, {hi}] needs finite ends with lo < hi")
     flo, fhi = _value(f, lo), _value(f, hi)
     root = lo if flo == 0.0 else hi if fhi == 0.0 else None
     if root is None and math.copysign(1.0, flo) == math.copysign(1.0, fhi):
@@ -117,8 +123,9 @@ def bracket_root(f, lo: float, hi: float) -> float:
     more than halving alone.  Smooth roots converge superlinearly.  After
     those steps, plain regula-falsi steps go on until |f| is small too.
     Returns an evaluated end r of a bracket whose width and |f(r)| are
-    both at most ``_ABS_TOL``.  A NaN value of f raises ``DomainError``
-    at once; an infinite one makes that step a midpoint.
+    both at most ``_ABS_TOL``.  A bracket that is not finite with
+    lo < hi, or a NaN value of f, raises ``DomainError`` at once; an
+    infinite value of f makes that step a midpoint.
     """
     tol = _ABS_TOL
     flo, fhi, root = _end_values(f, lo, hi)
@@ -227,9 +234,9 @@ def _refine_steps() -> list[float]:
 _REFINE_DELTAS = np.array(_refine_steps())[:, None] * np.linspace(-1.0, 1.0, _REFINE_POINTS)
 _REFINE_DELTAS.setflags(write=False)
 # The first map call's points on the unit circle: the coarse pass, then the
-# seven round windows about theta = 0 (_COARSE[1]), where every circle-max
-# map of the radius catalog peaks (computed once).
-_FIRST_UNIT = np.concatenate((_COARSE_UNIT, np.exp(1j * (_COARSE[1] + _REFINE_DELTAS)).ravel()))
+# offsets delta > 0 of the seven round windows about theta = 0 (_COARSE[1]),
+# where every circle-max map of the radius catalog peaks (computed once).
+_FIRST_UNIT = np.concatenate((_COARSE_UNIT, np.exp(1j * _REFINE_DELTAS[:, _CENTRE + 1:]).ravel()))
 _FIRST_UNIT.setflags(write=False)
 
 
@@ -266,24 +273,29 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
     wins, and the lower maximum is returned.
 
     Refinement is speculative.  The first map call samples the coarse
-    angles and then all seven rounds' windows about theta = 0, where
-    every circle-max map of the radius catalog peaks; these serve the
-    rounds when the coarse pick is theta = 0.  Every one of those windows
-    is centred on the coarse point z = r itself, so one comparison
-    settles them all: when no window value exceeds that point's, every
-    round holds and the point is the result.  Otherwise, and after a
-    round that moves, each map call samples every remaining round's
-    window about the current centre.  The rounds are replayed on those
-    values while the centre holds; the round where it moves sets the
-    centre of the next call.  Every value that decides a round is taken
-    at the same angle as in the round-by-round loop, so the result is the
-    same bit for bit.  A maximum at theta = 0 that stays at the centre of
-    every window costs one map call, one at another coarse angle two, and
-    the worst case is eight; over the radius catalog an extremization
-    takes about 1.06.  A failing or non-finite map value anywhere in the
-    speculative windows raises ``SingularOnCircle``, even where the
-    round-by-round loop would not have looked: in the first call's
-    windows about theta = 0, it raises whatever the coarse pick.
+    angles and then the offsets delta > 0 of all seven rounds' windows
+    about theta = 0, where every circle-max map of the radius catalog
+    peaks: 129 + 7 x 16 = 241 points.  By the symmetry the offsets
+    -delta repeat these values, so they serve every round when the
+    coarse pick is theta = 0, and when no sampled value exceeds the
+    value at z = r, every round holds and that point is the result.
+    Otherwise, and after a round that moves, each map call samples every
+    remaining round's window about the current centre.  The rounds are
+    replayed on those values while the centre holds; the round where it
+    moves sets the centre of the next call.  Every value that decides a
+    round is taken at the same angle as in the round-by-round loop, or
+    read from its mirror angle, so for a map whose symmetry is exact the
+    result is the same bit for bit; where the symmetry holds only to
+    rounding, the result can differ by that rounding.  Every target of
+    the package is symmetric bit for bit at the mirrored offsets
+    (``TestAxisMirror`` in tests/test_oracle.py).  A maximum at theta = 0
+    that stays at the centre of every window costs one map call, one at
+    another coarse angle two, and the worst case is eight; over the
+    radius catalog an extremization takes about 1.05.  A failing or
+    non-finite map value anywhere in the speculative windows raises
+    ``SingularOnCircle``, even where the round-by-round loop would not
+    have looked: at the first call's offsets about theta = 0, it raises
+    whatever the coarse pick.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("circle radius must lie in [0, 1]")
@@ -291,12 +303,17 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
     th = _COARSE[first[:_COARSE.size].argmax()]
     ahead = None
     if th == _COARSE[1]:
-        # a pick at theta = 0 finds every round's window in the first call;
-        # each window's centre is z = r, coarse point 1, so every round
-        # holds exactly when no window value exceeds that point's
-        ahead = first[_COARSE.size:]
-        if ahead.max() <= first[1]:
+        # a pick at theta = 0 finds every round's window in the first call:
+        # its centre is z = r, coarse point 1, and its offsets delta < 0
+        # mirror the sampled delta > 0 (the offsets are antisymmetric and
+        # e^{-i delta} is conj(e^{i delta}) bit for bit), so every round
+        # holds exactly when no sampled value exceeds that point's
+        pos = first[_COARSE.size:].reshape(len(_REFINE_DELTAS), _CENTRE)
+        if pos.max() <= first[1]:
             return ExtremeResult(value=float(first[1]), angle=float(th))
+        # rebuild the full windows; a tie of +-delta takes -delta, the
+        # first index, as a sampled window would
+        ahead = np.concatenate((pos[:, ::-1], np.full((len(pos), 1), first[1]), pos), axis=1)
     j = 0
     while j < len(_REFINE_DELTAS):
         deltas = _REFINE_DELTAS[j:]

@@ -41,7 +41,8 @@ HALF = np.r_[0, 2048:4096]
 _FUNCTIONALS = {"re": np.real, "abs": np.abs}
 
 
-def sequential_extremize(map_fn, r, functional="re", *, half=True, first_index=False):
+def sequential_extremize(map_fn, r, functional="re", *, half=True, first_index=False,
+                         mirror=True):
     """(min, max, argmin angle, argmax angle) of a functional on |z| = r.
 
     The round-by-round reference for ``oracle.extremize_on_circle``: a
@@ -53,6 +54,14 @@ def sequential_extremize(map_fn, r, functional="re", *, half=True, first_index=F
     window's extreme, the centre stays.  ``first_index=True`` is the
     earlier rule, which moves to the first tied index as ``argmin`` /
     ``argmax`` do.
+
+    With ``mirror`` (the extremizer's rule), a window centred exactly at
+    theta = 0 reads its values at -delta from +delta, for as long as the
+    pick has stayed at a first-pass pick of theta = 0: those are the
+    windows of the extremizer's first call, which samples the offsets
+    delta > 0 only.  A window that a moving pick re-centres on theta = 0
+    is sampled in full, as the extremizer samples it.  ``mirror=False``
+    samples every window in full.
     """
     fun = _FUNCTIONALS[functional]
     first = np.r_[0, 2048:4096:16] if half else slice(None, None, 16)
@@ -63,15 +72,22 @@ def sequential_extremize(map_fn, r, functional="re", *, half=True, first_index=F
     th_max, v_max = grid[i_max], vals[i_max]
 
     k = 33
+    c = k // 2
     offsets = np.linspace(-1.0, 1.0, k)
+    axis_min, axis_max = mirror and th_min == 0.0, mirror and th_max == 0.0
     h = 2.0 * math.pi / 256
     while h > 1e-10:
         angles = np.concatenate((th_min + h * offsets, th_max + h * offsets))
         vals = fun(np.asarray(map_fn(r * np.exp(1j * angles))))
+        if axis_min:
+            vals[:c] = vals[k - 1:c:-1]
+        if axis_max:
+            vals[k:k + c] = vals[2 * k - 1:k + c:-1]
         j_min, j_max = int(np.argmin(vals[:k])), k + int(np.argmax(vals[k:]))
         if not first_index:
-            j_min = k // 2 if vals[k // 2] == vals[j_min] else j_min
-            j_max = k + k // 2 if vals[k + k // 2] == vals[j_max] else j_max
+            j_min = c if vals[c] == vals[j_min] else j_min
+            j_max = k + c if vals[k + c] == vals[j_max] else j_max
+        axis_min, axis_max = axis_min and j_min == c, axis_max and j_max == k + c
         th_min, v_min = angles[j_min], vals[j_min]
         th_max, v_max = angles[j_max], vals[j_max]
         h *= 2.0 / (k - 1)

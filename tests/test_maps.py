@@ -147,6 +147,33 @@ class TestParabolaMap:
         with pytest.raises(DomainError):
             parabola_map(1.5)
 
+    @pytest.mark.parametrize("r", [1e-9, 0.3, 0.7, 0.99, 1.0 - 1e-9])
+    def test_principal_root_exact_symmetry(self, r):
+        # log^2 is even in sqrt z, so the maps take the principal root: on
+        # the upper half circle it is the upper root, and on the first
+        # call's points there (all but theta = -pi) the values are the
+        # upper-root formula's bit for bit, at a 0-d point too; on the
+        # lower half they are the exact conjugates, as the extremizer's
+        # mirrored windows read them
+        from parastar import oracle
+
+        k = 2.0 / PI**2
+        upper = r * oracle._FIRST_UNIT[1:]
+        for z in (upper, np.asarray(upper[200])):
+            log_sq = np.log((1.0 + sqrt_upper(z)) / (1.0 - sqrt_upper(z))) ** 2
+            for got, want in ((left_parabola(z), 1.0 - k * log_sq),
+                              (ronning_parabola(z), 1.0 + k * log_sq),
+                              (parabola_map(z), -k * log_sq)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert isinstance(got, np.ndarray) == (z.ndim > 0)
+        z = upper[upper.imag > 0.0]
+        for f in (left_parabola, ronning_parabola, parabola_map):
+            w, w_conj = f(z), f(np.conj(z))
+            assert w_conj.real.tobytes() == w.real.tobytes()
+            assert w_conj.imag.tobytes() == (-w.imag).tobytes()
+        with pytest.raises(SingularPoint):
+            left_parabola(np.array([0.5, 1.0]))
+
     def test_generic_matches_specialisations(self):
         rng = np.random.default_rng(3)
         z = 0.9 * rng.uniform(0, 1, 32) * np.exp(1j * rng.uniform(-PI, PI, 32))

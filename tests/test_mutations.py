@@ -35,7 +35,7 @@ _L_VS_TANH_SQ_ROWS = [
     "witness/disc_class(alpha=0.5)", "witness/beta_disc(beta=0.5)"]
 
 # name: (file under src/parastar, text, replacement, rows that must fail),
-# the rows as measured on the unrefactored catalog
+# the rows as measured on the source before the mutant was added
 MUTATIONS = {
     "kernel_modulus": (
         "region.py", "return (2.0 / _PI_SQ) * log_ratio(r) ** 2",
@@ -60,6 +60,18 @@ MUTATIONS = {
     "tanh_sq": (
         "radii.py", "return math.tanh(x) ** 2", "return math.tanh(x) ** 2 * (1.0 + 1e-8)",
         [*_KERNEL_LEVEL_ROWS, *_L_VS_TANH_SQ_ROWS]),
+    "p0_coefficients": (
+        "series.py", "coeffs[1:] = -(8.0 / math.pi**2) * odd_sums / n",
+        "coeffs[1:] = -(8.0 / math.pi**2) * (1.0 + 1.25e-7) * odd_sums / n",
+        ["growth/series_vs_quadrature", "radius/majorization", "radius/peng_zhong",
+         "series/upper_coefficients"]),
+    "upper_integrand": (
+        "oracle.py", "return (8.0 / _PI_SQ) * np.arctan(np.sqrt(t)) ** 2 / t",
+        "return (8.0 / _PI_SQ) * np.arctan(np.sqrt(t)) ** 2 / t * (1.0 + 1.25e-7)",
+        ["growth/covering_constant", "growth/series_vs_quadrature", "radius/peng_zhong"]),
+    "catalan": (
+        "region.py", "_CATALAN = 0.915965594177219", "_CATALAN = 0.915965594177",
+        ["growth/covering_constant"]),
 }
 
 

@@ -16,6 +16,7 @@ from parastar import (
     PowerSeries,
     QuadratureFailure,
     SingularOnCircle,
+    TargetId,
     bracket_root,
     certify_sufficient_condition,
     check_subordination_inclusion,
@@ -86,6 +87,19 @@ class TestBracketRoot:
     def test_infinite_end_value(self, solver):
         f = lambda r: -math.inf if r <= 0.0 else math.log(r) + 1.0
         assert abs(solver(f, 0.0, 1.0) - math.exp(-1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("solver", [bracket_root, golden_bracket_root])
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0, 0.0), (0.5, 0.5), (0.0, math.inf), (-math.inf, 1.0), (math.inf, math.inf),
+        (math.nan, 1.0), (0.0, math.nan)],
+        ids=["reversed", "empty", "inf_hi", "inf_lo", "inf_both", "nan_lo", "nan_hi"])
+    def test_bad_bracket_is_domain_error(self, solver, lo, hi):
+        # a reversed, empty, infinite or NaN bracket is rejected before the
+        # condition is evaluated, by one check both solvers share
+        calls = []
+        with pytest.raises(DomainError, match="bracket"):
+            solver(lambda r: calls.append(r) or r - 0.5, lo, hi)
+        assert calls == []
 
     @pytest.mark.parametrize("solver", [bracket_root, golden_bracket_root])
     def test_nan_at_bracket_end_raises(self, solver):
@@ -196,12 +210,13 @@ class TestExtremize:
 
     def test_refinement_failure_is_singular(self):
         # the map fails only off the first call, the coarse pass and the
-        # seven rounds' windows about theta = 0: left_parabola peaks at -pi,
-        # so the first call goes through, and the second call, all seven
-        # speculative rounds about -pi, fails at its other points
+        # offsets delta > 0 of the seven rounds' windows about theta = 0:
+        # left_parabola peaks at -pi, so the first call goes through, and
+        # the second call, all seven speculative rounds about -pi, fails at
+        # its other points
         sizes, r = [], 0.5
         first = r * np.concatenate((FULL_GRID_UNIT[HALF][np.r_[0, 1:2049:16]],
-                                    np.exp(1j * oracle._REFINE_DELTAS).ravel()))
+                                    np.exp(1j * oracle._REFINE_DELTAS[:, 17:]).ravel()))
 
         def phi(z):
             sizes.append(np.size(z))
@@ -211,12 +226,13 @@ class TestExtremize:
 
         with pytest.raises(SingularOnCircle):
             extremize_on_circle(phi, r)
-        assert sizes == [129 + 7 * 33, 7 * 33]
+        assert sizes == [129 + 7 * 16, 7 * 33]
 
     def test_axis_window_failure_is_singular(self):
-        # the first call samples the rounds' windows about theta = 0 whatever
-        # the coarse pick, so a map that fails only inside them, at angles
-        # strictly between 0 and half the coarse step, raises on that call.
+        # the first call samples the rounds' offsets delta > 0 about
+        # theta = 0 whatever the coarse pick, so a map that fails only
+        # there, at angles strictly between 0 and half the coarse step in
+        # modulus, raises on that call.
         # Re(a z - z^2) peaks at +-theta0 and is least at -pi: the
         # round-by-round loop refines there only and never meets a failure
         theta0, r = 1.0, 0.4
@@ -235,17 +251,19 @@ class TestExtremize:
         sizes.clear()
         with pytest.raises(SingularOnCircle):
             extremize_on_circle(phi, r)
-        assert sizes == [129 + 7 * 33]
+        assert sizes == [129 + 7 * 16]
 
     @pytest.mark.parametrize("round_", [0, 3, 6])
     @pytest.mark.parametrize("above", [False, True])
     def test_axis_settle_edge(self, round_, above):
         # Re sine peaks at theta = 0, the centre of every window of the first
-        # call; one point of the chosen round's window is overridden with
-        # the centre's value (a tie, where the round holds) or one ulp above
-        # it (where the round moves)
+        # call; the points at offsets +-delta of the chosen round's window
+        # are overridden with the centre's value (a tie, where the round
+        # holds) or one ulp above it (where the round moves), so the map
+        # stays conjugate-symmetric.  The first call samples +delta only;
+        # -delta reads the same value and comes first in the window
         r, base = 0.4, target_map("sine")
-        spot = r * np.exp(1j * (0.0 + oracle._REFINE_DELTAS[round_, 3]))
+        spot = r * np.exp(1j * (0.0 + oracle._REFINE_DELTAS[round_, 29]))
         centre = base(r).real
         value = np.nextafter(centre, 2.0) if above else centre
         calls = []
@@ -253,7 +271,7 @@ class TestExtremize:
         def phi(z):
             calls.append(np.size(z))
             w = np.array(base(z))
-            w[z == spot] = value
+            w[(z == spot) | (z == np.conj(spot))] = value
             return w
 
         expected = sequential_extremize(phi, r)
@@ -261,9 +279,10 @@ class TestExtremize:
         res = extremize_on_circle(phi, r)
         assert (res.value, res.angle) == (expected[1], expected[3])
         if above:
-            # the replay moves to the raised point; only the last round
-            # decides without a second call
+            # the replay moves to the raised value's first index, -delta;
+            # only the last round decides without a second call
             assert (res.value, res.angle) == (value, oracle._REFINE_DELTAS[round_, 3])
+            assert res.angle == -oracle._REFINE_DELTAS[round_, 29] < 0.0
             assert len(calls) == (1 if round_ == 6 else 2)
         else:
             assert (res.value, res.angle) == (centre, 0.0)
@@ -307,8 +326,9 @@ class TestExtremize:
     def test_half_circle_first_pass(self):
         # the first call's coarse pass samples theta = -pi and every 16th
         # angle of the upper half [0, pi) of the 4096-point grid, bit for
-        # bit, and then all seven rounds' windows about theta = 0; the
-        # second call is all seven rounds about the coarse pick, -pi
+        # bit, and then the offsets delta > 0 of all seven rounds' windows
+        # about theta = 0, 241 points in all; the second call is all seven
+        # full rounds about the coarse pick, -pi
         calls = []
 
         def phi(z):
@@ -318,10 +338,13 @@ class TestExtremize:
         r, coarse_angles = 0.5, np.r_[0, 1:2049:16]
         extremize_on_circle(phi, r)
         first, second = calls
-        coarse, axis_rounds = first[:129], first[129:].reshape(7, 33)
+        assert first.size == 241
+        coarse, axis_rounds = first[:129], first[129:].reshape(7, 16)
         rounds = second.reshape(7, 33)
         assert np.array_equal(coarse, r * FULL_GRID_UNIT[HALF][coarse_angles])
-        assert np.array_equal(axis_rounds, r * np.exp(1j * (0.0 + oracle._REFINE_DELTAS)))
+        assert np.array_equal(axis_rounds,
+                              r * np.exp(1j * (0.0 + oracle._REFINE_DELTAS[:, 17:])))
+        assert np.all(axis_rounds.imag > 0.0)
         assert np.isin(rounds[:, 16], coarse).all() and np.unique(rounds[:, 16]).size == 1
         assert np.all(coarse.imag[1:] >= 0.0)
         assert r in coarse
@@ -395,6 +418,43 @@ class TestSpeculativeRefinement:
             return phi(z) - 1.0
 
         assert min_and_max(shifted, 1.0, "abs") == sequential_extremize(shifted, 1.0, "abs")
+
+
+# every target map, with parameters where it takes them, and bs
+_MIRROR_PARAMS = {"alpha_exp": {"alpha": 0.3}, "alpha_sqrt": {"alpha": 0.3},
+                  "janowski": {"A": 0.5, "B": -0.5}}
+_MIRROR_MAPS = [
+    *((t.value, target_map(t, **_MIRROR_PARAMS.get(t.value, {}))) for t in TargetId),
+    *((f"bs({a})", radii.get_entry("bs", alpha=a).target) for a in (0.0, 0.3, 0.6, 0.9)),
+]
+
+
+class TestAxisMirror:
+    # the first call samples the windows about theta = 0 at delta > 0 only
+    # and reads -delta from them
+
+    def test_premise(self):
+        deltas = oracle._REFINE_DELTAS
+        assert oracle._COARSE[1] == 0.0
+        assert np.array_equal(deltas, -deltas[:, ::-1])
+        assert np.all(deltas[:, 16] == 0.0)
+        # the mirror points, as e^{-i delta} and as the window points
+        # e^{i (0 + delta)} at the offsets delta < 0, are the conjugates
+        # of the sampled points, byte for byte
+        mirror = np.conj(np.exp(1j * deltas[:, 17:]))
+        assert np.exp(-1j * deltas[:, 17:]).tobytes() == mirror.tobytes()
+        assert np.exp(1j * (0.0 + deltas[:, 15::-1])).tobytes() == mirror.tobytes()
+        assert np.array_equal(oracle._FIRST_UNIT[129:], np.exp(1j * deltas[:, 17:]).ravel())
+
+    @pytest.mark.parametrize("name, map_fn", _MIRROR_MAPS)
+    def test_mirrored_reference_matches_sampled(self, name, map_fn):
+        # every map is conjugate-symmetric bit for bit, so the values read
+        # at -delta are the ones sampled there
+        for r in (1e-9, *np.linspace(0.05, 0.95, 10), 0.99, 1.0 - 1e-9):
+            for functional in ("re", "abs"):
+                mirrored = sequential_extremize(map_fn, r, functional)
+                sampled = sequential_extremize(map_fn, r, functional, mirror=False)
+                assert mirrored == sampled, (r, functional)
 
 
 class TestGrowthBounds:

@@ -264,17 +264,18 @@ class TestBracketEnds:
 
     def test_point_budget(self, monkeypatch):
         # one condition call: a first call of the 129-angle coarse pass and
-        # all seven rounds about theta = 0, 129 + 7 x 33 points; then, after
-        # a coarse pick elsewhere, all seven rounds about it, and
-        # speculative calls of the rounds left, 33 points each, at most
-        # 6 + 5 + ... + 1 rounds when every round moves the maximum; fewer
-        # points in all than the 2049 angles of a half-grid pass alone
+        # the offsets delta > 0 of all seven rounds about theta = 0,
+        # 129 + 7 x 16 points; then, after a coarse pick elsewhere, all
+        # seven rounds about it, and speculative calls of the rounds left,
+        # 33 points each, at most 6 + 5 + ... + 1 rounds when every round
+        # moves the maximum; fewer points in all than the 2049 angles of a
+        # half-grid pass alone
         calls = _map_call_sizes(monkeypatch)
         get_entry("sp").condition(0.4)
         (points,) = calls
-        assert points[0] == 129 + 7 * 33
+        assert points[0] == 129 + 7 * 16
         assert all(n % 33 == 0 for n in points[1:])
-        assert sum(points) <= 129 + 7 * 33 + 7 * 33 + 21 * 33 < 2049
+        assert sum(points) <= 129 + 7 * 16 + 7 * 33 + 21 * 33 < 2049
 
 
 class TestTieRule:
