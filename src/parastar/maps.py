@@ -62,27 +62,28 @@ def _disc_points(z) -> np.ndarray:
     return arr
 
 
-def _sqrt_upper(z: np.ndarray) -> np.ndarray:
-    w = np.sqrt(z)
-    return np.where(w.imag < 0.0, -w, w)
-
-
 def _ret(val: np.ndarray):
     return val if val.ndim else complex(val)
 
 
 def sqrt_upper(z):
     """Square root with Im >= 0; equals +sqrt(x) on the positive real axis."""
-    z = _as_complex(z)
-    return _ret(_sqrt_upper(z))
+    w = np.sqrt(_as_complex(z))
+    return _ret(np.where(w.imag < 0.0, -w, w))
 
 
 def _log_ratio_sq(w: np.ndarray) -> np.ndarray:
     """log((1 + w)/(1 - w))**2; raises ``SingularPoint`` within
     ``SINGULAR_TOL`` of w = +-1."""
-    if (np.abs(1.0 - w) < SINGULAR_TOL).any() or (np.abs(1.0 + w) < SINGULAR_TOL).any():
+    plus, minus = 1.0 + w, 1.0 - w
+    if (np.abs(minus) < SINGULAR_TOL).any() or (np.abs(plus) < SINGULAR_TOL).any():
         raise SingularPoint("evaluation within tolerance of the log singularity")
-    return np.log((1.0 + w) / (1.0 - w)) ** 2
+    # the quotient overwrites 1 + w and 1 - w is dropped, as numpy's
+    # temporary elision does in the one-expression form, so the logarithm
+    # and the square hold no more arrays than that form did
+    plus /= minus
+    del minus
+    return np.log(plus) ** 2
 
 
 def parabola_map(z, tau: float = 0.0, theta: float = 0.0):
@@ -185,7 +186,7 @@ _TARGETS = {
     TargetId.SIGMOID: (lambda z: 2.0 / (1.0 + np.exp(-z)), (), None),
     TargetId.SINE: (lambda z: 1.0 + np.sin(z), (), None),
     TargetId.ASINH: (lambda z: 1.0 + np.arcsinh(z), (), None),
-    TargetId.COSH_SQRT: (lambda z: np.cosh(_sqrt_upper(z)), (), None),
+    TargetId.COSH_SQRT: (lambda z: np.cosh(np.sqrt(z)), (), None),  # cosh is even
     TargetId.LUNE: (lambda z: z + np.sqrt(1.0 + z * z), (), None),
     TargetId.LEMNISCATE: (lambda z: np.sqrt(1.0 + z), (), None),
     TargetId.NEPHROID: (lambda z: 1.0 + z - z**3 / 3.0, (), None),

@@ -241,61 +241,31 @@ _FIRST_UNIT.setflags(write=False)
 
 
 def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
-    """Maximum of Re ``map_fn`` over the circle |z| = r.
+    """Maximum of Re ``map_fn`` over the circle |z| = r, and its angle.
 
     ``map_fn`` must be conjugate-symmetric, map(conj z) = conj map(z), as
     every map with real Taylor coefficients is (each target of the
-    package, and real-valued functions of them like -|phi - 1|).  Re map
-    then repeats on the lower half circle, so the coarse pass samples
-    only theta = -pi and the upper half [0, pi); a map without the
-    symmetry may peak where the extremizer never looks.
+    package, and real-valued functions of them like -|phi - 1|).  Only
+    theta = -pi and the upper half circle are sampled, and values at -delta
+    are read from +delta, so a map without the symmetry may peak where
+    the extremizer never looks, and one symmetric only to rounding can
+    move the result by that rounding (every target is symmetric bit for
+    bit, ``TestAxisMirror``).  A minimum is the maximum of the negated
+    map, at no cost in accuracy.
 
-    A minimum, or an extreme of another real functional, is the maximum
-    of a negated or real-valued map: -Re f, or -|f - c| for the smallest
-    distance to c.  Negation is exact and every pick on -x is the pick
-    for the minimum of x, so these cost nothing in accuracy.
+    A coarse pass over 129 angles, theta = -pi and every 2 pi / 256 from
+    0, resolves peaks at 16 steps of a 4096-point grid: a peak narrower
+    than that between two coarse angles can lose to a broader one, and
+    the lower maximum is returned.  Seven rounds of 33-point windows
+    refine the best angle to a step of at most 1e-10; a round moves only
+    to a strictly larger value than its centre's.
 
-    The coarse pass takes the best of 129 angles, theta = -pi and every
-    2 pi / 256 from 0.  Nested local grids refine around it: each round
-    samples 33 points about its centre, moves to the best of them and
-    shrinks the window by 16, for seven rounds, from 16 steps of a
-    4096-point grid about the coarse angle down to a step of at most
-    1e-10.  Round 0 about theta = 0 or -pi reaches into the lower half
-    circle, where Re map repeats.  A round moves only to a strictly
-    larger value: where the centre's value ties with the window maximum,
-    as it does once Re map is flat to rounding, the centre stays, where
-    ``argmax`` alone would take the first tied point and walk away from
-    the peak.
-
-    The coarse pass resolves peaks at its own step, 16 grid steps.  Where
-    the highest peak of Re map is narrower than that and lies between two
-    coarse angles, a broader peak that is higher at the coarse angles
-    wins, and the lower maximum is returned.
-
-    Refinement is speculative.  The first map call samples the coarse
-    angles and then the offsets delta > 0 of all seven rounds' windows
-    about theta = 0, where every circle-max map of the radius catalog
-    peaks: 129 + 7 x 16 = 241 points.  By the symmetry the offsets
-    -delta repeat these values, so they serve every round when the
-    coarse pick is theta = 0, and when no sampled value exceeds the
-    value at z = r, every round holds and that point is the result.
-    Otherwise, and after a round that moves, each map call samples every
-    remaining round's window about the current centre.  The rounds are
-    replayed on those values while the centre holds; the round where it
-    moves sets the centre of the next call.  Every value that decides a
-    round is taken at the same angle as in the round-by-round loop, or
-    read from its mirror angle, so for a map whose symmetry is exact the
-    result is the same bit for bit; where the symmetry holds only to
-    rounding, the result can differ by that rounding.  Every target of
-    the package is symmetric bit for bit at the mirrored offsets
-    (``TestAxisMirror`` in tests/test_oracle.py).  A maximum at theta = 0
-    that stays at the centre of every window costs one map call, one at
-    another coarse angle two, and the worst case is eight; over the
-    radius catalog an extremization takes about 1.05.  A failing or
-    non-finite map value anywhere in the speculative windows raises
-    ``SingularOnCircle``, even where the round-by-round loop would not
-    have looked: at the first call's offsets about theta = 0, it raises
-    whatever the coarse pick.
+    The first map call also samples the offsets delta > 0 of the seven
+    windows about theta = 0, 241 points in all.  A maximum at theta = 0
+    costs one map call, one at another coarse angle two, and the worst
+    case is eight (about 1.05 over the radius catalog).  A failing or
+    non-finite map value anywhere in the first call raises
+    ``SingularOnCircle``, whatever the coarse pick.
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("circle radius must lie in [0, 1]")
@@ -500,10 +470,20 @@ def check_subordination_inclusion(map_fn, r: float, samples: int = 4096) -> Veri
     half = (samples + 1) // 2
     for start in range(half, max(samples, half + 1), _SWEEP_BLOCK):
         first = start == half
-        theta = np.arange(start - first, min(start + _SWEEP_BLOCK, samples)) * step - math.pi
+        theta = np.arange(start - first, min(start + _SWEEP_BLOCK, samples), dtype=np.float64)
+        theta *= step
+        theta -= math.pi
         if first:
             theta[0] = -math.pi
-        w = _circle_values(map_fn, r, r * np.exp(1j * theta))
+        # r e^{i theta} as cos and sin written into the parts of one array:
+        # the bytes of r * np.exp(1j * theta) (TestInclusion checks them)
+        # without its three complex temporaries; the map's values replace
+        # the points, which are not kept for the margins
+        w = np.empty(theta.shape, dtype=np.complex128)
+        np.cos(theta, out=w.real)
+        np.sin(theta, out=w.imag)
+        w *= r
+        w = _circle_values(map_fn, r, w)
         # np.minimum keeps a NaN margin, as one np.min over every sample does
         lows = np.minimum(lows, [np.min(mf(w)) for mf in margins])
     worst = min(float(low) for low in lows)
@@ -544,13 +524,25 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
     fppv = np.asarray(fpp(z))
     if (np.abs(fv) < 1e-14).any() or (np.abs(fpv) < 1e-14).any():
         raise DerivativeVanishes("f or f' vanishes on the sample grid")
-    lhs = np.abs(t * (1.0 + z * fppv / fpv) + (1.0 - t) * z * fpv / fv - 1.0)
+    # t (1 + z f''/f') + (1 - t) z f'/f - 1, in place and in the order of
+    # the one-expression form, so every value is the same bit for bit
+    lhs = z * fppv
+    lhs /= fpv
+    lhs += 1.0
+    lhs *= t
+    rest = (1.0 - t) * z
+    rest *= fpv
+    rest /= fv
+    lhs += rest
+    lhs -= 1.0
+    lhs = np.abs(lhs)
     bound = (3.0 + 2.0 * t) / 6.0
     sup = float(np.max(lhs))
     passed = sup < bound
     notes = f"sup over {z.size} samples"
     if passed:
-        w = z * fpv / fv
+        w = z * fpv
+        w /= fv
         disc_margin = 0.5 - float(np.max(np.abs(w - 1.0)))
         region_margin = float(np.min(region.margin(w)))
         conclusion_ok = disc_margin > 0.0 and region_margin > 0.0

@@ -60,15 +60,14 @@ def map_image_figure(target: str = "left_parabola", r: float = 0.9,
 
 def corollary_figure(entry_id: str = "r7_nephroid", samples: int = 256) -> list[Curve]:
     """Target-class boundary with the class image circle at the sharp radius."""
-    if entry_id not in radii._COROLLARY:
+    if entry_id not in radii.COROLLARY_TARGETS:
         raise DomainError(f"no corollary figure for {entry_id!r}")
     zb = np.exp(1j * _circle_angles(samples))
-    closed_fn, target, params = radii._COROLLARY[entry_id]
-    r = closed_fn()
-    phi = target_map(target, **params)
-    zi = r * zb
-    return [Curve(f"{target.value}_boundary", np.asarray(phi(zb))),
-            Curve(f"image_r={r:.6f}", np.asarray(left_parabola(zi)))]
+    entry = radii.get_entry(entry_id)
+    r = entry.closed_form
+    boundary = f"{radii.COROLLARY_TARGETS[entry_id]}_boundary"
+    return [Curve(boundary, np.asarray(entry.target(zb))),
+            Curve(f"image_r={r:.6f}", np.asarray(left_parabola(r * zb)))]
 
 
 def curves_to_csv(curves) -> str:

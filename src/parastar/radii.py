@@ -241,6 +241,10 @@ _COROLLARY = {
         TargetId.REVERSE_LEMNISCATE, {}),
 }
 
+# the corollary entries r1..r9 and the target id whose inner-disc constant
+# is each one's level
+COROLLARY_TARGETS = {rid: row[1].value for rid, row in _COROLLARY.items()}
+
 _KERNEL_LEVEL = {
     # entry id: (parameters with their radius-table values, level, closed
     # form, target map), the last three functions of the parameters; the

@@ -34,10 +34,30 @@ class PowerSeries:
         return self.coeffs.size - 1
 
     def __call__(self, z):
+        """Horner's rule from the leading coefficient; a complex or an array.
+
+        A real scalar (``int``, ``float``, ``np.float64``) runs on Python
+        complex numbers, about ten times faster than numpy on a 0-d array
+        and bit-identical to it at real points.  Complex points keep the
+        numpy route, where the two may differ in the last bit.
+        """
+        if isinstance(z, (int, float)):
+            z = complex(z)
+            cs = self.coeffs[::-1].tolist()
+            out = cs[0]
+            for c in cs[1:]:
+                out = out * z + c
+            return out
         z = np.asarray(z, dtype=np.complex128)
         out = np.full(z.shape, self.coeffs[-1])
+        tmp = np.empty_like(out)
         for c in self.coeffs[-2::-1]:
-            out = out * z + c
+            # two buffers, no array per step; the product goes to the other
+            # buffer because numpy multiplies one element in place by its
+            # reduction loop, which rounds complex products differently
+            np.multiply(out, z, out=tmp)
+            tmp += c
+            out, tmp = tmp, out
         return out if out.ndim else complex(out)
 
     def derivative(self) -> "PowerSeries":
@@ -111,11 +131,13 @@ def series_exp(s: PowerSeries) -> PowerSeries:
         raise NonzeroConstantTerm("series_exp needs a vanishing constant term")
     n_max = s.degree
     ks = s.coeffs * np.arange(n_max + 1)
-    e = np.zeros(n_max + 1, dtype=np.complex128)
-    e[0] = 1.0
+    # rev[n_max - n] = e_n, so e_{n-1}, ..., e_0 is the contiguous tail
+    # rev[n_max - n + 1:] and each step dots two contiguous arrays
+    rev = np.zeros(n_max + 1, dtype=np.complex128)
+    rev[n_max] = 1.0
     for n in range(1, n_max + 1):
-        e[n] = np.dot(ks[1 : n + 1], e[n - 1 :: -1][:n]) / n
-    return PowerSeries(e)
+        rev[n_max - n] = np.dot(ks[1 : n + 1], rev[n_max - n + 1 :]) / n
+    return PowerSeries(rev[::-1])
 
 
 def integrate_over_t(s: PowerSeries) -> PowerSeries:

@@ -103,3 +103,13 @@ def min_and_max(map_fn, r, functional="re"):
     high = extremize_on_circle(f, r)
     low = extremize_on_circle(lambda z: -f(z), r)
     return -low.value, high.value, low.angle, high.angle
+
+
+def reference_horner(coeffs, z):
+    """``PowerSeries.__call__`` as it was before its allocation-lean routes:
+    numpy Horner with a fresh array per step, for scalars on a 0-d array."""
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.full(z.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = out * z + c
+    return out if out.ndim else complex(out)

@@ -35,9 +35,10 @@ from parastar import (
     region,
     sample_schwarz_function,
     target_map,
+    verify,
 )
 from support import (FULL_GRID, FULL_GRID_UNIT, HALF, assert_quoted, log_ratio,
-                     min_and_max, sequential_extremize)
+                     min_and_max, reference_horner, sequential_extremize)
 
 PI = math.pi
 
@@ -704,7 +705,8 @@ class TestInclusion:
                 assert rep.samples == samples
 
     @pytest.mark.parametrize("samples", [1, 2, 3, 4096, (1 << 17) - 1, (1 << 17) + 1,
-                                         1 << 18, 1 << 20])
+                                         1 << 18, 1 << 20,
+                                         *(1 << k for k in (13, 14, 15, 16, 17, 19))])
     def test_points_are_minus_pi_and_upper_half(self, samples):
         theta = np.linspace(-PI, PI, samples, endpoint=False)[np.r_[0, (samples + 1) // 2:samples]]
         assert theta[0] == -PI and (theta[1:] >= 0.0).all() and (theta < PI).all()
@@ -714,7 +716,8 @@ class TestInclusion:
         def counting(z):
             done = sum(sizes)
             assert z.size <= oracle._SWEEP_BLOCK + 1
-            assert np.array_equal(z, expected[done:done + z.size])
+            # the bytes of r * np.exp(1j * theta), signed zeros included
+            assert z.tobytes() == expected[done:done + z.size].tobytes()
             sizes.append(z.size)
             return np.ones_like(z)
 
@@ -763,7 +766,47 @@ class TestInclusion:
         assert -extremize_on_circle(negated, r * (1 + 1e-3)).value < 0.5
 
 
+def _reference_certify(f, t):
+    # (oracle_value, passed, notes) of the certifier as one expression per
+    # quantity, with the series evaluated by the reference Horner
+    z = oracle._CERTIFY_Z
+    fp = f.derivative()
+    fpp = fp.derivative()
+    fv, fpv, fppv = (reference_horner(s.coeffs, z) for s in (f, fp, fpp))
+    lhs = np.abs(t * (1.0 + z * fppv / fpv) + (1.0 - t) * z * fpv / fv - 1.0)
+    sup = float(np.max(lhs))
+    passed = sup < (3.0 + 2.0 * t) / 6.0
+    notes = f"sup over {z.size} samples"
+    if passed:
+        w = z * fpv / fv
+        disc_margin = 0.5 - float(np.max(np.abs(w - 1.0)))
+        region_margin = float(np.min(region.margin(w)))
+        passed = disc_margin > 0.0 and region_margin > 0.0
+        notes += (f"; conclusion margins: disc {disc_margin:.3e}, "
+                  f"region {region_margin:.3e}")
+    return sup, passed, notes
+
+
 class TestCertify:
+    def test_matches_one_expression_reference(self):
+        # 200 seeded members, coefficients scaled so that about half fail,
+        # and extremal members of two degrees
+        rng = np.random.default_rng(26)
+        members = verify.random_polynomial_members(rng, 200)
+        members += [extremal_lower(8), extremal_upper(8), extremal_lower(64)]
+        passes = 0
+        for k, f in enumerate(members):
+            if k < 200:
+                scale = rng.choice([1.0, 2.0, 4.0])
+                f = PowerSeries(np.concatenate(([0.0, 1.0], scale * f.coeffs[2:])))
+            t = float(rng.uniform(0.0, 1.0))
+            rep = certify_sufficient_condition(f, t)
+            sup, passed, notes = _reference_certify(f, t)
+            assert np.float64(rep.oracle_value).tobytes() == np.float64(sup).tobytes()
+            assert (rep.passed, rep.notes) == (passed, notes)
+            passes += passed
+        assert 20 < passes < len(members) - 20
+
     def test_identity_passes_all_t(self):
         f = PowerSeries([0.0, 1.0])
         for t in (0.0, 0.5, 1.0):

@@ -16,6 +16,7 @@ from parastar import (
     p0_coefficients,
     series_exp,
 )
+from support import reference_horner
 
 PI = math.pi
 
@@ -127,3 +128,69 @@ class TestExtremals:
     def test_real_coefficients(self):
         for s in (extremal_lower(40), extremal_upper(40)):
             assert np.max(np.abs(s.coeffs.imag)) < 1e-14
+
+
+def _reference_series_exp(s):
+    # the recurrence with the strided reversed view e[n-1::-1][:n]
+    n_max = s.degree
+    ks = s.coeffs * np.arange(n_max + 1)
+    e = np.zeros(n_max + 1, dtype=np.complex128)
+    e[0] = 1.0
+    for n in range(1, n_max + 1):
+        e[n] = np.dot(ks[1 : n + 1], e[n - 1 :: -1][:n]) / n
+    return e
+
+
+def _bits(w: complex) -> bytes:
+    # the bytes of both parts, so a signed zero counts as a difference
+    return np.complex128(w).tobytes()
+
+
+class TestEvaluationRoutes:
+    """The allocation-lean routes give the earlier results bit for bit."""
+
+    _SERIES = {f"{name}({n})": (fn, n)
+               for name, fn in (("extremal_lower", extremal_lower),
+                                ("extremal_upper", extremal_upper),
+                                ("p0_coefficients", p0_coefficients))
+               for n in (64, 300)}
+
+    @pytest.mark.parametrize("name", list(_SERIES))
+    def test_scalar_route_matches_0d_array(self, name):
+        fn, n = self._SERIES[name]
+        f = fn(n)
+        rng = np.random.default_rng(26)
+        xs = np.concatenate((rng.uniform(-1.0, 1.0, 200), [0.0, -0.0, 0.5, -0.999, 0.999]))
+        for x in xs:
+            ref = reference_horner(f.coeffs, x)
+            for point in (float(x), np.float64(x)):
+                val = f(point)
+                assert type(val) is complex
+                assert _bits(val) == _bits(ref)
+            assert _bits(f(np.asarray(x))) == _bits(ref)
+        for k in (-1, 0, 1):
+            assert _bits(f(k)) == _bits(reference_horner(f.coeffs, k))
+
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_array_route_matches_reference(self, n):
+        f = extremal_lower(n)
+        rng = np.random.default_rng(27)
+        z = 0.9 * rng.uniform(0.0, 1.0, 600) * np.exp(1j * rng.uniform(-PI, PI, 600))
+        for points in (z, z[:1], z[:2], z[:33], z[::3], z.reshape(20, 30).T):
+            assert f(points).tobytes() == reference_horner(f.coeffs, points).tobytes()
+        # complex scalars take the array route, one element at a time
+        for point in z[:100]:
+            assert _bits(f(complex(point))) == _bits(reference_horner(f.coeffs, point))
+            assert _bits(f(point)) == _bits(reference_horner(f.coeffs, point))
+
+    @pytest.mark.parametrize("n", [8, 64, 300])
+    def test_series_exp_matches_strided_recurrence(self, n):
+        kernel = p0_coefficients(n)
+        reflected = kernel.coeffs.copy()
+        reflected[1::2] *= -1.0
+        rng = np.random.default_rng(n)
+        noise = np.zeros(n + 1, dtype=complex)
+        noise[1:] = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.arange(1, n + 1)
+        for s in (integrate_over_t(kernel), integrate_over_t(PowerSeries(reflected)),
+                  PowerSeries(noise)):
+            assert series_exp(s).coeffs.tobytes() == _reference_series_exp(s).tobytes()
