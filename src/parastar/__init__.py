@@ -24,11 +24,9 @@ from .errors import (
 )
 from .maps import (
     TargetId,
-    eval_target,
     left_parabola,
     parabola_map,
     ronning_parabola,
-    sqrt_upper,
     target_map,
 )
 from .oracle import (

@@ -12,7 +12,7 @@ import sys
 
 from . import plots, radii, verify
 from .errors import ParamRange, ParastarError
-from .maps import TargetId, eval_target, parabola_map
+from .maps import TargetId, target_map
 from .oracle import SCHEMA, certify_sufficient_condition
 from .series import PowerSeries, extremal_lower, extremal_upper, p0_coefficients
 
@@ -28,14 +28,7 @@ def _write(text: str, out: str | None) -> None:
 def _cmd_eval(args) -> int:
     z = complex(args.z)
     params = _entry_params(args)
-    if args.target == "parabola":
-        extra = sorted(set(params) - {"tau", "theta"})
-        if extra:
-            raise ParamRange(f"unexpected parameters for parabola: {extra}")
-        params = {"tau": params.get("tau", 0.0), "theta": params.get("theta", 0.0)}
-        value = parabola_map(z, **params)
-    else:
-        value = eval_target(args.target, z, **params)
+    value = target_map(args.target, **params)(z)
     payload = {"schema": SCHEMA, "target": args.target, "params": params,
                "z": {"re": z.real, "im": z.imag},
                "value": {"re": value.real, "im": value.imag}}
@@ -56,7 +49,7 @@ def _cmd_series(args) -> int:
 
 def _entry_params(args) -> dict:
     params = {}
-    for name in ("alpha", "beta", "A", "B", "tau", "theta"):
+    for name in ("alpha", "beta", "A", "B"):
         val = getattr(args, name, None)
         if val is not None:
             params[name] = val
@@ -140,9 +133,6 @@ def _cmd_plot(args) -> int:
     elif args.kind == "map-image":
         curves = plots.map_image_figure(args.target, r=args.r,
                                         samples=args.samples, **_entry_params(args))
-    elif args.kind == "discs":
-        curves = plots.region_figure(disc_centers=args.discs or [0.0, 1.0],
-                                     samples=args.samples)
     else:
         curves = plots.corollary_figure(args.entry, samples=args.samples)
     text = (plots.curves_to_svg(curves) if args.format == "svg"
@@ -160,15 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="parabolic-region radius toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    target_names = [t.value for t in TargetId] + ["parabola"]
     pe = sub.add_parser("eval", help="evaluate a target map at a point")
-    pe.add_argument("--target", required=True, choices=target_names)
+    pe.add_argument("--target", required=True, choices=[t.value for t in TargetId])
     pe.add_argument("--z", required=True, help="complex point, e.g. 0.3+0.1j")
     pe.add_argument("--alpha", type=float)
     pe.add_argument("--A", type=float)
     pe.add_argument("--B", type=float)
-    pe.add_argument("--tau", type=float)
-    pe.add_argument("--theta", type=float)
     pe.add_argument("--out")
     pe.set_defaults(func=_cmd_eval)
 
@@ -211,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=_cmd_certify)
 
     pp = sub.add_parser("plot", help="emit SVG or CSV figures")
-    pp.add_argument("kind", choices=("region", "map-image", "discs", "corollary-figure"))
+    pp.add_argument("kind", choices=("region", "map-image", "corollary-figure"))
     pp.add_argument("--r", type=float, default=0.9)
     pp.add_argument("--target", default="left_parabola")
     pp.add_argument("--alpha", type=float)

@@ -11,21 +11,19 @@ lemniscates, Janowski, ...) used to state membership radii.
 
 Branch conventions
 ------------------
-``sqrt_upper`` picks the square root with nonnegative imaginary part; on
-the positive real axis the positive root is returned, so the cut sits on
-the positive reals.  The parabola maps take the principal root instead:
-log^2 of the Moebius ratio (1+w)/(1-w) is even in w, so both roots give
-the same value, and the principal one keeps the maps conjugate-symmetric
-bit for bit, map(conj z) = conj map(z), as ``np.sqrt``, the ratio, the
-logarithm and the square each are.  For either root the ratio stays in
-the closed right half-plane for |w| <= 1, hence the principal logarithm
-never meets its cut on the disc.  All evaluation is double precision and
-vectorised; every function is pure.
+The three parabola maps share one kernel, written once in
+``parabola_map``, and take the principal square root: log^2 of the
+Moebius ratio (1+w)/(1-w) is even in w, so both roots give the same
+value, and the principal one keeps the maps conjugate-symmetric bit for
+bit, map(conj z) = conj map(z), as ``np.sqrt``, the ratio, the logarithm
+and the square each are.  The ratio stays in the closed right half-plane
+for |w| <= 1, hence the principal logarithm never meets its cut on the
+disc.  All evaluation is double precision and vectorised; every
+function is pure.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 
@@ -39,13 +37,6 @@ SINGULAR_TOL = 1e-12
 
 _TWO_OVER_PI_SQ = 2.0 / math.pi**2
 _SQRT2 = math.sqrt(2.0)
-
-
-def _as_complex(z) -> np.ndarray:
-    arr = np.asarray(z, dtype=np.complex128)
-    if not np.isfinite(arr).all():
-        raise DomainError("non-finite input point")
-    return arr
 
 
 def _disc_points(z) -> np.ndarray:
@@ -66,12 +57,6 @@ def _ret(val: np.ndarray):
     return val if val.ndim else complex(val)
 
 
-def sqrt_upper(z):
-    """Square root with Im >= 0; equals +sqrt(x) on the positive real axis."""
-    w = np.sqrt(_as_complex(z))
-    return _ret(np.where(w.imag < 0.0, -w, w))
-
-
 def _log_ratio_sq(w: np.ndarray) -> np.ndarray:
     """log((1 + w)/(1 - w))**2; raises ``SingularPoint`` within
     ``SINGULAR_TOL`` of w = +-1."""
@@ -86,43 +71,32 @@ def _log_ratio_sq(w: np.ndarray) -> np.ndarray:
     return np.log(plus) ** 2
 
 
-def parabola_map(z, tau: float = 0.0, theta: float = 0.0):
-    """Kernel -(2 e^{i theta}/pi^2) log^2((1+e^{i tau} sqrt z)/(1-e^{i tau} sqrt z)).
+def parabola_map(z):
+    """Kernel -(2/pi^2) log^2((1 + sqrt z)/(1 - sqrt z)) of the parabola maps.
 
-    Maps the unit circle onto a parabola with focus at the origin; theta
-    rotates the image axis and tau the pre-image.  (0, 0) gives the kernel
-    of ``left_parabola``; (0, pi) the right-opening kernel of
-    ``ronning_parabola``.  Oblique parameters are evaluated with the same
-    principal branches, but only the axis-aligned geometry is relied on
-    elsewhere in the package.
+    Maps the unit circle onto a left-opening parabola with focus at the
+    origin; 0 at z = 0, real on (-1, 1) up to rounding, and singular only
+    at z = 1.
     """
-    if not (-math.pi < tau <= math.pi) or not (-math.pi < theta <= math.pi):
-        raise ParamRange("tau and theta must lie in (-pi, pi]")
-    z = _disc_points(z)
-    # e^{i tau} and -(2/pi^2) e^{i theta} are exactly real at 0 and pi: the
-    # float e^{i pi} has sin(pi) != 0, which would leave Im != 0 on the real axis
-    w = (-1.0 if tau == math.pi else cmath.exp(1j * tau)) * np.sqrt(z)
-    factor = _TWO_OVER_PI_SQ if theta == math.pi else -_TWO_OVER_PI_SQ * cmath.exp(1j * theta)
-    return _ret(factor * _log_ratio_sq(w))
+    return _ret(-_TWO_OVER_PI_SQ * _log_ratio_sq(np.sqrt(_disc_points(z))))
 
 
 def left_parabola(z):
     """Map of the disc onto {w : (Im w)^2 < 3 - 2 Re w}, normalised to 1 at 0.
 
-    Real on (-1, 1); sends -1 to the vertex value 3/2 and blows up only
-    at z = 1.
+    1 + ``parabola_map``: real on (-1, 1); sends -1 to the vertex value
+    3/2 and blows up only at z = 1.
     """
-    z = _disc_points(z)
-    return _ret(1.0 - _TWO_OVER_PI_SQ * _log_ratio_sq(np.sqrt(z)))
+    return 1.0 + parabola_map(z)
 
 
 def ronning_parabola(z):
     """Right-opening parabolic map 1 + (2/pi^2) log^2((1+sqrt z)/(1-sqrt z)).
 
-    The classical parabolic-starlike target; its image is {w : Re w > |w-1|}.
+    1 - ``parabola_map``, the classical parabolic-starlike target; its
+    image is {w : Re w > |w-1|}.
     """
-    z = _disc_points(z)
-    return _ret(1.0 + _TWO_OVER_PI_SQ * _log_ratio_sq(np.sqrt(z)))
+    return 1.0 - parabola_map(z)
 
 
 class TargetId(str, enum.Enum):
@@ -223,7 +197,3 @@ def target_map(target, **params):
 
     return phi
 
-
-def eval_target(target, z, **params):
-    """Evaluate the named target map at ``z`` (scalar or array)."""
-    return target_map(target, **params)(z)

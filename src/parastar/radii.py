@@ -374,8 +374,9 @@ def _peng_zhong_condition(r: float) -> float:
 
 
 def _peng_zhong_quadrature_condition(r: float) -> float:
-    # the same bound with g(r) as the quadrature upper growth bound
-    return oracle.growth_upper_bound(r) * kernel_modulus(r) - 0.5
+    # the same bound with g(r) as the quadrature upper growth bound and |k(r)|
+    # as minus the degree-64 kernel series, so neither factor is the closed form's
+    return oracle.growth_upper_bound(r) * -_kernel_series_64()(r).real - 0.5
 
 
 @cache
@@ -389,7 +390,8 @@ def _peng_zhong_radius() -> RadiusEntry:
     Smallest positive root of g(r) |k(r)| = 1/2, where g is the upper
     growth extremal and k the parabola kernel; equivalently
     4 g(r) log^2((1+sqrt r)/(1-sqrt r)) = pi^2.  The closed form and the
-    witness take g from its degree-64 series, the condition from quadrature.
+    witness take g from its degree-64 series and |k| from the log formula,
+    the condition g from quadrature and |k| from the kernel series.
     """
     closed = _peng_zhong_root()
     return RadiusEntry("peng_zhong", {}, closed, _peng_zhong_quadrature_condition,

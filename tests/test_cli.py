@@ -33,28 +33,22 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["value"]["re"] - 3.0) < 1e-12
 
-    def test_oblique_point_evaluation(self, capsys):
-        assert main(["eval", "--target", "parabola", "--z", "0.25",
-                     "--tau", "0.3", "--theta", "0.1"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["params"] == {"tau": 0.3, "theta": 0.1}
-
     def test_singular_point_is_usage_error(self, capsys):
         assert main(["eval", "--target", "left_parabola", "--z", "1"]) == 2
 
-    def test_parabola_defaults(self, capsys):
-        assert main(["eval", "--target", "parabola", "--z", "0.3"]) == 0
-        assert json.loads(capsys.readouterr().out)["params"] == {"tau": 0.0, "theta": 0.0}
-
-    def test_parabola_rejects_class_parameters(self, capsys):
-        assert main(["eval", "--target", "parabola", "--z", "0.3",
-                     "--A", "0.5", "--B", "-0.5"]) == 2
-        assert "unexpected parameters for parabola: ['A', 'B']" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--tau", "--theta"])
-    def test_other_targets_reject_tau_and_theta(self, flag, capsys):
-        assert main(["eval", "--target", "sine", "--z", "0.3", flag, "1.0"]) == 2
-        assert f"unexpected parameters for sine: ['{flag[2:]}']" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--target", "parabola", "--z", "0.3"],
+        ["eval", "--target", "left_parabola", "--z", "0.3", "--tau", "1"],
+        ["eval", "--target", "sine", "--z", "0.3", "--theta", "1"],
+        ["plot", "discs"],
+    ], ids=["parabola", "--tau", "--theta", "plot-discs"])
+    def test_removed_paths_are_usage_errors(self, argv, capsys):
+        # --target takes exactly the TargetId values, there are no rotation
+        # flags, and discs are drawn by `plot region --discs`
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestSeries:
@@ -262,14 +256,11 @@ class TestPlot:
         assert captured.out == ""
         assert "need at least 64 samples" in captured.err
 
-    def test_discs_default_and_given_centres(self, capsys):
-        assert main(["plot", "discs", "--format", "csv"]) == 0
-        default = capsys.readouterr().out
-        curves = {line.split(",")[0] for line in default.splitlines()[2:]}
+    def test_region_with_discs(self, capsys):
+        assert main(["plot", "region", "--discs", "0,1", "--format", "csv"]) == 0
+        curves = {line.split(",")[0] for line in capsys.readouterr().out.splitlines()[2:]}
         assert curves == {"boundary", "tangent_plus", "tangent_minus",
                           "disc_a=0", "disc_a=1"}
-        assert main(["plot", "discs", "--discs", "0,1", "--format", "csv"]) == 0
-        assert capsys.readouterr().out == default
 
     def test_image_fills_out_to_boundary(self):
         # every boundary point in a bounded window gets approached by the

@@ -12,47 +12,14 @@ from parastar import (
     SingularPoint,
     TargetId,
     UnknownTarget,
-    eval_target,
     left_parabola,
     maps,
     parabola_map,
     ronning_parabola,
-    sqrt_upper,
     target_map,
 )
 
 PI = math.pi
-
-
-class TestSqrtUpper:
-    def test_fixed_point_zero(self):
-        assert sqrt_upper(0) == 0
-
-    def test_positive_real_branch(self):
-        assert sqrt_upper(0.25) == 0.5
-
-    def test_minus_one_gives_i(self):
-        root = sqrt_upper(-1)
-        assert root.imag >= 0
-        assert abs(root**2 - (-1)) < 1e-15
-        assert abs(root - 1j) < 1e-15
-
-    @given(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
-    @settings(max_examples=200, deadline=None)
-    def test_branch_coherence(self, z):
-        w = sqrt_upper(z)
-        assert w.imag >= -1e-15
-        assert abs(w**2 - z) <= 1e-12 * (1.0 + abs(z))
-
-    def test_vectorized(self):
-        z = np.array([0.0, 0.25, -1.0, 0.5j])
-        w = sqrt_upper(z)
-        assert np.all(w.imag >= -1e-15)
-        assert np.allclose(w**2, z, atol=1e-14)
-
-    def test_rejects_nan(self):
-        with pytest.raises(DomainError):
-            sqrt_upper(complex("nan"))
 
 
 # the four entry points that check their input with maps._disc_points
@@ -120,17 +87,16 @@ class TestParabolaMap:
         tail = 2.0 * abs(coeffs[n]) * 0.5 ** (n + 1) / (1.0 - 0.5)
         assert np.max(np.abs(direct - partial)) <= tail + 1e-13
 
-    @pytest.mark.parametrize("theta", [0.0, PI])
-    def test_real_on_real_axis(self, theta):
-        # at tau = 0 and pi the pre-image rotation is +-1, and at theta = 0
-        # and pi the factor -+2/pi^2 is real, so no imaginary residue
+    def test_real_on_real_axis(self):
+        # the principal root of x in [0, 1) is real, so no map leaves an
+        # imaginary residue there, on an array or at a scalar
         r = np.linspace(0.0, 1.0, 64, endpoint=False)
-        for tau in (0.0, PI):
-            assert (parabola_map(r, tau=tau, theta=theta).imag == 0.0).all()
-            assert all(parabola_map(float(x), tau=tau, theta=theta).imag == 0.0 for x in r)
+        for f in (parabola_map, left_parabola, ronning_parabola):
+            assert (f(r).imag == 0.0).all()
+            assert all(f(float(x)).imag == 0.0 for x in r)
 
     def test_right_parabola_divergence_near_one(self):
-        val = parabola_map(1.0 - 1e-6, theta=PI)
+        val = ronning_parabola(1.0 - 1e-6)
         assert val.real > 15.0
 
     def test_singular_point_flagged(self):
@@ -138,10 +104,6 @@ class TestParabolaMap:
             parabola_map(1.0)
         with pytest.raises(SingularPoint):
             parabola_map(1.0 - 1e-30)
-
-    def test_param_range(self):
-        with pytest.raises(ParamRange):
-            parabola_map(0.1, tau=4.0)
 
     def test_outside_disc_rejected(self):
         with pytest.raises(DomainError):
@@ -160,7 +122,9 @@ class TestParabolaMap:
         k = 2.0 / PI**2
         upper = r * oracle._FIRST_UNIT[1:]
         for z in (upper, np.asarray(upper[200])):
-            log_sq = np.log((1.0 + sqrt_upper(z)) / (1.0 - sqrt_upper(z))) ** 2
+            root = np.sqrt(z)
+            root = np.where(root.imag < 0.0, -root, root)  # the Im >= 0 root
+            log_sq = np.log((1.0 + root) / (1.0 - root)) ** 2
             for got, want in ((left_parabola(z), 1.0 - k * log_sq),
                               (ronning_parabola(z), 1.0 + k * log_sq),
                               (parabola_map(z), -k * log_sq)):
@@ -175,10 +139,18 @@ class TestParabolaMap:
             left_parabola(np.array([0.5, 1.0]))
 
     def test_generic_matches_specialisations(self):
+        # left_parabola = 1 + kernel and ronning_parabola = 1 - kernel bit
+        # for bit, on first-call circles, random disc points and a 0-d point
+        from parastar import oracle
+
         rng = np.random.default_rng(3)
-        z = 0.9 * rng.uniform(0, 1, 32) * np.exp(1j * rng.uniform(-PI, PI, 32))
-        assert np.max(np.abs(parabola_map(z) - (left_parabola(z) - 1.0))) < 1e-13
-        assert np.max(np.abs(parabola_map(z, theta=PI) - (ronning_parabola(z) - 1.0))) < 1e-13
+        rand = 0.9 * rng.uniform(0, 1, 32) * np.exp(1j * rng.uniform(-PI, PI, 32))
+        for z in [r * oracle._FIRST_UNIT for r in (1e-9, 0.3, 0.99, 1.0 - 1e-9)] + [rand]:
+            for pts in (z, np.asarray(z[20])):
+                kernel = parabola_map(pts)
+                for got, want in ((left_parabola(pts), 1.0 + kernel),
+                                  (ronning_parabola(pts), 1.0 - kernel)):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestLeftParabola:
@@ -224,22 +196,22 @@ class TestTargets:
         (TargetId.LEFT_PARABOLA, {}),
     ])
     def test_normalised_at_zero(self, target, params):
-        assert abs(eval_target(target, 0.0, **params) - 1.0) <= 1e-15
+        assert abs(target_map(target, **params)(0.0) - 1.0) <= 1e-15
 
     def test_sine_real_on_reals(self):
         for r in (0.1, 0.4, 0.9):
-            val = eval_target(TargetId.SINE, r)
+            val = target_map(TargetId.SINE)(r)
             assert val.imag == 0.0
             assert val.real == 1.0 + math.sin(r)
 
     def test_janowski_moebius_identity(self):
         # (1 + 0.5)/(1 - 0.5) = 3
-        assert abs(eval_target(TargetId.JANOWSKI, 0.5, A=1.0, B=-1.0) - 3.0) < 1e-14
+        assert abs(target_map(TargetId.JANOWSKI, A=1.0, B=-1.0)(0.5) - 3.0) < 1e-14
 
     def test_janowski_pole_flagged(self):
         # B = -1 puts the pole at z = 1 on the closed disc
         with pytest.raises(SingularPoint):
-            eval_target(TargetId.JANOWSKI, 1.0, A=1.0, B=-1.0)
+            target_map(TargetId.JANOWSKI, A=1.0, B=-1.0)(1.0)
 
     def test_janowski_param_validation(self):
         with pytest.raises(ParamRange):
@@ -257,11 +229,11 @@ class TestTargets:
 
     def test_lune_explicit_value(self):
         # 5/12 + sqrt(1 + 25/144) = 5/12 + 13/12 = 3/2
-        val = eval_target(TargetId.LUNE, 5.0 / 12.0)
+        val = target_map(TargetId.LUNE)(5.0 / 12.0)
         assert abs(val - 1.5) < 1e-15
 
     def test_reverse_lemniscate_endpoints(self):
         # z = 1 gives sqrt(2); z = -1 gives 0
         s2 = math.sqrt(2.0)
-        assert abs(eval_target(TargetId.REVERSE_LEMNISCATE, 1.0) - s2) < 1e-14
-        assert abs(eval_target(TargetId.REVERSE_LEMNISCATE, -1.0)) < 1e-14
+        assert abs(target_map(TargetId.REVERSE_LEMNISCATE)(1.0) - s2) < 1e-14
+        assert abs(target_map(TargetId.REVERSE_LEMNISCATE)(-1.0)) < 1e-14

@@ -41,7 +41,7 @@ MUTATIONS = {
         "region.py", "return (2.0 / _PI_SQ) * log_ratio(r) ** 2",
         "return (2.0 / _PI_SQ) * (1.0 + 5e-7) * log_ratio(r) ** 2",
         [*_KERNEL_LEVEL_ROWS, "region/real_part_bounds", "growth/covered_radius",
-         "growth/series_vs_quadrature"]),
+         "growth/series_vs_quadrature", "radius/peng_zhong"]),
     "two_over_pi_sq": (
         "maps.py", "_TWO_OVER_PI_SQ = 2.0 / math.pi**2",
         "_TWO_OVER_PI_SQ = 2.0 / math.pi**2 * (1.0 + 5e-7)",
