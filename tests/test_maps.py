@@ -87,11 +87,16 @@ class TestParabolaMap:
         tail = 2.0 * abs(coeffs[n]) * 0.5 ** (n + 1) / (1.0 - 0.5)
         assert np.max(np.abs(direct - partial)) <= tail + 1e-13
 
-    def test_real_on_real_axis(self):
-        # the principal root of x in [0, 1) is real, so no map leaves an
-        # imaginary residue there, on an array or at a scalar
+    @pytest.mark.parametrize("theta", [0.0, PI])
+    def test_real_on_real_axis(self, theta):
+        # theta is the parabola's orientation: 0 opens to the left
+        # (left_parabola), pi to the right (ronning_parabola); both share
+        # parabola_map's kernel, and the principal root of x in [0, 1) is
+        # real, so no map leaves an imaginary residue there, on an array or
+        # at a scalar
+        oriented = {0.0: left_parabola, PI: ronning_parabola}[theta]
         r = np.linspace(0.0, 1.0, 64, endpoint=False)
-        for f in (parabola_map, left_parabola, ronning_parabola):
+        for f in (parabola_map, oriented):
             assert (f(r).imag == 0.0).all()
             assert all(f(float(x)).imag == 0.0 for x in r)
 
