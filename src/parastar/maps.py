@@ -58,10 +58,10 @@ def _ret(val: np.ndarray):
 
 
 def _log_ratio_sq(w: np.ndarray) -> np.ndarray:
-    """log((1 + w)/(1 - w))**2; raises ``SingularPoint`` within
-    ``SINGULAR_TOL`` of w = +-1."""
+    """log((1 + w)/(1 - w))**2 for a principal root w (Re w >= 0, so
+    |1 + w| >= 1); raises ``SingularPoint`` within ``SINGULAR_TOL`` of w = 1."""
     plus, minus = 1.0 + w, 1.0 - w
-    if (np.abs(minus) < SINGULAR_TOL).any() or (np.abs(plus) < SINGULAR_TOL).any():
+    if (np.abs(minus) < SINGULAR_TOL).any():
         raise SingularPoint("evaluation within tolerance of the log singularity")
     # the quotient overwrites 1 + w and 1 - w is dropped, as numpy's
     # temporary elision does in the one-expression form, so the logarithm

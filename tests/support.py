@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from parastar import oracle
+from parastar.errors import QuadratureFailure
 from parastar.oracle import extremize_on_circle
 
 
@@ -113,3 +115,43 @@ def reference_horner(coeffs, z):
     for c in coeffs[-2::-1]:
         out = out * z + c
     return out if out.ndim else complex(out)
+
+
+def _reference_panel_sums(fn, lo, hi):
+    nodes, weights = oracle._gauss_legendre()
+    half = 0.5 * (hi - lo)
+    t = (lo + half)[:, None] + half[:, None] * nodes
+    vals = np.asarray(fn(t.ravel()), dtype=np.float64).reshape(t.shape)
+    if not np.isfinite(vals).all():
+        raise QuadratureFailure("integrand is not finite at a quadrature node")
+    return half * (vals @ weights), np.abs(half) * (np.abs(vals) @ weights)
+
+
+def reference_quad_checked(fn, a, b):
+    """``oracle._quad_checked`` as it was before its one-call first round:
+    [a, b] in one call of fn, then each round's halves in the next, every
+    round through the same bookkeeping; bit for bit what the driver must
+    still return."""
+    lo, hi = np.array([a], dtype=np.float64), np.array([b], dtype=np.float64)
+    whole, (scale,) = _reference_panel_sums(fn, lo, hi)
+    accepted, err = [], 0.0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        halves, _ = _reference_panel_sums(fn, np.concatenate((lo, mid)),
+                                          np.concatenate((mid, hi)))
+        left, right = halves[:lo.size], halves[lo.size:]
+        pair = left + right
+        diff = np.abs(pair - whole)
+        ok = diff <= oracle._PANEL_TOL * scale
+        accepted.extend(pair[ok].tolist())
+        err += float(np.sum(diff[ok]))
+        split = ~ok
+        lo = np.concatenate((lo[split], mid[split]))
+        hi = np.concatenate((mid[split], hi[split]))
+        whole = np.concatenate((left[split], right[split]))
+        if len(accepted) + lo.size > oracle._MAX_PANELS:
+            raise QuadratureFailure(f"quadrature needs more than {oracle._MAX_PANELS} panels")
+    val = math.fsum(accepted)
+    if err > oracle._QUAD_TARGET * (1.0 + abs(val)):
+        raise QuadratureFailure(f"quadrature error estimate {err:.3e} too large")
+    return val

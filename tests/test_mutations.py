@@ -65,6 +65,10 @@ MUTATIONS = {
         "coeffs[1:] = -(8.0 / math.pi**2) * (1.0 + 1.25e-7) * odd_sums / n",
         ["growth/series_vs_quadrature", "radius/majorization", "radius/peng_zhong",
          "series/upper_coefficients"]),
+    "lower_integrand": (
+        "oracle.py", "return -region.kernel_modulus(t) / t",
+        "return -region.kernel_modulus(t) / t * (1.0 + 1e-6)",
+        ["growth/covered_radius", "growth/series_vs_quadrature"]),
     "upper_integrand": (
         "oracle.py", "return (8.0 / _PI_SQ) * np.arctan(np.sqrt(t)) ** 2 / t",
         "return (8.0 / _PI_SQ) * np.arctan(np.sqrt(t)) ** 2 / t * (1.0 + 1.25e-7)",

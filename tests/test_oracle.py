@@ -38,7 +38,8 @@ from parastar import (
     verify,
 )
 from support import (FULL_GRID, FULL_GRID_UNIT, HALF, assert_quoted, log_ratio,
-                     min_and_max, reference_horner, sequential_extremize)
+                     min_and_max, reference_horner, reference_quad_checked,
+                     sequential_extremize)
 
 PI = math.pi
 
@@ -615,6 +616,53 @@ class TestQuadrature:
         with np.errstate(divide="ignore"):
             with pytest.raises(QuadratureFailure):
                 oracle._quad_checked(lambda t: 1.0 / (t - 0.5) ** 2, 0.0, 1.0)
+
+    def test_one_call_per_integrand(self, monkeypatch):
+        # the first round takes [0, r] and both halves, 60 nodes, in one
+        # call, and at r = 0.5 both growth quadratures end there
+        calls = []
+        for name in ("_lower_integrand", "_upper_integrand"):
+            fn = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name,
+                                lambda t, fn=fn, name=name: calls.append((name, t.size)) or fn(t))
+        growth_bounds(0.5)
+        assert sorted(calls) == [("_lower_integrand", 60), ("_upper_integrand", 60)]
+
+    def test_further_rounds_call_again(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t.size)
+            return np.sqrt(t)
+
+        val = oracle._quad_checked(fn, 0.0, 1.0)
+        assert calls[0] == 60 and len(calls) > 1
+        assert val.hex() == reference_quad_checked(np.sqrt, 0.0, 1.0).hex()
+
+    def test_bit_equal_to_two_call_reference(self, monkeypatch):
+        # every growth and member quadrature returns the two-call driver's
+        # value bit for bit, first-round and multi-round cases alike
+        quad = oracle._quad_checked
+        seen = []
+
+        def both(fn, a, b):
+            calls = []
+            val = quad(lambda t: calls.append(t) or fn(t), a, b)
+            seen.append((val.hex(), reference_quad_checked(fn, a, b).hex(), len(calls)))
+            return val
+
+        monkeypatch.setattr(oracle, "_quad_checked", both)
+        rng = np.random.default_rng(11)
+        radii_ = [*rng.uniform(0.0, 1.0, 197), 1.0 - 1e-6, 1.0 - 2.0**-30, 1.0]
+        for r in radii_:
+            growth_bounds(float(r))
+        for _ in range(50):
+            w_fn, _ = sample_schwarz_function(rng)
+            for r in (0.3, 0.6, 0.9, 0.95):
+                member_growth_modulus(w_fn, r)
+        assert len(seen) == 2 * len(radii_) + 200
+        assert all(ours == ref for ours, ref, _ in seen)
+        assert any(n > 1 for *_, n in seen)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6, 1.0 - 2.0**-30,
