@@ -8,19 +8,20 @@ import pathlib
 
 import numpy as np
 
-import parastar as ps
+from parastar.maps import parabola_map
+from parastar.region import argument_sector_check, inscribed_disc, margin, real_part_bounds
 
 # The region {(Im w)^2 < 3 - 2 Re w} has vertex 3/2 and opens leftward.
 # Membership comes with a signed margin, positive inside.
 for w in (1.0, 1.5, 1 + 1j, -2 + 1j, 0.5 - 0.5j):
-    print(f"w = {w!s:>12}: margin = {ps.margin(w):+.6f}  inside = {ps.margin(w) > 0.0}")
+    print(f"w = {w!s:>12}: margin = {margin(w):+.6f}  inside = {margin(w) > 0.0}")
 
 # The map value at -r maximises the real part on |z| = r, the value at +r
 # minimises it; compare the closed bounds with brute force at r = 0.5.
 r = 0.5
 angles = np.linspace(-np.pi, np.pi, 100_000, endpoint=False)
-vals = np.real(ps.parabola_map(r * np.exp(1j * angles)))
-lo, hi = ps.real_part_bounds(r)
+vals = np.real(parabola_map(r * np.exp(1j * angles)))
+lo, hi = real_part_bounds(r)
 print(f"\nreal-part bounds at r={r}: closed ({lo:.10f}, {hi:.10f})")
 print(f"                       brute ({vals.min():.10f}, {vals.max():.10f})")
 
@@ -28,14 +29,14 @@ print(f"                       brute ({vals.min():.10f}, {vals.max():.10f})")
 # vertex for 1/2 < a < 3/2.
 print("\ninscribed discs:")
 for a in (-1.0, 0.0, 0.5, 1.0, 1.4):
-    disc = ps.inscribed_disc(a)
+    disc = inscribed_disc(a)
     print(f"  a = {a:+.2f}: radius {disc.radius:.10f}  (zeta={disc.zeta:+.4f})")
 
 # The whole region sits inside the sector |arg(w - 2)| > 3pi/4; the
 # tangency points 1 +- i are the only boundary contacts.
 print("\nargument sector:")
 for w in (1.0, 1.4 + 0.4j, 1 + 1j):
-    print(f"  w = {w!s:>10}: sector check = {ps.argument_sector_check(w)}")
+    print(f"  w = {w!s:>10}: sector check = {argument_sector_check(w)}")
 
 # Emit the standard figure: boundary parabola, tangent rays, two discs.
 from parastar.plots import curves_to_svg, region_figure

@@ -10,19 +10,21 @@ Run:  python demos/04_certification.py
 
 import numpy as np
 
-import parastar as ps
+from parastar.maps import target_map
+from parastar.oracle import certify_sufficient_condition, check_subordination_inclusion
+from parastar.series import PowerSeries
 from parastar.verify import certify_sample_members
 
 # The quadratic family z + c z^2 is the classical threshold example at
 # t = 0: sup |c z/(1 + c z)| = c/(1 - c), so c = 0.3 passes (3/7 < 1/2)
 # and c = 0.4 fails (2/3 > 1/2).
 for c in (0.3, 0.4):
-    rep = ps.certify_sufficient_condition(ps.PowerSeries([0.0, 1.0, c]), t=0.0)
+    rep = certify_sufficient_condition(PowerSeries([0.0, 1.0, c]), t=0.0)
     print(f"c = {c}: sup = {rep.oracle_value:.6f} vs bound {rep.closed_form:.6f} "
           f"-> {'pass' if rep.passed else 'fail'}")
 
 # At t = 1 the inequality reads |z f''/f'| < 5/6.
-rep = ps.certify_sufficient_condition(ps.PowerSeries([0.0, 1.0, 0.1]), t=1.0)
+rep = certify_sufficient_condition(PowerSeries([0.0, 1.0, 0.1]), t=1.0)
 print(f"t = 1 bound: {rep.closed_form:.6f}; quadratic c=0.1 sup {rep.oracle_value:.6f}")
 
 # Seeded random polynomials that pass the inequality always land inside
@@ -34,6 +36,6 @@ print("example report notes:", passing[0].notes)
 
 # Containment checking is available directly for any target map.
 r = float(np.hypot(1.0, 0.0)) * 0.5
-rep = ps.check_subordination_inclusion(ps.target_map("sigmoid"), r)
+rep = check_subordination_inclusion(target_map("sigmoid"), r)
 print(f"\nsigmoid image at r = {r}: worst margin {rep.oracle_value:.6f} "
       f"({'inside' if rep.passed else 'outside'})")

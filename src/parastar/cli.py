@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import plots, radii, verify
+from . import radii, verify
 from .errors import ParamRange, ParastarError
 from .maps import TargetId, target_map
 from .oracle import SCHEMA, certify_sufficient_condition
@@ -36,10 +36,17 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# the largest degree a command accepts: series builds --n by an O(n^2)
+# recurrence, the certify reader builds max index + 1 coefficients, and
+# certification costs degree x 11,264 grid points
+MAX_DEGREE = 4096
+
 _SERIES = {"p0": p0_coefficients, "f0": extremal_lower, "g0": extremal_upper}
 
 
 def _cmd_series(args) -> int:
+    if args.n > MAX_DEGREE:
+        raise ParamRange(f"--n {args.n} exceeds the maximum degree {MAX_DEGREE}")
     s = _SERIES[args.which](args.n)
     lines = [f"# schema: {SCHEMA}", "index,re,im"]
     lines += [f"{i},{float(c.real)!r},{float(c.imag)!r}" for i, c in enumerate(s.coeffs)]
@@ -92,11 +99,6 @@ def _cmd_verify(args) -> int:
     return 0 if reports and all(r.passed for r in reports) else 1
 
 
-# the largest coefficient index certify reads: the reader builds max index + 1
-# coefficients, and certification costs degree x 11,264 grid points
-MAX_DEGREE = 4096
-
-
 def _read_series_csv(path: str) -> PowerSeries:
     rows = {}
     with open(path, encoding="utf-8") as fh:
@@ -128,6 +130,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    # the one module only this command needs; the others stay eager so that
+    # a tracer installed after ``from parastar import cli`` finds them loaded
+    from . import plots
+
     if args.kind == "region":
         curves = plots.region_figure(disc_centers=args.discs, samples=args.samples)
     elif args.kind == "map-image":

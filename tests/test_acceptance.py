@@ -15,7 +15,18 @@ import sys
 
 import numpy as np
 
-import parastar as ps
+from parastar import region
+from parastar.maps import parabola_map
+from parastar.oracle import (
+    certify_sufficient_condition, covering_constant, growth_bounds, member_growth_modulus,
+    sample_schwarz_function,
+)
+from parastar.radii import get_entry, oracle_root
+from parastar.region import (
+    boundary_distance_profile, distance_critical_points, inscribed_disc, margin,
+    real_part_bounds,
+)
+from parastar.series import PowerSeries, extremal_lower, extremal_upper
 from support import quoted_ok
 
 PI = math.pi
@@ -33,7 +44,7 @@ def test_criterion_1_radius_agreement(capsys):
     failures = []
 
     def check(entry, quoted=None, digits=4, truncated=False, symbolic=None):
-        root = ps.oracle_root(entry)
+        root = oracle_root(entry)
         if abs(entry.closed_form - root) >= 1e-9:
             failures.append(f"{entry.label}: closed {entry.closed_form!r} vs "
                             f"oracle {root!r}")
@@ -45,53 +56,53 @@ def test_criterion_1_radius_agreement(capsys):
                             f"match quoted {quoted}")
 
     # containment radii of the classical classes into the parabolic class
-    check(ps.get_entry("sp"), symbolic=math.tanh(PI / 4.0) ** 2)
-    check(ps.get_entry("sine"), symbolic=PI / 6.0)
-    check(ps.get_entry("lune"), symbolic=5.0 / 12.0)
-    check(ps.get_entry("cosh_sqrt"), symbolic=math.acosh(1.5) ** 2)
-    check(ps.get_entry("asinh"), symbolic=math.sinh(0.5))
-    check(ps.get_entry("cardioid"), quoted=0.3517, digits=4)
+    check(get_entry("sp"), symbolic=math.tanh(PI / 4.0) ** 2)
+    check(get_entry("sine"), symbolic=PI / 6.0)
+    check(get_entry("lune"), symbolic=5.0 / 12.0)
+    check(get_entry("cosh_sqrt"), symbolic=math.acosh(1.5) ** 2)
+    check(get_entry("asinh"), symbolic=math.sinh(0.5))
+    check(get_entry("cardioid"), quoted=0.3517, digits=4)
     for alpha in (0.0, 0.25, 0.5, 0.75):
         sym = 0.5 if alpha == 0 else (math.sqrt(1 + alpha) - 1) / alpha
-        check(ps.get_entry("bs", alpha=alpha), symbolic=sym)
-    check(ps.get_entry("alpha_exp", alpha=0.0), symbolic=math.log(1.5))
+        check(get_entry("bs", alpha=alpha), symbolic=sym)
+    check(get_entry("alpha_exp", alpha=0.0), symbolic=math.log(1.5))
     for alpha in (0.25, 0.5, 0.8):
-        check(ps.get_entry("alpha_exp", alpha=alpha))
+        check(get_entry("alpha_exp", alpha=alpha))
     for A in (-0.6, -0.2, 0.2, 0.6, 1.0):
         for B in (-0.9, -0.5, -0.1, 0.3, 0.7):
             if B < A:
                 sym = 1.0 / (2 * A - 3 * B) if 2 * A - 3 * B > 1 else 1.0
-                check(ps.get_entry("janowski", A=A, B=B), symbolic=sym)
+                check(get_entry("janowski", A=A, B=B), symbolic=sym)
 
     # order and disc radii on alpha grids
-    check(ps.get_entry("caratheodory", alpha=0.0), quoted=0.6469, digits=4,
+    check(get_entry("caratheodory", alpha=0.0), quoted=0.6469, digits=4,
           symbolic=math.tanh(PI / (2 * SQRT2)) ** 2)
     for alpha in (0.25, 0.5, 0.75):
-        check(ps.get_entry("caratheodory", alpha=alpha))
+        check(get_entry("caratheodory", alpha=alpha))
     for alpha in (0.25, 0.5, 0.75, 1.0):
-        check(ps.get_entry("disc_class", alpha=alpha),
+        check(get_entry("disc_class", alpha=alpha),
               symbolic=math.tanh(PI * math.sqrt(alpha) / (2 * SQRT2)) ** 2)
 
     # corollary radii
     for rid in ("r1_exp", "r2_sine", "r3_cosh_sqrt", "r4_cardioid",
                 "r5_asinh", "r6_sigmoid", "r7_nephroid"):
-        check(ps.get_entry(rid))
-    check(ps.get_entry("r7_nephroid"),
+        check(get_entry(rid))
+    check(get_entry("r7_nephroid"),
           symbolic=math.tanh(PI / (2 * math.sqrt(3.0))) ** 2)
-    check(ps.get_entry("r8_lemniscate"), quoted=0.376, digits=3, truncated=True)
-    check(ps.get_entry("r9_reverse_lemniscate"), quoted=0.283, digits=3,
+    check(get_entry("r8_lemniscate"), quoted=0.376, digits=3, truncated=True)
+    check(get_entry("r9_reverse_lemniscate"), quoted=0.283, digits=3,
           truncated=True)
 
     # ratio class, upper-bound class, root-only radii
-    check(ps.get_entry("ratio", A=-1.0), quoted=0.123, digits=3,
+    check(get_entry("ratio", A=-1.0), quoted=0.123, digits=3,
           symbolic=math.sqrt(17.0) - 4.0)
-    check(ps.get_entry("ratio", A=0.0))
-    check(ps.get_entry("ratio", A=1.0), quoted=0.080, digits=3, truncated=True,
+    check(get_entry("ratio", A=0.0))
+    check(get_entry("ratio", A=1.0), quoted=0.080, digits=3, truncated=True,
           symbolic=(math.sqrt(41.0) - 6.0) / 5.0)
     for beta in (1.1, 1.25, 1.4):
-        check(ps.get_entry("mbeta", beta=beta))
-    check(ps.get_entry("majorization"), quoted=0.4220, digits=4, truncated=True)
-    check(ps.get_entry("peng_zhong"), quoted=0.522864, digits=6)
+        check(get_entry("mbeta", beta=beta))
+    check(get_entry("majorization"), quoted=0.4220, digits=4, truncated=True)
+    check(get_entry("peng_zhong"), quoted=0.522864, digits=6)
 
     ok = not failures
     announce(capsys, 1, "radius agreement", ok,
@@ -100,7 +111,7 @@ def test_criterion_1_radius_agreement(capsys):
 
 
 def test_criterion_2_series_reproduction(capsys):
-    g = ps.extremal_upper(8).coeffs
+    g = extremal_upper(8).coeffs
     expected = {
         2: 8.0 / PI**2,
         3: -8.0 * (PI**2 - 12.0) / (3.0 * PI**4),
@@ -119,8 +130,8 @@ def test_criterion_3_real_part_bounds(capsys):
     prev = None
     monotone_ok = True
     for r in np.arange(0.05, 0.951, 0.05):
-        vals = np.real(ps.parabola_map(r * np.exp(1j * angles)))
-        lo, hi = ps.real_part_bounds(r)
+        vals = np.real(parabola_map(r * np.exp(1j * angles)))
+        lo, hi = real_part_bounds(r)
         worst = max(worst, abs(vals.min() - lo), abs(vals.max() - hi))
         axis_ok &= abs(angles[vals.argmin()]) < 1e-12
         axis_ok &= abs(abs(angles[vals.argmax()]) - PI) < 2e-3
@@ -137,14 +148,14 @@ def test_criterion_4_inscribed_discs(capsys):
     containment_ok = True
     critical_ok = True
     for a in (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.4):
-        disc = ps.inscribed_disc(a)
+        disc = inscribed_disc(a)
         inner = a + disc.radius * (1.0 - 1e-9) * np.exp(1j * phis)
         outer = a + disc.radius * (1.0 + 1e-3) * np.exp(1j * phis)
-        containment_ok &= bool(np.all(ps.margin(inner) > 0.0))
-        containment_ok &= bool(np.any(ps.margin(outer) <= 0.0))
+        containment_ok &= bool(np.all(margin(inner) > 0.0))
+        containment_ok &= bool(np.any(margin(outer) <= 0.0))
         if a <= 0.5:
-            best = min(ps.boundary_distance_profile(a, x)
-                       for x in ps.distance_critical_points(a))
+            best = min(boundary_distance_profile(a, x)
+                       for x in distance_critical_points(a))
             critical_ok &= abs(best - disc.radius**2) < 1e-9
     ok = containment_ok and critical_ok
     announce(capsys, 4, "inscribed discs", ok)
@@ -153,9 +164,9 @@ def test_criterion_4_inscribed_discs(capsys):
 
 def test_criterion_5_sharpness_witnesses(capsys):
     margins = {
-        "sp": ps.get_entry("sp").witness_margin(),
-        "cosh_sqrt": ps.get_entry("cosh_sqrt").witness_margin(),
-        "janowski": ps.get_entry("janowski", A=0.5, B=-0.5).witness_margin(),
+        "sp": get_entry("sp").witness_margin(),
+        "cosh_sqrt": get_entry("cosh_sqrt").witness_margin(),
+        "janowski": get_entry("janowski", A=0.5, B=-0.5).witness_margin(),
     }
     ok = all(abs(m) < 1e-9 for m in margins.values())
     announce(capsys, 5, "sharpness witnesses", ok,
@@ -174,8 +185,8 @@ def test_criterion_6_sufficiency_implication(capsys):
         counts.append(f"t={t:g}: {contained}/{len(passing)}")
         ok &= len(passing) == 200 and contained == 200
 
-    good = ps.certify_sufficient_condition(ps.PowerSeries([0.0, 1.0, 0.3]), 0.0)
-    bad = ps.certify_sufficient_condition(ps.PowerSeries([0.0, 1.0, 0.4]), 0.0)
+    good = certify_sufficient_condition(PowerSeries([0.0, 1.0, 0.3]), 0.0)
+    bad = certify_sufficient_condition(PowerSeries([0.0, 1.0, 0.4]), 0.0)
     ok &= good.passed and not bad.passed
     announce(capsys, 6, "sufficiency implication", ok,
              detail="; ".join(counts) + f"; c=0.3 {'pass' if good.passed else 'FAIL'}"
@@ -184,29 +195,29 @@ def test_criterion_6_sufficiency_implication(capsys):
 
 
 def test_criterion_7_growth_sandwich(capsys):
-    f = ps.extremal_lower(300)
-    g = ps.extremal_upper(300)
+    f = extremal_lower(300)
+    g = extremal_upper(300)
     worst = 0.0
     for r in np.arange(0.1, 0.91, 0.1):
-        lo, hi = ps.growth_bounds(r)
+        lo, hi = growth_bounds(r)
         worst = max(worst, abs(lo - f(r).real), abs(hi - g(r).real))
     two_route_ok = worst < 1e-8
 
     rng = np.random.default_rng(2024)
     violation = -math.inf
     for _ in range(100):
-        w_fn, _zeros = ps.sample_schwarz_function(rng)
+        w_fn, _zeros = sample_schwarz_function(rng)
         for r in (0.3, 0.6, 0.9):
-            lo, hi = ps.growth_bounds(r)
-            val = ps.member_growth_modulus(w_fn, r)
+            lo, hi = growth_bounds(r)
+            val = member_growth_modulus(w_fn, r)
             violation = max(violation, lo - val, val - hi)
     members_ok = violation <= 1e-8
 
     # both limits at r = 1 against their closed forms
-    upper = ps.covering_constant().value
-    covered = ps.growth_bounds(1.0)[0]
-    upper_gap = abs(upper - ps.region.GROWTH_UPPER_LIMIT)
-    covered_gap = abs(covered - ps.region.COVERED_RADIUS)
+    upper = covering_constant().value
+    covered = growth_bounds(1.0)[0]
+    upper_gap = abs(upper - region.GROWTH_UPPER_LIMIT)
+    covered_gap = abs(covered - region.COVERED_RADIUS)
     covering_ok = upper_gap < 1e-8 and covered_gap < 1e-8
 
     ok = two_route_ok and members_ok and covering_ok

@@ -62,6 +62,18 @@ class TestSeries:
         assert abs(float(re_) - 8.0 / PI**2) < 1e-15
         assert float(im_) == 0.0
 
+    def test_n_above_max_degree_is_usage_error(self, capsys):
+        # the recurrence is O(n^2): n = 200,000 would take seconds to minutes
+        assert main(["series", "--n", str(MAX_DEGREE + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exceeds the maximum degree {MAX_DEGREE}" in captured.err
+
+    def test_n_at_max_degree_is_built(self, capsys):
+        assert main(["series", "--which", "p0", "--n", str(MAX_DEGREE)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1].startswith(f"{MAX_DEGREE},")
+
 
 class TestRadius:
     def test_single_entry(self, capsys):
@@ -236,7 +248,7 @@ class TestPlot:
         assert "left_parabola_r=0.5" in capsys.readouterr().out
 
     def test_corollary_figure(self, capsys):
-        from parastar import get_entry
+        from parastar.radii import get_entry
 
         for entry, target in (
                 ("r1_exp", "alpha_exp"), ("r2_sine", "sine"), ("r3_cosh_sqrt", "cosh_sqrt"),
@@ -266,7 +278,7 @@ class TestPlot:
         # every boundary point in a bounded window gets approached by the
         # image circle as r -> 1 (the image sweeps out the whole region)
         import numpy as np
-        from parastar import left_parabola
+        from parastar.maps import left_parabola
 
         y = np.linspace(-math.sqrt(7.0), math.sqrt(7.0), 2000)  # window x >= -2
         bound = (3.0 - y**2) / 2.0 + 1j * y
@@ -295,7 +307,9 @@ class TestScipyFree:
 
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(
-            [sys.executable, "-c", "import parastar, sys; assert 'scipy' not in sys.modules"],
+            # the package root loads nothing, so import every runtime module
+            [sys.executable, "-c",
+             "import parastar.cli, parastar.plots, sys; assert 'scipy' not in sys.modules"],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 

@@ -7,36 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parastar import (
-    DerivativeVanishes,
-    DomainError,
-    MaxIterExceeded,
-    NoSignChange,
-    ParamRange,
-    PowerSeries,
-    QuadratureFailure,
-    SingularOnCircle,
-    TargetId,
-    bracket_root,
-    certify_sufficient_condition,
-    check_subordination_inclusion,
-    covering_constant,
-    extremal_lower,
-    extremal_upper,
-    extremize_on_circle,
-    golden_bracket_root,
-    growth_bounds,
-    janowski_disc_bound,
-    left_parabola,
-    member_growth_modulus,
-    oracle,
-    parabola_map,
-    radii,
-    region,
-    sample_schwarz_function,
-    target_map,
-    verify,
+from parastar import oracle, radii, region, verify
+from parastar.errors import (
+    DerivativeVanishes, DomainError, MaxIterExceeded, NoSignChange, ParamRange,
+    QuadratureFailure, SingularOnCircle,
 )
+from parastar.maps import TargetId, left_parabola, parabola_map, target_map
+from parastar.oracle import (
+    bracket_root, certify_sufficient_condition, check_subordination_inclusion,
+    covering_constant, extremize_on_circle, golden_bracket_root, growth_bounds,
+    janowski_disc_bound, member_growth_modulus, sample_schwarz_function,
+)
+from parastar.series import PowerSeries, extremal_lower, extremal_upper
 from support import (FULL_GRID, FULL_GRID_UNIT, HALF, assert_quoted, log_ratio,
                      min_and_max, reference_horner, reference_quad_checked,
                      sequential_extremize)

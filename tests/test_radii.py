@@ -5,22 +5,13 @@ import statistics
 import numpy as np
 import pytest
 
-from parastar import (
-    DomainError,
-    ParamRange,
-    RadiusEntry,
-    UnknownTarget,
-    default_entries,
-    extremize_on_circle,
-    get_entry,
-    inner_disc_radius,
-    left_parabola,
-    majorization_phi,
-    majorization_psi,
-    oracle_root,
-    target_map,
+from parastar.errors import DomainError, ParamRange, UnknownTarget
+from parastar.maps import left_parabola, target_map
+from parastar.oracle import extremize_on_circle
+from parastar.radii import (
+    RadiusEntry, default_entries, get_entry, inner_disc_radius, majorization_phi,
+    majorization_psi, oracle_root, _CIRCLE_MAX, _COROLLARY,
 )
-from parastar.radii import _CIRCLE_MAX, _COROLLARY
 from support import assert_quoted, min_and_max, sequential_extremize
 
 PI = math.pi
@@ -427,7 +418,7 @@ class TestRatioClass:
         # the value disc with center (1+Ar^2)/(1-r^2) and radius
         # (5+A) r/(1-r^2) sits inside the region up to the radius and
         # escapes just past it; verified rather than assumed
-        from parastar import margin
+        from parastar.region import margin
 
         phis = np.linspace(-PI, PI, 512, endpoint=False)
         root = get_entry("ratio", A=A).closed_form
@@ -488,7 +479,8 @@ class TestRootOnlyRadii:
 
     def test_peng_zhong_against_dense_series(self):
         # degree-64 default against a degree-200 re-derivation
-        from parastar import bracket_root, extremal_upper
+        from parastar.oracle import bracket_root
+        from parastar.series import extremal_upper
 
         g = extremal_upper(200)
 

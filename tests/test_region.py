@@ -3,19 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from parastar import (
-    ArgUndefined,
-    CenterOutsideRange,
-    DomainError,
-    argument_sector_check,
-    boundary_distance_profile,
-    distance_critical_points,
-    inscribed_disc,
-    margin,
-    parabola_map,
-    real_part_bounds,
-    real_part_profile,
-    support_margin,
+from parastar.errors import ArgUndefined, CenterOutsideRange, DomainError
+from parastar.maps import parabola_map
+from parastar.region import (
+    argument_sector_check, boundary_distance_profile, distance_critical_points, inscribed_disc,
+    margin, real_part_bounds, real_part_profile, support_margin,
 )
 
 PI = math.pi

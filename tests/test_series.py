@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parastar import (
-    NonzeroConstantTerm,
-    ParamRange,
-    PowerSeries,
-    extremal_lower,
-    extremal_upper,
-    integrate_over_t,
-    left_parabola,
-    p0_coefficients,
-    series_exp,
+from parastar.errors import NonzeroConstantTerm, ParamRange
+from parastar.maps import left_parabola
+from parastar.series import (
+    PowerSeries, extremal_lower, extremal_upper, integrate_over_t, p0_coefficients, series_exp,
 )
 from support import reference_horner
 

@@ -4,7 +4,7 @@ import pytest
 
 import parastar.radii as radii
 import parastar.verify as verify
-from parastar import ParamRange
+from parastar.errors import ParamRange
 from parastar.verify import certify_sample_members, run_all
 
 
