@@ -443,11 +443,16 @@ def covering_constant() -> CoveringEstimate:
 # --- containment and certification ---------------------------------------
 
 
-# Samples per block of the inclusion sweep.  With smaller blocks glibc
-# trims the heap after every sweep, and the calls that follow fault its
-# pages back in: at 2^15 a certifier call after a sweep takes page
-# faults, at 2^17 none.
-_SWEEP_BLOCK = 1 << 17
+# Points per block of the inclusion sweep and of the certifier's grid:
+# 4096 points are 64 KiB of complex128.  Every temporary of either kernel
+# then stays below glibc's default 128 KiB mmap threshold and in cache, so
+# neither kernel's speed depends on the thresholds that earlier calls left
+# the allocator at (mallopt(3), M_MMAP_THRESHOLD).  In a warm loop of
+# growth, certifier and sweep calls, 2^17-point blocks took 120-2460 minor
+# faults per sweep from 2^16 samples on, and 8192-point blocks (128 KiB)
+# faulted as well; 4096-point blocks took none, and 2048-point blocks were
+# slower, by their extra ufunc calls.
+_SWEEP_BLOCK = 1 << 12
 
 
 def check_subordination_inclusion(map_fn, r: float, samples: int = 4096) -> VerificationReport:
@@ -464,12 +469,14 @@ def check_subordination_inclusion(map_fn, r: float, samples: int = 4096) -> Veri
     margins repeat on the lower half circle: of the N = ``samples`` angles
     equally spaced from -pi the sweep evaluates theta = -pi and the upper
     half [0, pi), 1 + N // 2 points, and reports N.  A map without the
-    symmetry may leave the region where the sweep never looks.  At even N
-    the worst margin is the whole grid's, bit for bit; at odd N the grid
-    does not mirror and it may differ in the last bit.  Blocks of at most
-    2^17 points (the first also holds theta = -pi), one map call each,
-    keep only the running minimum of each margin, so memory does not
-    depend on N.
+    symmetry may leave the region where the sweep never looks.  The worst
+    margin is the whole grid's within 1e-15, and bit for bit at the
+    powers of two N the tests pin.  Elsewhere it may differ in the last
+    bit: at odd N the grid does not mirror, and at other even N the
+    angles -theta_k and theta_{N-k} need not round to exact negatives.
+    Blocks of at most 4096 points (the first also holds theta = -pi), one
+    map call each, keep only the running minimum of each margin, so
+    memory does not depend on N.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -515,6 +522,30 @@ _CERTIFY_Z = (np.asarray(_CERTIFY_RADII)[:, None]
 _CERTIFY_Z.setflags(write=False)
 
 
+def _certify_block(f, fp, fpp, z, t):
+    """max |t(1 + z f''/f') + (1-t) z f'/f - 1| over the points z, and
+    z f'/f there.  One call per block, so a block's temporaries are freed
+    before the next block allocates its own."""
+    fv = f(z)
+    fpv = fp(z)
+    if (np.abs(fv) < 1e-14).any() or (np.abs(fpv) < 1e-14).any():
+        raise DerivativeVanishes("f or f' vanishes on the sample grid")
+    # in place and in the order of the one-expression form, so every value
+    # is the same bit for bit
+    lhs = z * fpp(z)
+    lhs /= fpv
+    lhs += 1.0
+    lhs *= t
+    rest = (1.0 - t) * z
+    rest *= fpv
+    rest /= fv
+    lhs += rest
+    lhs -= 1.0
+    w = z * fpv
+    w /= fv
+    return np.max(np.abs(lhs)), w
+
+
 def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport:
     """Sample check of |t(1 + z f''/f') + (1-t) z f'/f - 1| < (3+2t)/6.
 
@@ -530,32 +561,20 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
     z = _CERTIFY_Z
     fp = f.derivative()
     fpp = fp.derivative()
-    fv = np.asarray(f(z))
-    fpv = np.asarray(fp(z))
-    fppv = np.asarray(fpp(z))
-    if (np.abs(fv) < 1e-14).any() or (np.abs(fpv) < 1e-14).any():
-        raise DerivativeVanishes("f or f' vanishes on the sample grid")
-    # t (1 + z f''/f') + (1 - t) z f'/f - 1, in place and in the order of
-    # the one-expression form, so every value is the same bit for bit
-    lhs = z * fppv
-    lhs /= fpv
-    lhs += 1.0
-    lhs *= t
-    rest = (1.0 - t) * z
-    rest *= fpv
-    rest /= fv
-    lhs += rest
-    lhs -= 1.0
-    lhs = np.abs(lhs)
+    # the running max keeps a NaN, as one np.max over the grid does
+    sup = -math.inf
+    ws = []
+    for start in range(0, z.size, _SWEEP_BLOCK):
+        block_sup, w = _certify_block(f, fp, fpp, z[start:start + _SWEEP_BLOCK], t)
+        sup = np.maximum(sup, block_sup)
+        ws.append(w)
     bound = (3.0 + 2.0 * t) / 6.0
-    sup = float(np.max(lhs))
+    sup = float(sup)
     passed = sup < bound
     notes = f"sup over {z.size} samples"
     if passed:
-        w = z * fpv
-        w /= fv
-        disc_margin = 0.5 - float(np.max(np.abs(w - 1.0)))
-        region_margin = float(np.min(region.margin(w)))
+        disc_margin = 0.5 - float(np.max([np.max(np.abs(w - 1.0)) for w in ws]))
+        region_margin = float(np.min([np.min(region.margin(w)) for w in ws]))
         conclusion_ok = disc_margin > 0.0 and region_margin > 0.0
         passed = passed and conclusion_ok
         notes += (f"; conclusion margins: disc {disc_margin:.3e}, "

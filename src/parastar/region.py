@@ -30,11 +30,7 @@ def margin(w):
 def support_margin(w):
     """Margin of the equivalent support form |1 - w| < 2 - Re w."""
     w = np.asarray(w, dtype=np.complex128)
-    # |1 - w| first, so 2 - Re w reuses the pages of the freed 1 - w instead of
-    # faulting the trimmed heap back in; the same subtractions, bit for bit
-    a = np.abs(1.0 - w)
-    m = 2.0 - w.real
-    m -= a
+    m = (2.0 - w.real) - np.abs(1.0 - w)
     return m if m.ndim else float(m)
 
 

@@ -669,6 +669,16 @@ class TestQuadrature:
                 assert abs(member_growth_modulus(w_fn, r) - ref) <= 1e-14 * ref
 
 
+def _traced_peak(fn, *args):
+    # peak bytes that Python and numpy allocate during one call
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestInclusion:
     def test_constant_map_passes(self):
         rep = check_subordination_inclusion(lambda z: np.ones_like(z), 0.5)
@@ -681,22 +691,15 @@ class TestInclusion:
         w = map_fn(r * np.exp(1j * theta))
         return min(float(np.min(region.margin(w))), float(np.min(region.support_margin(w))))
 
-    @staticmethod
-    def _traced_peak(map_fn, r, samples):
-        tracemalloc.start()
-        try:
-            check_subordination_inclusion(map_fn, r, samples)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    @pytest.mark.parametrize("tid", ["sine", "cosh_sqrt"])
+    # the benchmark's inclusion targets; at 2^18 and 2^20 samples a sweep
+    # spans 33 and 129 blocks
+    @pytest.mark.parametrize("tid", ["sp", "sine", "lune", "cosh_sqrt", "asinh", "cardioid"])
     def test_blocks_match_one_array_sweep(self, tid):
         block = oracle._SWEEP_BLOCK
-        phi = target_map(tid)
+        phi = target_map("ronning_parabola" if tid == "sp" else tid)
         radius = radii.get_entry(tid).closed_form
         for r in (0.9 * radius, min(1.1 * radius, 0.999)):
-            for samples in (1, block - 1, block, block + 1, 2 * block + 3):
+            for samples in (1, block - 1, block, block + 1, 2 * block + 3, 1 << 18, 1 << 20):
                 rep = check_subordination_inclusion(phi, r, samples)
                 ref = self._one_array_worst(phi, r, samples)
                 assert rep.oracle_value == ref
@@ -718,16 +721,18 @@ class TestInclusion:
 
     @pytest.mark.parametrize("target, entry", _SYMMETRIC, ids=lambda p: p[0])
     def test_half_sweep_matches_full_circle(self, target, entry):
-        # even N mirrors every lower angle onto an upper one: bit for bit
+        # an even power of two N mirrors every lower angle onto an upper one
+        # exactly: bit for bit; at other even N (2^18 + 2) the mirrored
+        # angles may round apart, at odd N the grid does not mirror
         block = oracle._SWEEP_BLOCK
         phi = target_map(target[0], **target[1])
         radius = radii.get_entry(entry[0], **entry[1]).closed_form
         for r in (0.9 * radius, min(1.1 * radius, 0.999)):
             for samples in (1, 2, 3, 7, 4096, 4097, block - 1, block, block + 1, 2 * block,
-                            2 * block + 3):
+                            2 * block + 3, (1 << 18) + 2):
                 rep = check_subordination_inclusion(phi, r, samples)
                 ref = self._one_array_worst(phi, r, samples)
-                if samples % 2 == 0:
+                if samples % 2 == 0 and samples & (samples - 1) == 0:
                     assert rep.oracle_value == ref
                 else:
                     assert abs(rep.oracle_value - ref) <= 1e-15
@@ -756,8 +761,8 @@ class TestInclusion:
         assert rep.samples == samples
 
     def test_non_finite_value_in_last_block_is_singular(self):
-        # 2^18 + 3 samples: one call holds -pi and 2^17 upper angles, the
-        # next the last upper angle
+        # 2 * block + 3 samples: one call holds -pi and block upper angles,
+        # the next the last upper angle
         block = oracle._SWEEP_BLOCK
         sizes = []
 
@@ -773,14 +778,15 @@ class TestInclusion:
         assert sizes == [block + 1, 1]
 
     def test_memory_does_not_grow_with_samples(self):
-        # one array of 2^20 points is 16 MiB, and the one-array sweep
-        # peaked at 56-73 MiB
+        # one array of 2^20 points is 16 MiB; 2^17-point blocks peaked at
+        # 7 MiB, 4096-point blocks (64 KiB each) at 225 KiB at 2^20 and 2^21
+        # samples: the bound is five blocks, about 40 % headroom
         phi = target_map("cosh_sqrt")
         r = 0.9 * radii.get_entry("cosh_sqrt").closed_form
-        peak_1m = self._traced_peak(phi, r, 1 << 20)
-        peak_2m = self._traced_peak(phi, r, 1 << 21)
-        assert peak_1m <= 16 * 2**20
-        assert peak_2m <= peak_1m + 2**20
+        peak_1m = _traced_peak(check_subordination_inclusion, phi, r, 1 << 20)
+        peak_2m = _traced_peak(check_subordination_inclusion, phi, r, 1 << 21)
+        assert peak_1m <= 5 * 2**16
+        assert peak_2m <= peak_1m + 2**12
 
     def test_cosh_sqrt_two_sided_probe(self):
         phi = target_map("cosh_sqrt")
@@ -870,6 +876,44 @@ class TestCertify:
         c = -1.0 / (2.0 * 0.999)
         with pytest.raises(DerivativeVanishes):
             certify_sufficient_condition(PowerSeries([0.0, 1.0, c]), 0.0)
+
+    # the first and last samples of the second block and of the last block
+    @pytest.mark.parametrize("k", [oracle._SWEEP_BLOCK, 2 * oracle._SWEEP_BLOCK - 1,
+                                   2 * oracle._SWEEP_BLOCK, oracle._CERTIFY_Z.size - 1])
+    def test_vanishing_derivative_at_block_edge_detected(self, k):
+        # f' = 1 - z/z_k vanishes at grid sample k only, and f nowhere
+        z = oracle._CERTIFY_Z
+        f = PowerSeries([0.0, 1.0, -0.5 / z[k]])
+        near_zero = np.abs(reference_horner(f.derivative().coeffs, z)) < 1e-14
+        assert np.flatnonzero(near_zero).tolist() == [k]
+        assert np.abs(reference_horner(f.coeffs, z)).min() > 1e-6
+        with pytest.raises(DerivativeVanishes):
+            certify_sufficient_condition(f, 0.5)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_low_degrees_match_reference_at_end_t(self, t):
+        # degree 1 (f'' = 0) and degree 2 members, passing and failing,
+        # and seeded members, at both ends of t
+        rng = np.random.default_rng(30)
+        members = [PowerSeries([0.0, 1.0]),
+                   *(PowerSeries([0.0, 1.0, c]) for c in (0.1, 0.3, 0.4, -0.25, 0.2j)),
+                   *verify.random_polynomial_members(rng, 20)]
+        passes = 0
+        for f in members:
+            rep = certify_sufficient_condition(f, t)
+            sup, passed, notes = _reference_certify(f, t)
+            assert np.float64(rep.oracle_value).tobytes() == np.float64(sup).tobytes()
+            assert (rep.passed, rep.notes) == (passed, notes)
+            passes += passed
+        assert 0 < passes < len(members)
+
+    def test_memory_stays_within_blocks(self):
+        # 4096-point blocks: the certifier peaked at 480-491 KiB over
+        # degrees 1-300 (the whole 11264-point grid at 0.95-1.2 MiB); the
+        # bound is ten 64 KiB blocks, about 30 % headroom
+        f = PowerSeries([0.0, 1.0, 0.1])
+        assert certify_sufficient_condition(f, 1.0).passed
+        assert _traced_peak(certify_sufficient_condition, f, 1.0) <= 10 * 2**16
 
 
 def _min_real_part(p_fn, r):
