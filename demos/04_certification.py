@@ -3,7 +3,8 @@
 A normalised f with |t(1 + z f''/f') + (1-t) z f'/f - 1| < (3+2t)/6 on
 the disc has z f'/f confined to the disc |w - 1| < 1/2, which sits
 inside the parabolic region.  The certifier samples the inequality on
-concentric circles and, on a pass, asserts the conclusion too.
+the circle |z| = 0.999 after counting the zeros of f(z)/z and f' inside
+it, and, on a pass, asserts the conclusion too.
 
 Run:  python demos/04_certification.py
 """

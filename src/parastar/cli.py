@@ -38,7 +38,7 @@ def _cmd_eval(args) -> int:
 
 # the largest degree a command accepts: series builds --n by an O(n^2)
 # recurrence, the certify reader builds max index + 1 coefficients, and
-# certification costs degree x 11,264 grid points
+# certification costs degree x 4096 circle points
 MAX_DEGREE = 4096
 
 _SERIES = {"p0": p0_coefficients, "f0": extremal_lower, "g0": extremal_upper}

@@ -50,7 +50,7 @@ class SingularOnCircle(ParastarError):
 
 
 class DerivativeVanishes(ParastarError):
-    """f or f' vanishes on the sample grid, so zf''/f' or zf'/f is undefined."""
+    """f(z)/z or f' has a zero in the certified disc, or one too near its edge to count."""
 
 
 class ArgUndefined(ParastarError):

@@ -305,14 +305,13 @@ def _ratio_radius(A: float) -> RadiusEntry:
 def _mbeta_radius(beta: float) -> RadiusEntry:
     """Radius on which Re z f'/f stays below beta, for 1 < beta < 3/2.
 
-    Closed form 1 + 2 cot^2(delta) - 2 |sec(delta)|/tan^2(delta) with
-    delta = pi sqrt(beta-1)/sqrt 2 (equal to tan^2(delta/2)); the
+    Closed form tan^2(delta/2) with delta = pi sqrt(beta-1)/sqrt 2; the
     condition is (1-beta) pi^2 + 2 arctan^2(2 sqrt r/(1-r)) = 0.
     """
     if not 1.0 < beta < 1.5:
         raise ParamRange("beta must lie in (1, 3/2)")
     delta = _PI * math.sqrt(beta - 1.0) / math.sqrt(2.0)
-    closed = 1.0 + 2.0 / math.tan(delta) ** 2 - 2.0 * abs(1.0 / math.cos(delta)) / math.tan(delta) ** 2
+    closed = math.tan(delta / 2.0) ** 2
 
     def condition(r: float) -> float:
         return (1.0 - beta) * _PI_SQ + 2.0 * math.atan(2.0 * math.sqrt(r) / (1.0 - r)) ** 2

@@ -177,8 +177,8 @@ def _implication(check_id, samples, seed):
 
 def _quadratic(check_id, c):
     # for f = z + c z^2 at t = 0 the certified quantity is |c z/(1 + c z)|,
-    # whose sup over the grid is rho c/(1 - rho c), at z = -rho on the outer ring
-    rho = oracle._CERTIFY_RADII[-1]
+    # whose sup over the circle |z| = rho is rho c/(1 - rho c), at z = -rho
+    rho = oracle._CERTIFY_RHO
     rep = oracle.certify_sufficient_condition(PowerSeries([0.0, 1.0, c]), 0.0)
     return VerificationReport.from_pair(
         check_id, rho * c / (1.0 - rho * c), rep.oracle_value, 1e-12, samples=rep.samples,
@@ -231,8 +231,8 @@ def certify_sample_members(n_members: int, t: float, seed: int = 0):
     Draws random polynomials until ``n_members`` of them satisfy the
     differential inequality at parameter ``t``; each passing member's
     report already includes the containment conclusion.  A member whose
-    f or f' vanishes on the sample grid is skipped; any other error, such
-    as ``ParamRange`` for t outside [0, 1], propagates.
+    f(z)/z or f' has a zero in the certified disc is skipped; any other
+    error, such as ``ParamRange`` for t outside [0, 1], propagates.
     """
     rng = np.random.default_rng(seed)
     passing = []

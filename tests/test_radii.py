@@ -436,7 +436,13 @@ class TestRatioClass:
 
 class TestMClass:
     def test_limits(self):
-        assert get_entry("mbeta", beta=1.0 + 1e-9).closed_form < 1e-6
+        # near beta = 1 the radius is tiny and must stay positive: a form
+        # that cancels 1 + 2 cot^2 against 2 |sec|/tan^2 gave -5.96e-8
+        beta = 1.0 + 1e-9
+        closed = get_entry("mbeta", beta=beta).closed_form
+        expected = math.tan(PI * math.sqrt(beta - 1.0) / math.sqrt(2.0) / 2.0) ** 2
+        assert 0.0 < closed < 1e-6
+        assert abs(closed - expected) <= 1e-12 * expected
         assert get_entry("mbeta", beta=1.5 - 1e-9).closed_form > 1.0 - 1e-3
 
     @pytest.mark.parametrize("beta", [1.1, 1.25, 1.4])
