@@ -519,6 +519,38 @@ _CERTIFY_Z = _CERTIFY_RHO * np.exp(1j * np.linspace(-math.pi, math.pi, 4096, end
 _CERTIFY_Z.setflags(write=False)
 
 
+# the 63 inner points of a re-sampled arc, as fractions of the sample step
+_ARC_FRACTIONS = np.arange(1, 64) / 64.0
+
+
+def _angle_steps(v: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    # arg(v/prev), NaN where the ratio is not finite (a zero at a sample)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = v / prev
+        steps = np.angle(ratios)
+    steps[~np.isfinite(ratios)] = np.nan
+    return steps
+
+
+def _winding_number(name: str, v: np.ndarray, g) -> int:
+    """Winding number around 0 of v = g(_CERTIFY_Z) along the circle.
+
+    A step that is not below pi/2 (a zero near the circle, on either
+    side, or at a sample) is replaced by the 64 sub-steps of its arc; a
+    sub-step that is not below pi/2 either raises ``DerivativeVanishes``.
+    """
+    steps = _angle_steps(v, np.roll(v, 1))
+    for i in np.flatnonzero(~(np.abs(steps) < 0.5 * math.pi)):
+        # the arc runs from sample i - 1 to sample i
+        theta = -math.pi + (2.0 * math.pi / v.size) * (i - 1 + _ARC_FRACTIONS)
+        arc = np.concatenate(([v[i - 1]], g(_CERTIFY_RHO * np.exp(1j * theta)), [v[i]]))
+        sub = _angle_steps(arc[1:], arc[:-1])
+        if not np.max(np.abs(sub)) < 0.5 * math.pi:
+            raise DerivativeVanishes(f"{name}: zero count unresolved near the circle")
+        steps[i] = np.sum(sub)
+    return round(float(np.sum(steps)) / (2.0 * math.pi))
+
+
 def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport:
     """Check |t(1 + z f''/f') + (1-t) z f'/f - 1| < (3+2t)/6 on |z| <= 0.999.
 
@@ -534,9 +566,10 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
     largest modulus lies on the circle, and so do the largest |w - 1|
     (subharmonic) and the least region margin (superharmonic).  A winding
     number is the sum of the angles between neighbouring samples over
-    2 pi; a step of pi/2 or more leaves it unresolved and raises too.
-    The largest step measured on the extremal series of degree 4096
-    (``cli.MAX_DEGREE``) was 0.26 rad, for f'.
+    2 pi; an arc with a step of pi/2 or more is re-sampled in 64 sub-steps
+    (``_winding_number``), and a sub-step of pi/2 or more leaves the count
+    unresolved and raises too.  The largest step measured on the extremal
+    series of degree 4096 (``cli.MAX_DEGREE``) was 0.26 rad, for f'.
     """
     if not 0.0 <= t <= 1.0:
         raise ParamRange("t must lie in [0, 1]")
@@ -546,17 +579,10 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
     fp = f.derivative()
     fv = f(z)
     fpv = fp(z)
-    # a zero at a sample makes the next ratio infinite or NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for name, v in (("f(z)/z", fv / z), ("f'", fpv)):
-            ratios = v / np.roll(v, 1)
-            steps = np.angle(ratios)
-            if not (np.isfinite(ratios).all() and np.max(np.abs(steps)) < 0.5 * math.pi):
-                raise DerivativeVanishes(f"{name}: zero count unresolved near the circle")
-            winding = round(float(np.sum(steps)) / (2.0 * math.pi))
-            if winding:
-                raise DerivativeVanishes(f"{name} has winding number {winding} on the circle")
-    del ratios, steps  # not alive with the temporaries of the sums below
+    for name, v, g in (("f(z)/z", fv / z, lambda s: f(s) / s), ("f'", fpv, fp)):
+        winding = _winding_number(name, v, g)
+        if winding:
+            raise DerivativeVanishes(f"{name} has winding number {winding} on the circle")
     # in place and in the order of the one-expression form, so every value
     # is the same bit for bit
     lhs = z * fp.derivative()(z)
@@ -603,14 +629,19 @@ def janowski_disc_bound(A: float, B: float, r: float) -> tuple[float, float]:
 # --- random class members --------------------------------------------------
 
 
-def sample_schwarz_function(rng: np.random.Generator):
+def sample_schwarz_function(rng):
     """Random Schwarz function z * product of one to three Blaschke factors.
 
-    Factor zeros are drawn with modulus at most 0.8; the factors
-    themselves are returned so the draw can be recorded.
+    ``rng`` is any object whose ``random()`` returns a uniform float in
+    [0, 1) (``random.Random`` or ``numpy.random.Generator``); only that
+    method is called.  The factor count, then the zeros' moduli (uniform
+    in [0, 0.8)), then their angles (uniform in [-pi, pi)) are drawn.
+    The factors themselves are returned so the draw can be recorded.
     """
-    k = int(rng.integers(1, 4))
-    zeros = rng.uniform(0.0, 0.8, k) * np.exp(1j * rng.uniform(-math.pi, math.pi, k))
+    k = 1 + int(3.0 * rng.random())
+    moduli = np.array([0.8 * rng.random() for _ in range(k)])
+    angles = np.array([math.pi * (2.0 * rng.random() - 1.0) for _ in range(k)])
+    zeros = moduli * np.exp(1j * angles)
 
     def w(z):
         z = out = np.asarray(z, dtype=np.complex128)

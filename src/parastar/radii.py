@@ -128,7 +128,7 @@ _CIRCLE_MAX = {
     "cardioid": ({}, _cardioid_root, partial(target_map, TargetId.CARDIOID),
                  "no closed form; memoized root of r e^r = 1/2"),
     "bs": ({"alpha": 0.5},
-           lambda alpha: 0.5 if alpha == 0.0 else (math.sqrt(1.0 + alpha) - 1.0) / alpha,
+           lambda alpha: 1.0 / (1.0 + math.sqrt(1.0 + alpha)),
            lambda alpha: lambda z: 1.0 + z / (1.0 - alpha * z * z), ""),
     "alpha_exp": ({"alpha": 0.0}, lambda alpha: math.log(1.0 - 1.0 / (2.0 * (alpha - 1.0))),
                   partial(target_map, TargetId.ALPHA_EXP), ""),

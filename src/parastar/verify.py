@@ -9,6 +9,7 @@ table, so a substring filter selects checks before any of them runs.
 from __future__ import annotations
 
 import math
+import random
 from functools import partial
 
 import numpy as np
@@ -120,10 +121,12 @@ def _inscribed_disc_probes(check_id):
 
 
 def _argument_sector(check_id, seed):
-    # interior points satisfy the sharp argument sector; counts those that do not
-    rng = np.random.default_rng(seed)
-    xs = 1.5 - rng.exponential(2.0, 20000)
-    ys = rng.uniform(-1.0, 1.0, 20000) * np.sqrt(3.0 - 2.0 * xs)
+    # interior points satisfy the sharp argument sector; counts those that
+    # do not.  20000 uniforms give exponential depths (mean 2), 20000 more
+    # the heights
+    u = np.fromiter(iter(random.Random(seed).random, None), float, count=40000)
+    xs = 1.5 + 2.0 * np.log1p(-u[:20000])
+    ys = (2.0 * u[20000:] - 1.0) * np.sqrt(3.0 - 2.0 * xs)
     w = (xs * 0.9999 + 0.00005) + 1j * (ys * 0.9999)
     violations = np.count_nonzero(~region.argument_sector_check(w))
     return VerificationReport.from_pair(check_id, 0.0, violations, 0.0, samples=20000)
@@ -140,7 +143,7 @@ def _series_vs_quadrature(check_id):
 
 
 def _random_members(check_id, samples, seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     sandwiches = [(r, *oracle.growth_bounds(r)) for r in (0.3, 0.6, 0.9)]
     violation = -math.inf
     for _ in range(samples):
@@ -210,16 +213,22 @@ def _checks(tol, samples, seed):
     ]
 
 
-def random_polynomial_members(rng: np.random.Generator, n: int):
-    """Seeded stream of normalised polynomials with modest coefficients."""
+def random_polynomial_members(rng, n: int):
+    """Seeded stream of ``n`` normalised polynomials with modest coefficients.
+
+    ``rng`` is any object whose ``random()`` returns a uniform float in
+    [0, 1) (``random.Random`` or ``numpy.random.Generator``); only that
+    method is called.  Per member: the degree (uniform in 2..5), then the
+    moduli of a_2..a_deg (a_k uniform in [0, 0.25/k)), then their angles
+    (uniform in [-pi, pi)).
+    """
     out = []
-    while len(out) < n:
-        deg = int(rng.integers(2, 6))
+    for _ in range(n):
+        deg = 2 + int(4.0 * rng.random())
+        mags = np.array([0.25 * rng.random() for _ in range(deg - 1)]) / np.arange(2, deg + 1)
+        args = np.array([_PI * (2.0 * rng.random() - 1.0) for _ in range(deg - 1)])
         coeffs = np.zeros(deg + 1, dtype=complex)
         coeffs[1] = 1.0
-        k = np.arange(2, deg + 1)
-        mags = rng.uniform(0.0, 0.25, deg - 1) / k
-        args = rng.uniform(-_PI, _PI, deg - 1)
         coeffs[2:] = mags * np.exp(1j * args)
         out.append(PowerSeries(coeffs))
     return out
@@ -233,8 +242,9 @@ def certify_sample_members(n_members: int, t: float, seed: int = 0):
     report already includes the containment conclusion.  A member whose
     f(z)/z or f' has a zero in the certified disc is skipped; any other
     error, such as ``ParamRange`` for t outside [0, 1], propagates.
+    Members are drawn from ``random.Random(seed)``.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     passing = []
     attempts = 0
     while len(passing) < n_members and attempts < 100 * n_members:
@@ -256,9 +266,13 @@ def run_all(only: str | None = None, tol: float = 1e-9, samples: int | None = No
     Checks are selected before any of them runs.  ``samples`` sets the
     random-member counts of the growth and certify checks (default 20
     and 50); it must be at least 1.  ``tol`` must be non-negative.
+    ``seed`` seeds ``random.Random`` for the sampled checks; it must be a
+    non-negative int, since ``random.Random(-s)`` replays seed ``s``.
     """
     if not tol >= 0.0:
         raise ParamRange(f"tol must be non-negative, got {tol}")
+    if not isinstance(seed, int) or seed < 0:
+        raise ParamRange(f"seed must be a non-negative int, got {seed!r}")
     if samples is not None and samples < 1:
         raise ParamRange(f"samples must be at least 1, got {samples}")
     rows = [(cid, fn) for cid, fn in _checks(tol, samples, seed)

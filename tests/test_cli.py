@@ -178,6 +178,13 @@ class TestVerify:
         assert payload["passed"] is False
         assert payload["gap"] > 0.0
 
+    def test_negative_seed_is_usage_error(self):
+        # random.Random(-1) would replay seed 1; a fresh process shows the
+        # exit code that a shell sees
+        code, out, err = run_cli("verify", "--all", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "seed must be a non-negative int, got -1" in err
+
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_invalid_tolerance_is_usage_error(self, tol, capsys):
         assert main(["verify", "sp", "--tol", tol]) == 2

@@ -894,9 +894,10 @@ class TestCertify:
             certify_sufficient_condition(PowerSeries([1.0, 1.0]), 0.0)
 
     def test_vanishing_derivative_detected(self):
-        # place the zero of f' exactly on the sample z = 0.999 (angle 0)
+        # place the zero of f' exactly on the sample z = 0.999 (angle 0):
+        # re-sampling the arcs next to it leaves the count unresolved
         c = -1.0 / (2.0 * 0.999)
-        with pytest.raises(DerivativeVanishes):
+        with pytest.raises(DerivativeVanishes, match="f': zero count unresolved"):
             certify_sufficient_condition(PowerSeries([0.0, 1.0, c]), 0.0)
 
     def test_interior_zero_of_derivative_detected(self):
@@ -915,6 +916,21 @@ class TestCertify:
             certify_sufficient_condition(PowerSeries([0.0, 1.0, -0.5 / inside]), 0.5)
         outside = (oracle._CERTIFY_RHO + 1e-3) * mid
         assert not certify_sufficient_condition(PowerSeries([0.0, 1.0, -0.5 / outside]), 0.5).passed
+
+    @pytest.mark.parametrize("modulus", [0.9995, 0.9992, 0.9988, 0.9985])
+    def test_zero_closer_than_sample_spacing_is_resolved(self, modulus):
+        # a zero of f' 0.0005 or less from the circle, midway between two
+        # samples (1.5e-3 apart), turns arg f' by more than pi/2 between
+        # them; the count re-samples that arc and places the zero
+        z0 = modulus * np.exp(1j * PI / 4096)
+        f = PowerSeries([0.0, 1.0, -0.5 / z0])
+        v = f.derivative()(oracle._CERTIFY_Z)
+        assert np.max(np.abs(np.angle(v / np.roll(v, 1)))) >= 0.5 * PI
+        if modulus > oracle._CERTIFY_RHO:
+            assert not certify_sufficient_condition(f, 0.5).passed
+        else:
+            with pytest.raises(DerivativeVanishes, match="f' has winding number 1"):
+                certify_sufficient_condition(f, 0.5)
 
     @pytest.mark.parametrize("n", [8, 64, 256, 4096])
     def test_extremal_members_are_not_univalent(self, n):

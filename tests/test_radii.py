@@ -70,10 +70,15 @@ class TestMainTheoremValues:
     def test_bs_family(self):
         assert get_entry("bs", alpha=0.0).closed_form == 0.5
         for alpha in (0.25, 0.5, 0.75):
-            expect = (math.sqrt(1.0 + alpha) - 1.0) / alpha
+            expect = 1.0 / (1.0 + math.sqrt(1.0 + alpha))
             assert get_entry("bs", alpha=alpha).closed_form == expect
         # continuity toward alpha = 0
         assert abs(get_entry("bs", alpha=1e-8).closed_form - 0.5) < 1e-8
+        # no cancellation near alpha = 0: (sqrt(1 + alpha) - 1)/alpha missed
+        # the oracle root by 4.15e-8 at 1e-9 and by 4.45e-5 at 1e-12
+        for alpha in (1e-9, 1e-12):
+            entry = get_entry("bs", alpha=alpha)
+            assert abs(entry.closed_form - oracle_root(entry)) <= 1e-9
 
     def test_alpha_exp_values(self):
         assert abs(get_entry("alpha_exp", alpha=0.0).closed_form

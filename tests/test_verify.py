@@ -74,6 +74,17 @@ class TestFullRun:
         assert rep.closed_form == rep.oracle_value == rep.samples == 50
 
 
+class TestSeed:
+    @pytest.mark.parametrize("seed", [-1, 1.0, "0", None])
+    def test_negative_or_non_int_seed_raises(self, seed, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "_checks", fail)
+        with pytest.raises(ParamRange, match="seed must be a non-negative int"):
+            run_all(seed=seed)
+
+
 class TestImplication:
     def test_bad_parameter_raises(self):
         # only a vanishing f or f' skips a member; t outside [0, 1] is an error
