@@ -458,15 +458,15 @@ _SWEEP_BLOCK = 1 << 12
 def check_subordination_inclusion(map_fn, r: float, samples: int = 4096) -> VerificationReport:
     """Sample-based containment of map(|z| = r) in the parabolic region.
 
-    Both defining forms of the region are checked by their signed margins,
-    positive inside.  Failure at any sample is conclusive; a pass is
-    necessary-condition evidence only and the report says at how many
-    samples it was verified.
+    Each sample is checked by the region's signed margin
+    (``region.margin``), positive inside.  Failure at any sample is
+    conclusive; a pass is necessary-condition evidence only and the report
+    says at how many samples it was verified.
 
     ``map_fn`` must be conjugate-symmetric, map(conj z) = conj map(z), as
     every map with real Taylor coefficients is (each target of the
-    package).  The region is symmetric about the real axis, so both
-    margins repeat on the lower half circle: of the N = ``samples`` angles
+    package).  The region is symmetric about the real axis, so the
+    margin repeats on the lower half circle: of the N = ``samples`` angles
     equally spaced from -pi the sweep evaluates theta = -pi and the upper
     half [0, pi), 1 + N // 2 points, and reports N.  A map without the
     symmetry may leave the region where the sweep never looks.  The worst
@@ -475,36 +475,27 @@ def check_subordination_inclusion(map_fn, r: float, samples: int = 4096) -> Veri
     bit: at odd N the grid does not mirror, and at other even N the
     angles -theta_k and theta_{N-k} need not round to exact negatives.
     Blocks of at most 4096 points (the first also holds theta = -pi), one
-    map call each, keep only the running minimum of each margin, so
-    memory does not depend on N.
+    map call each, keep only the running minimum of the margin, so memory
+    does not depend on N.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
     # angles of np.linspace(-pi, pi, samples, endpoint=False), bit for bit:
     # index 0, which the first block's extra slot holds, and [ceil(N/2), N)
     step = 2.0 * math.pi / samples
-    margins = (region.margin, region.support_margin)
-    lows = np.full(len(margins), np.inf)
+    worst = np.inf
     half = (samples + 1) // 2
     for start in range(half, max(samples, half + 1), _SWEEP_BLOCK):
         first = start == half
-        theta = np.arange(start - first, min(start + _SWEEP_BLOCK, samples), dtype=np.float64)
-        theta *= step
-        theta -= math.pi
+        theta = np.arange(start - first, min(start + _SWEEP_BLOCK, samples)) * step - math.pi
         if first:
             theta[0] = -math.pi
-        # r e^{i theta} as cos and sin written into the parts of one array:
-        # the bytes of r * np.exp(1j * theta) (TestInclusion checks them)
-        # without its three complex temporaries; the map's values replace
-        # the points, which are not kept for the margins
-        w = np.empty(theta.shape, dtype=np.complex128)
-        np.cos(theta, out=w.real)
-        np.sin(theta, out=w.imag)
-        w *= r
-        w = _circle_values(map_fn, r, w)
-        # np.minimum keeps a NaN margin, as one np.min over every sample does
-        lows = np.minimum(lows, [np.min(mf(w)) for mf in margins])
-    worst = min(float(low) for low in lows)
+        # np.minimum keeps a NaN margin, as one np.min over every sample
+        # does; no name holds a block's map values into the next block's
+        # map call, so the peak stays one block's arrays
+        worst = np.minimum(worst, np.min(region.margin(
+            _circle_values(map_fn, r, r * np.exp(1j * theta)))))
+    worst = float(worst)
     passed = worst > 0.0
     note = (f"verified at {samples} samples (necessary-condition check)"
             if passed else f"violated at {samples}-sample sweep")
@@ -583,17 +574,8 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
         winding = _winding_number(name, v, g)
         if winding:
             raise DerivativeVanishes(f"{name} has winding number {winding} on the circle")
-    # in place and in the order of the one-expression form, so every value
-    # is the same bit for bit
-    lhs = z * fp.derivative()(z)
-    lhs /= fpv
-    lhs += 1.0
-    lhs *= t
-    rest = (1.0 - t) * z
-    rest *= fpv
-    rest /= fv
-    lhs += rest
-    lhs -= 1.0
+    fppv = fp.derivative()(z)
+    lhs = t * (1.0 + z * fppv / fpv) + (1.0 - t) * z * fpv / fv - 1.0
     bound = (3.0 + 2.0 * t) / 6.0
     sup = float(np.max(np.abs(lhs)))
     passed = sup < bound

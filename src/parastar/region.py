@@ -27,13 +27,6 @@ def margin(w):
     return m if m.ndim else float(m)
 
 
-def support_margin(w):
-    """Margin of the equivalent support form |1 - w| < 2 - Re w."""
-    w = np.asarray(w, dtype=np.complex128)
-    m = (2.0 - w.real) - np.abs(1.0 - w)
-    return m if m.ndim else float(m)
-
-
 def log_ratio(r):
     """log((1+sqrt r)/(1-sqrt r)), the kernel's logarithm on 0 <= r < 1.
 

@@ -234,6 +234,20 @@ def random_polynomial_members(rng, n: int):
     return out
 
 
+def _check_draw(seed, name: str, count, least: int) -> None:
+    """Raise ``ParamRange`` unless ``seed`` is a non-negative int and the
+    draw count ``count`` (called ``name``) an int of at least ``least``.
+
+    ``random.Random(-s)`` replays seed ``s``, so a negative seed is refused.
+    """
+    if not isinstance(seed, int) or seed < 0:
+        raise ParamRange(f"seed must be a non-negative int, got {seed!r}")
+    if not isinstance(count, int):
+        raise ParamRange(f"{name} must be an int, got {count!r}")
+    if count < least:
+        raise ParamRange(f"{name} must be at least {least}, got {count}")
+
+
 def certify_sample_members(n_members: int, t: float, seed: int = 0):
     """Certification reports for seeded random members that pass the bound.
 
@@ -242,8 +256,10 @@ def certify_sample_members(n_members: int, t: float, seed: int = 0):
     report already includes the containment conclusion.  A member whose
     f(z)/z or f' has a zero in the certified disc is skipped; any other
     error, such as ``ParamRange`` for t outside [0, 1], propagates.
-    Members are drawn from ``random.Random(seed)``.
+    Members are drawn from ``random.Random(seed)``; ``seed`` must be a
+    non-negative int and ``n_members`` an int of at least 0.
     """
+    _check_draw(seed, "n_members", n_members, 0)
     rng = random.Random(seed)
     passing = []
     attempts = 0
@@ -265,16 +281,13 @@ def run_all(only: str | None = None, tol: float = 1e-9, samples: int | None = No
 
     Checks are selected before any of them runs.  ``samples`` sets the
     random-member counts of the growth and certify checks (default 20
-    and 50); it must be at least 1.  ``tol`` must be non-negative.
-    ``seed`` seeds ``random.Random`` for the sampled checks; it must be a
-    non-negative int, since ``random.Random(-s)`` replays seed ``s``.
+    and 50); it must be an int of at least 1.  ``tol`` must be
+    non-negative.  ``seed`` seeds ``random.Random`` for the sampled
+    checks; it must be a non-negative int.
     """
     if not tol >= 0.0:
         raise ParamRange(f"tol must be non-negative, got {tol}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ParamRange(f"seed must be a non-negative int, got {seed!r}")
-    if samples is not None and samples < 1:
-        raise ParamRange(f"samples must be at least 1, got {samples}")
+    _check_draw(seed, "samples", 1 if samples is None else samples, 1)
     rows = [(cid, fn) for cid, fn in _checks(tol, samples, seed)
             if only is None or only in cid]
     if not rows:

@@ -108,8 +108,11 @@ def min_and_max(map_fn, r, functional="re"):
 
 
 def reference_horner(coeffs, z):
-    """``PowerSeries.__call__`` as it was before its allocation-lean routes:
-    numpy Horner with a fresh array per step, for scalars on a 0-d array."""
+    """Numpy Horner with a fresh array per step, a scalar on a 0-d array.
+
+    ``PowerSeries.__call__`` runs this expression for arrays and complex
+    scalars; only its real-scalar route, on Python complex numbers, runs
+    different code."""
     z = np.asarray(z, dtype=np.complex128)
     out = np.full(z.shape, coeffs[-1])
     for c in coeffs[-2::-1]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parastar import oracle, radii, region, verify
+from parastar import cli, oracle, radii, region, verify
 from parastar.errors import (
     DerivativeVanishes, DomainError, MaxIterExceeded, NoSignChange, ParamRange,
     QuadratureFailure, SingularOnCircle,
@@ -689,7 +689,7 @@ class TestInclusion:
         # reference: every sample in one array, angles by np.linspace
         theta = np.linspace(-PI, PI, samples, endpoint=False)
         w = map_fn(r * np.exp(1j * theta))
-        return min(float(np.min(region.margin(w))), float(np.min(region.support_margin(w))))
+        return float(np.min(region.margin(w)))
 
     # the benchmark's inclusion targets; at 2^18 and 2^20 samples a sweep
     # spans 33 and 129 blocks
@@ -776,6 +776,25 @@ class TestInclusion:
         with pytest.raises(SingularOnCircle):
             check_subordination_inclusion(inf_at_last_sample, 0.5, 2 * block + 3)
         assert sizes == [block + 1, 1]
+
+    @pytest.mark.parametrize("samples", [1, 7, 4096, 4097, 2 * oracle._SWEEP_BLOCK + 3])
+    def test_nan_margin_at_last_sample_fails(self, samples):
+        # w = -1e308 + 1e200j is finite, but its margin 3 - 2 Re w - (Im w)^2
+        # is inf - inf = NaN; the running minimum must keep it, as one
+        # np.min over every sample does, whichever block holds it
+        last = 0.5 * np.exp(1j * np.linspace(-PI, PI, samples, endpoint=False)[-1])
+
+        def nan_at_last_sample(z):
+            w = np.ones_like(z)
+            if z[-1] == last:
+                w[-1] = -1e308 + 1e200j
+            return w
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(region.margin(-1e308 + 1e200j))
+            rep = check_subordination_inclusion(nan_at_last_sample, 0.5, samples)
+        assert math.isnan(rep.oracle_value)
+        assert not rep.passed
 
     def test_memory_does_not_grow_with_samples(self):
         # one array of 2^20 points is 16 MiB; 2^17-point blocks peaked at
@@ -961,12 +980,16 @@ class TestCertify:
         passes = sum(_assert_matches_reference(f, t) for f in members)
         assert 0 < passes < len(members)
 
-    def test_memory_stays_within_blocks(self):
-        # one 4096-point circle: the certifier peaked at 418-423 KiB over
-        # degrees 1-300, as the 11264-point grid did in 4096-point blocks
-        # (whole, that grid took 0.95-1.2 MiB); the bound is ten 64 KiB
-        # arrays, about 50 % headroom
-        f = PowerSeries([0.0, 1.0, 0.1])
+    @pytest.mark.parametrize("degree", [2, 512, cli.MAX_DEGREE])
+    def test_memory_stays_within_blocks(self, degree):
+        # one 4096-point circle: the certifier peaked at 417, 425 and 481
+        # KiB at these degrees (f = z + sum 0.1 z^k / k^3); Horner makes a
+        # fresh array per step, so this pins that none of them is kept.
+        # The bound is ten 64 KiB arrays
+        coeffs = np.zeros(degree + 1)
+        coeffs[1] = 1.0
+        coeffs[2:] = 0.1 / np.arange(2.0, degree + 1) ** 3
+        f = PowerSeries(coeffs)
         assert certify_sufficient_condition(f, 1.0).passed
         assert _traced_peak(certify_sufficient_condition, f, 1.0) <= 10 * 2**16
 

@@ -7,7 +7,7 @@ from parastar.errors import ArgUndefined, CenterOutsideRange, DomainError
 from parastar.maps import parabola_map
 from parastar.region import (
     argument_sector_check, boundary_distance_profile, distance_critical_points, inscribed_disc,
-    margin, real_part_bounds, real_part_profile, support_margin,
+    margin, real_part_bounds, real_part_profile,
 )
 
 PI = math.pi
@@ -22,12 +22,6 @@ class TestMembership:
 
     def test_tangency_point_excluded(self):
         assert margin(1 + 1j) <= 0.0
-
-    def test_support_form_agrees(self):
-        # both defining forms carve out the same open set
-        rng = np.random.default_rng(5)
-        w = rng.uniform(-6, 1.6, 4000) + 1j * rng.uniform(-4, 4, 4000)
-        assert np.array_equal(margin(w) > 0, support_margin(w) > 0)
 
 
 class TestRealPartBounds:

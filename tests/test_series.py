@@ -141,7 +141,9 @@ def _bits(w: complex) -> bytes:
 
 
 class TestEvaluationRoutes:
-    """The allocation-lean routes give the earlier results bit for bit."""
+    """Both evaluation routes give the numpy reference's results bit for
+    bit; the array route is the reference's expression, and only the
+    real-scalar route runs different code."""
 
     _SERIES = {f"{name}({n})": (fn, n)
                for name, fn in (("extremal_lower", extremal_lower),
