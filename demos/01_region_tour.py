@@ -9,7 +9,9 @@ import pathlib
 import numpy as np
 
 from parastar.maps import parabola_map
-from parastar.region import argument_sector_check, inscribed_disc, margin, real_part_bounds
+from parastar.region import (
+    argument_sector_check, inscribed_disc_radius, margin, real_part_bounds,
+)
 
 # The region {(Im w)^2 < 3 - 2 Re w} has vertex 3/2 and opens leftward.
 # Membership comes with a signed margin, positive inside.
@@ -25,12 +27,13 @@ lo, hi = real_part_bounds(r)
 print(f"\nreal-part bounds at r={r}: closed ({lo:.10f}, {hi:.10f})")
 print(f"                       brute ({vals.min():.10f}, {vals.max():.10f})")
 
-# Maximal inscribed discs: off-axis nearest points for a <= 1/2, the
-# vertex for 1/2 < a < 3/2.
+# Maximal inscribed discs: the nearest boundary points are
+# (1 + a, +-sqrt(1 - 2a)) for a <= 1/2, the vertex for 1/2 < a < 3/2.
 print("\ninscribed discs:")
 for a in (-1.0, 0.0, 0.5, 1.0, 1.4):
-    disc = inscribed_disc(a)
-    print(f"  a = {a:+.2f}: radius {disc.radius:.10f}  (zeta={disc.zeta:+.4f})")
+    x, y = (1.0 + a, np.sqrt(1.0 - 2.0 * a)) if a <= 0.5 else (1.5, 0.0)
+    print(f"  a = {a:+.2f}: radius {inscribed_disc_radius(a):.10f}"
+          f"  (nearest boundary point {x:.4f} +- {y:.4f}i)")
 
 # The whole region sits inside the sector |arg(w - 2)| > 3pi/4; the
 # tangency points 1 +- i are the only boundary contacts.

@@ -26,7 +26,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_eval(args) -> int:
-    z = complex(args.z)
+    z = args.z
     params = _entry_params(args)
     value = target_map(args.target, **params)(z)
     payload = {"schema": SCHEMA, "target": args.target, "params": params,
@@ -102,12 +102,15 @@ def _cmd_verify(args) -> int:
 def _read_series_csv(path: str) -> PowerSeries:
     rows = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("index"):
                 continue
-            idx, re_, im_ = line.split(",")
-            i = int(idx)
+            try:
+                idx, re_, im_ = line.split(",")
+                i, value = int(idx), complex(float(re_), float(im_))
+            except ValueError:
+                raise ParamRange(f"{path} line {lineno}: {line!r} is not index,re,im") from None
             if i < 0:
                 raise ParamRange(f"negative coefficient index {i} in {path}")
             if i > MAX_DEGREE:
@@ -115,7 +118,7 @@ def _read_series_csv(path: str) -> PowerSeries:
                                  f"degree {MAX_DEGREE}")
             if i in rows:
                 raise ParamRange(f"duplicate coefficient index {i} in {path}")
-            rows[i] = complex(float(re_), float(im_))
+            rows[i] = value
     if not rows:
         raise ParastarError(f"no coefficients found in {path}")
     coeffs = [rows.get(i, 0.0) for i in range(max(rows) + 1)]
@@ -158,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate a target map at a point")
     pe.add_argument("--target", required=True, choices=[t.value for t in TargetId])
-    pe.add_argument("--z", required=True, help="complex point, e.g. 0.3+0.1j")
+    pe.add_argument("--z", required=True, type=complex, help="complex point, e.g. 0.3+0.1j")
     pe.add_argument("--alpha", type=float)
     pe.add_argument("--A", type=float)
     pe.add_argument("--B", type=float)
@@ -224,7 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParastarError, ValueError, OSError) as exc:
+    except (ParastarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ class NonzeroConstantTerm(ParastarError):
 
 
 class CenterOutsideRange(ParastarError):
-    """Inscribed-disc center is not to the left of the region vertex."""
+    """Inscribed-disc center is not finite or not to the left of the region vertex."""
 
 
 class NoSignChange(ParastarError):

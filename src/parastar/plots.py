@@ -42,8 +42,8 @@ def region_figure(disc_centers=(), samples: int = 256) -> list[Curve]:
     curves.append(Curve("tangent_plus", x + 1j * (x - 2.0)))
     curves.append(Curve("tangent_minus", x - 1j * (x - 2.0)))
     for a in disc_centers:
-        disc = region.inscribed_disc(a)
-        curves.append(Curve(f"disc_a={a:g}", a + disc.radius * np.exp(1j * phis)))
+        r = region.inscribed_disc_radius(a)
+        curves.append(Curve(f"disc_a={a:g}", a + r * np.exp(1j * phis)))
     return curves
 
 

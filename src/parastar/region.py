@@ -9,7 +9,6 @@ magnitude rather than a bare boolean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,91 +66,17 @@ def real_part_bounds(r: float) -> tuple[float, float]:
     return -kernel_modulus(r), hi
 
 
-def real_part_profile(r: float, c: float) -> float:
-    """Re of the parabola kernel at z = r e^{i alpha} with c = cos(alpha/2).
+def inscribed_disc_radius(a: float) -> float:
+    """Radius r_a of the largest disc |w - a| < r_a inside the region, for a < 3/2.
 
-    Closed two-term form: the extremes over c in [-1, 1] occur at c = 1
-    (minimum, alpha = 0) and c = 0 (maximum, alpha = pi); the profile is
-    increasing in r at c = 0 and decreasing at c = 1.
+    The boundary point (3/2 - t, +-sqrt(2t)) is at squared distance
+    (3/2 - t - a)^2 + 2t from (a, 0).  For a <= 1/2 the nearest points are
+    (1 + a, +-sqrt(1 - 2a)), at t = 1/2 - a, and r_a = sqrt(2 - 2a); for
+    1/2 < a < 3/2 the vertex is, and r_a = 3/2 - a.  Both give 1 at a = 1/2.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError("radius must lie in [0, 1)")
-    if not -1.0 <= c <= 1.0:
-        raise DomainError("c must lie in [-1, 1]")
-    if r == 0.0:
-        return 0.0
-    s = math.sqrt(r)
-    mu1 = 1.0 + r + 2.0 * c * s
-    mu2 = 1.0 + r - 2.0 * c * s
-    log_term = 0.0 if mu1 == mu2 else 0.5 * math.log(mu1 / mu2)
-    atan_term = math.atan(2.0 * math.sqrt(max(1.0 - c * c, 0.0)) * s / (1.0 - r))
-    return -(2.0 / _PI_SQ) * log_term**2 + (2.0 / _PI_SQ) * atan_term**2
-
-
-@dataclass(frozen=True)
-class InscribedDisc:
-    """Largest open disc centred at (center, 0) inside the region."""
-
-    center: float
-    radius: float
-    zeta: float
-    eta: float
-
-
-def inscribed_disc(a: float) -> InscribedDisc:
-    """Maximal disc |w - a| < r_a contained in the region, for a < 3/2.
-
-    For a <= 1/2 the nearest boundary points are off-axis and
-    r_a = sqrt((a - 3/2 + 2 zeta^2/pi^2)^2 + 4 zeta^2/pi^2) with
-    zeta = log(sqrt(eta)/sqrt(1-eta)), eta = q/(1+q), q = e^{-pi sqrt(1-2a)};
-    for 1/2 < a < 3/2 the vertex is nearest and r_a = 3/2 - a.  Both
-    branches give r_a = 1 at a = 1/2.
-    """
-    if not a < VERTEX:
-        raise CenterOutsideRange("disc center must satisfy a < 3/2")
-    if a <= 0.5:
-        s = math.sqrt(1.0 - 2.0 * a)
-        q = math.exp(-math.pi * s)
-        eta = q / (1.0 + q)
-        zeta = -0.5 * math.pi * s  # equals log(sqrt(eta)/sqrt(1-eta)) exactly
-        radius = math.hypot(a - VERTEX + 2.0 * zeta**2 / _PI_SQ, 2.0 * zeta / math.pi)
-        return InscribedDisc(center=a, radius=radius, zeta=zeta, eta=eta)
-    return InscribedDisc(center=a, radius=VERTEX - a, zeta=0.0, eta=0.5)
-
-
-def boundary_distance_profile(a: float, X: float) -> float:
-    """Squared distance from (a, 0) to the boundary point parametrised by X.
-
-    With L = log(X/sqrt(1-X^2)) the boundary point is
-    (3/2 - 2L^2/pi^2, +-2L/pi) and the value returned is
-    (a + 2L^2/pi^2 - 3/2)^2 + 4L^2/pi^2.  X must lie strictly in (0, 1);
-    the profile is even under X -> -X.
-    """
-    if not a < VERTEX:
-        raise CenterOutsideRange("disc center must satisfy a < 3/2")
-    if not 0.0 < X < 1.0:
-        raise DomainError("X must lie strictly in (0, 1)")
-    L = math.log(X / math.sqrt(1.0 - X * X))
-    t = 2.0 * L**2 / _PI_SQ
-    return (a + t - VERTEX) ** 2 + 2.0 * t
-
-
-def distance_critical_points(a: float) -> tuple[float, ...]:
-    """Positive critical points of the boundary-distance profile.
-
-    For a < 1/2 there are two, e^{+-pi s/2}/sqrt(1+e^{+-pi s}) with
-    s = sqrt(1-2a) (their mirror images -X are critical as well and give
-    the same distance); for 1/2 <= a < 3/2 the single point 1/sqrt(2).
-    """
-    if not a < VERTEX:
-        raise CenterOutsideRange("disc center must satisfy a < 3/2")
-    if a < 0.5:
-        s = math.sqrt(1.0 - 2.0 * a)
-        q = math.exp(-math.pi * s)
-        x_plus = 1.0 / math.sqrt(1.0 + q)
-        x_minus = math.sqrt(q) / math.sqrt(1.0 + q)
-        return (x_plus, x_minus)
-    return (1.0 / math.sqrt(2.0),)
+    if not -math.inf < a < VERTEX:
+        raise CenterOutsideRange("disc center must be finite with a < 3/2")
+    return math.sqrt(2.0 - 2.0 * a) if a <= 0.5 else VERTEX - a
 
 
 def argument_sector_check(w):

@@ -112,9 +112,9 @@ def _inscribed_disc_probes(check_id):
     violations = 0
     phis = np.linspace(-_PI, _PI, 256, endpoint=False)
     for a in (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.4):
-        disc = region.inscribed_disc(a)
-        inner = a + disc.radius * (1.0 - 1e-9) * np.exp(1j * phis)
-        outer = a + disc.radius * (1.0 + 1e-3) * np.exp(1j * phis)
+        r = region.inscribed_disc_radius(a)
+        inner = a + r * (1.0 - 1e-9) * np.exp(1j * phis)
+        outer = a + r * (1.0 + 1e-3) * np.exp(1j * phis)
         violations += not (region.margin(inner) > 0.0).all()
         violations += not (region.margin(outer) <= 0.0).any()
     return VerificationReport.from_pair(check_id, 0.0, violations, 0.0, samples=256)
@@ -238,11 +238,12 @@ def _check_draw(seed, name: str, count, least: int) -> None:
     """Raise ``ParamRange`` unless ``seed`` is a non-negative int and the
     draw count ``count`` (called ``name``) an int of at least ``least``.
 
-    ``random.Random(-s)`` replays seed ``s``, so a negative seed is refused.
+    ``random.Random(-s)`` replays seed ``s``, so a negative seed is refused;
+    a ``bool`` is an ``int`` subclass but no seed or count, so it is refused.
     """
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ParamRange(f"seed must be a non-negative int, got {seed!r}")
-    if not isinstance(count, int):
+    if type(count) is not int:
         raise ParamRange(f"{name} must be an int, got {count!r}")
     if count < least:
         raise ParamRange(f"{name} must be at least {least}, got {count}")

@@ -34,6 +34,28 @@ def log_ratio(r: float) -> float:
     return math.log((1.0 + s) / (1.0 - s))
 
 
+def nearest_boundary_distance_sq(a: float) -> float:
+    """Squared distance from (a, 0) to the parabola y^2 = 3 - 2x, by direct
+    minimisation of |((3 - y^2)/2, y) - (a, 0)|^2 over y.
+
+    The squared distance is a convex quadratic in y^2, so it is unimodal on
+    y >= 0, and the nearest point has |y| <= sqrt(3 - 2a), the distance to
+    the boundary point above a: ternary search over [0, sqrt(3 - 2a)].
+    """
+    def dist_sq(y):
+        return ((3.0 - y * y) / 2.0 - a) ** 2 + y * y
+
+    lo, hi = 0.0, math.sqrt(3.0 - 2.0 * a)
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if dist_sq(m1) < dist_sq(m2):
+            hi = m2
+        else:
+            lo = m1
+    return dist_sq(0.5 * (lo + hi))
+
+
 # the uniform 4096-point angular grid and its points e^{i theta}; every 16th
 # angle is bit for bit an angle of the extremizer's coarse pass
 FULL_GRID = np.linspace(-math.pi, math.pi, 4096, endpoint=False)

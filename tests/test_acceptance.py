@@ -22,12 +22,9 @@ from parastar.oracle import (
     sample_schwarz_function,
 )
 from parastar.radii import get_entry, oracle_root
-from parastar.region import (
-    boundary_distance_profile, distance_critical_points, inscribed_disc, margin,
-    real_part_bounds,
-)
+from parastar.region import inscribed_disc_radius, margin, real_part_bounds
 from parastar.series import PowerSeries, extremal_lower, extremal_upper
-from support import quoted_ok
+from support import nearest_boundary_distance_sq, quoted_ok
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -148,15 +145,14 @@ def test_criterion_4_inscribed_discs(capsys):
     containment_ok = True
     critical_ok = True
     for a in (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.4):
-        disc = inscribed_disc(a)
-        inner = a + disc.radius * (1.0 - 1e-9) * np.exp(1j * phis)
-        outer = a + disc.radius * (1.0 + 1e-3) * np.exp(1j * phis)
+        r = inscribed_disc_radius(a)
+        inner = a + r * (1.0 - 1e-9) * np.exp(1j * phis)
+        outer = a + r * (1.0 + 1e-3) * np.exp(1j * phis)
         containment_ok &= bool(np.all(margin(inner) > 0.0))
         containment_ok &= bool(np.any(margin(outer) <= 0.0))
         if a <= 0.5:
-            best = min(boundary_distance_profile(a, x)
-                       for x in distance_critical_points(a))
-            critical_ok &= abs(best - disc.radius**2) < 1e-9
+            # the directly minimised distance to y^2 = 3 - 2x, not sqrt(2 - 2a)
+            critical_ok &= abs(nearest_boundary_distance_sq(a) - r**2) <= 1e-9
     ok = containment_ok and critical_ok
     announce(capsys, 4, "inscribed discs", ok)
     assert ok

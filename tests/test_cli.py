@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from parastar import cli
 from parastar.cli import MAX_DEGREE, _read_series_csv, main
 
 PI = math.pi
@@ -35,6 +36,23 @@ class TestEval:
 
     def test_singular_point_is_usage_error(self, capsys):
         assert main(["eval", "--target", "left_parabola", "--z", "1"]) == 2
+
+    def test_malformed_point_is_usage_error(self, capsys):
+        # argparse reads --z as a complex number and names the value
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--target", "left_parabola", "--z", "abc"])
+        assert exc.value.code == 2
+        assert "invalid complex value: 'abc'" in capsys.readouterr().err
+
+    def test_value_error_in_a_command_propagates(self, monkeypatch):
+        # only ParastarError and OSError are usage errors; a ValueError from
+        # inside a command is a bug and must not exit 2
+        def boom():
+            raise ValueError("numpy bug")
+
+        monkeypatch.setattr(cli.radii, "default_entries", boom)
+        with pytest.raises(ValueError, match="numpy bug"):
+            main(["radius-table"])
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--target", "parabola", "--z", "0.3"],
@@ -229,6 +247,14 @@ class TestCertify:
         path.write_text(f"index,re,im\n0,0,0\n1,1,0\n2,0.3,0\n{MAX_DEGREE + 1},0,0\n")
         assert main(["certify", "--series", str(path), "--t", "0"]) == 2
         assert f"coefficient index {MAX_DEGREE + 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["1,1", "1,abc,0", "x,0,0"],
+                             ids=["two-fields", "non-numeric-re", "non-numeric-index"])
+    def test_malformed_row_is_usage_error(self, row, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"index,re,im\n0,0,0\n{row}\n")
+        assert main(["certify", "--series", str(path), "--t", "0"]) == 2
+        assert f"{path} line 3: '{row}' is not index,re,im" in capsys.readouterr().err
 
     def test_index_at_max_degree_is_read(self, tmp_path):
         path = tmp_path / "cap.csv"

@@ -76,6 +76,10 @@ MUTATIONS = {
     "catalan": (
         "region.py", "_CATALAN = 0.915965594177219", "_CATALAN = 0.915965594177",
         ["growth/covering_constant"]),
+    "inscribed_disc_radius": (
+        "region.py", "return math.sqrt(2.0 - 2.0 * a) if a <= 0.5",
+        "return math.sqrt(2.0 - 2.0 * a) * (1.0 + 1e-5) if a <= 0.5",
+        ["region/inscribed_disc_probes"]),
 }
 
 

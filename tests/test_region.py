@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parastar.errors import ArgUndefined, CenterOutsideRange, DomainError
+from parastar.errors import ArgUndefined, CenterOutsideRange
 from parastar.maps import parabola_map
-from parastar.region import (
-    argument_sector_check, boundary_distance_profile, distance_critical_points, inscribed_disc,
-    margin, real_part_bounds, real_part_profile,
-)
+from parastar.region import argument_sector_check, inscribed_disc_radius, margin, real_part_bounds
+from support import nearest_boundary_distance_sq
 
 PI = math.pi
 
@@ -42,93 +42,67 @@ class TestRealPartBounds:
         assert abs(angles[vals.argmin()]) < 1e-12
         assert abs(abs(angles[vals.argmax()]) - PI) < 1e-3
 
-    def test_profile_matches_kernel(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            r = rng.uniform(0.05, 0.9)
-            alpha = rng.uniform(-PI, PI)
-            direct = parabola_map(r * complex(math.cos(alpha), math.sin(alpha))).real
-            prof = real_part_profile(r, math.cos(alpha / 2.0))
-            assert abs(direct - prof) < 1e-10
-
     def test_profile_monotonicity(self):
-        rs = np.arange(0.05, 0.96, 0.05)
-        maxima = [real_part_profile(r, 0.0) for r in rs]
-        minima = [real_part_profile(r, 1.0) for r in rs]
-        assert all(b > a for a, b in zip(maxima, maxima[1:]))
-        assert all(b < a for a, b in zip(minima, minima[1:]))
+        bounds = [real_part_bounds(r) for r in np.arange(0.05, 0.96, 0.05)]
+        assert all(b[1] > a[1] for a, b in zip(bounds, bounds[1:]))
+        assert all(b[0] < a[0] for a, b in zip(bounds, bounds[1:]))
 
 
 class TestInscribedDisc:
     def test_linear_case_values(self):
-        assert inscribed_disc(1.0).radius == 0.5
-        assert abs(inscribed_disc(1.4).radius - 0.1) < 1e-15
+        assert inscribed_disc_radius(1.0) == 0.5
+        assert abs(inscribed_disc_radius(1.4) - 0.1) < 1e-15
 
     def test_case_boundary_agreement(self):
-        # both formulas must agree at a = 1/2 (zeta -> 0 gives 1; 3/2 - a gives 1)
-        disc = inscribed_disc(0.5)
-        assert abs(disc.radius - 1.0) < 1e-9
-        assert abs(disc.zeta) < 1e-15
-
-    def test_zeta_eta_relation(self):
-        for a in (-2.0, -1.0, 0.0, 0.4):
-            disc = inscribed_disc(a)
-            expect = math.log(math.sqrt(disc.eta) / math.sqrt(1.0 - disc.eta))
-            assert abs(disc.zeta - expect) < 1e-12
+        # both formulas must agree at a = 1/2 (sqrt(2 - 2a) gives 1; 3/2 - a gives 1)
+        assert abs(inscribed_disc_radius(0.5) - 1.0) < 1e-9
 
     def test_origin_disc_against_minimisation(self):
-        # 1-d oracle: refine the distance profile minimum over X in (0, 1)
-        disc = inscribed_disc(0.0)
-        xs = np.linspace(1e-6, 1 - 1e-6, 20_001)
-        vals = np.array([boundary_distance_profile(0.0, x) for x in xs])
-        i = int(vals.argmin())
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if boundary_distance_profile(0.0, m1) < boundary_distance_profile(0.0, m2):
-                hi = m2
-            else:
-                lo = m1
-        best = boundary_distance_profile(0.0, 0.5 * (lo + hi))
-        assert abs(disc.radius**2 - best) < 1e-9
+        # 1-d oracle: minimise the distance to y^2 = 3 - 2x over y directly
+        assert abs(inscribed_disc_radius(0.0) ** 2 - nearest_boundary_distance_sq(0.0)) < 1e-9
 
     def test_center_range(self):
         with pytest.raises(CenterOutsideRange):
-            inscribed_disc(1.5)
+            inscribed_disc_radius(1.5)
+
+    @pytest.mark.parametrize("a", [-math.inf, math.inf, math.nan])
+    def test_non_finite_center_raises(self, a):
+        # -inf would give an infinite radius and a disc of NaN points
+        with pytest.raises(CenterOutsideRange):
+            inscribed_disc_radius(a)
 
     def test_containment_probes(self):
         phis = np.linspace(-PI, PI, 256, endpoint=False)
         for a in (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.4):
-            r = inscribed_disc(a).radius
+            r = inscribed_disc_radius(a)
             assert np.all(margin(a + r * (1 - 1e-9) * np.exp(1j * phis)) > 0)
             assert np.any(margin(a + r * (1 + 1e-3) * np.exp(1j * phis)) <= 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(-1e3, 1.5, exclude_max=True))
+    def test_disc_over_whole_domain(self, a):
+        r = inscribed_disc_radius(a)
+        circle = np.exp(1j * np.linspace(-PI, PI, 256, endpoint=False))
+        assert np.any(margin(a + r * (1 + 1e-3) * circle) <= 0)
+        # within 2^-20 of the vertex r * 1e-9 nears an ulp of 3/2 and the
+        # inner probe rounds onto the boundary; the radius is then 3/2 - a
+        if r > 2.0**-20:
+            assert np.all(margin(a + r * (1 - 1e-9) * circle) > 0)
+        else:
+            assert r == 1.5 - a
+        if a <= 0.5:
+            # the nearest boundary points (1 + a, +-sqrt(1 - 2a)) lie at distance r_a
+            s = math.sqrt(1.0 - 2.0 * a)
+            for p in (complex(1.0 + a, s), complex(1.0 + a, -s)):
+                assert abs(abs(p - a) - r) <= 1e-14 * r
+                assert abs(margin(p)) <= 1e-14 * (1.0 + abs(a))
 
-class TestDistanceProfile:
-    def test_log_free_point(self):
-        # X = 1/sqrt(2) kills the log term: profile = (a - 3/2)^2
-        assert abs(boundary_distance_profile(0.5, 1.0 / math.sqrt(2.0)) - 1.0) < 1e-14
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            boundary_distance_profile(0.0, 1.0)
-        with pytest.raises(DomainError):
-            boundary_distance_profile(0.0, 0.0)
-
-    @pytest.mark.parametrize("a", [-1.0, -0.25, 0.0, 0.25])
-    def test_critical_points_match_argmin(self, a):
-        xs = np.linspace(1e-4, 1 - 1e-6, 50_001)
-        vals = np.array([boundary_distance_profile(a, x) for x in xs])
-        x_min = xs[vals.argmin()]
-        points = distance_critical_points(a)
-        assert min(abs(x_min - p) for p in points) < 1e-3
-
-    @pytest.mark.parametrize("a", [-1.0, -0.5, 0.0, 0.25, 0.5])
-    def test_profile_at_critical_points_equals_radius_sq(self, a):
-        r = inscribed_disc(a).radius
-        best = min(boundary_distance_profile(a, x) for x in distance_critical_points(a))
-        assert abs(best - r * r) < 1e-9
+    @given(d=st.floats(0.0, 0.5))
+    def test_branches_meet_continuously(self, d):
+        # sqrt(1 + 2d) - (1 - d) lies in [0, 2d]: no jump at a = 1/2
+        left, right = inscribed_disc_radius(0.5 - d), inscribed_disc_radius(0.5 + d)
+        assert left - right <= 2.0 * d + 1e-15
+        assert left >= 1.0 >= right
 
 
 class TestArgumentSector:

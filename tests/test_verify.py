@@ -75,7 +75,7 @@ class TestFullRun:
 
 
 class TestSeed:
-    @pytest.mark.parametrize("seed", [-1, 1.0, "0", None])
+    @pytest.mark.parametrize("seed", [-1, 1.0, "0", None, True, False])
     def test_negative_or_non_int_seed_raises(self, seed, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a check ran")
@@ -84,13 +84,14 @@ class TestSeed:
         with pytest.raises(ParamRange, match="seed must be a non-negative int"):
             run_all(seed=seed)
 
-    @pytest.mark.parametrize("seed", [-1, 1.0, "0", None])
+    @pytest.mark.parametrize("seed", [-1, 1.0, "0", None, True, False])
     def test_member_draw_checks_seed(self, seed):
-        # random.Random(-1) replays seed 1, so -1 would repeat seed 1's members
+        # random.Random(-1) replays seed 1, so -1 would repeat seed 1's members;
+        # bool is an int, so True would too
         with pytest.raises(ParamRange, match="seed must be a non-negative int"):
             certify_sample_members(1, 0.0, seed=seed)
 
-    @pytest.mark.parametrize("samples", [2.5, 2.0, "3"])
+    @pytest.mark.parametrize("samples", [2.5, 2.0, "3", True])
     def test_non_int_samples_raises(self, samples, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a check ran")
@@ -99,9 +100,9 @@ class TestSeed:
         with pytest.raises(ParamRange, match="samples must be an int"):
             run_all(samples=samples)
 
-    @pytest.mark.parametrize("n_members", [-1, 2.5])
+    @pytest.mark.parametrize("n_members", [-1, 2.5, True])
     def test_member_draw_checks_count(self, n_members):
-        # 2.5 would draw three members; -1 none
+        # 2.5 would draw three members, -1 none and True (an int) one
         with pytest.raises(ParamRange, match="n_members must be"):
             certify_sample_members(n_members, 0.0)
 
