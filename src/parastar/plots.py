@@ -60,13 +60,12 @@ def map_image_figure(target: str = "left_parabola", r: float = 0.9,
 
 def corollary_figure(entry_id: str = "r7_nephroid", samples: int = 256) -> list[Curve]:
     """Target-class boundary with the class image circle at the sharp radius."""
-    if entry_id not in radii.COROLLARY_TARGETS:
+    if entry_id not in radii.COROLLARY:
         raise DomainError(f"no corollary figure for {entry_id!r}")
     zb = np.exp(1j * _circle_angles(samples))
     entry = radii.get_entry(entry_id)
     r = entry.closed_form
-    boundary = f"{radii.COROLLARY_TARGETS[entry_id]}_boundary"
-    return [Curve(boundary, np.asarray(entry.target(zb))),
+    return [Curve(f"{radii.COROLLARY[entry_id][1].value}_boundary", np.asarray(entry.target(zb))),
             Curve(f"image_r={r:.6f}", np.asarray(left_parabola(r * zb)))]
 
 

@@ -10,13 +10,15 @@ memoized-root radius (cardioid, majorization, peng_zhong) is reached by
 another route.  Every condition is solved by ITP
 (``oracle.bracket_root``); golden-section shrinking is the cross-check.
 
-Two tables hold most entries, and one function builds the entries of each:
+One ordered registry, ``_REGISTRY``, maps each entry id to its builder
+and its radius-table parameter sets; ``TABLE_ROWS`` and the parameter
+names each entry requires are read from it.  Two data tables feed it:
 
 * ``_CIRCLE_MAX``: every member of a classical class (sine, lune, ...)
   is parabolic on |z| < r, up to max Re phi on |z| = r reaching 3/2;
-* ``_KERNEL_LEVEL``: every parabolic-class member lies in another class
-  up to |k(r)| reaching a level, the parameter or the class's inner-disc
-  constant min |phi - 1| on |z| = 1.
+* ``COROLLARY``: every parabolic-class member lies in the class of r1..r9
+  up to |k(r)| reaching that class's inner-disc constant min |phi - 1|
+  on |z| = 1.  disc_class and beta_disc solve |k(r)| = their parameter.
 
 ``entry.target`` is the phi that such a condition samples (None where
 it samples none), extremized by ``oracle.extremize_on_circle`` as
@@ -29,7 +31,7 @@ coefficients, so it is conjugate-symmetric as that extremizer requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Callable
 
@@ -139,9 +141,9 @@ def _circle_max_radius(class_id: str, **params) -> RadiusEntry:
     """Radius on which the class lies in the parabolic class: max Re phi on
     |z| = r reaching the vertex 3/2, witnessed by the region margin of phi
     at the closed form.  A closed form >= 1 caps it at 1, with no witness."""
-    names, closed_fn, map_fn, notes = _CIRCLE_MAX[class_id]
-    for name in names:
-        if not 0.0 <= params[name] < 1.0:
+    _, closed_fn, map_fn, notes = _CIRCLE_MAX[class_id]
+    for name, value in params.items():
+        if not 0.0 <= value < 1.0:
             raise ParamRange(f"{class_id} needs {name} in [0, 1)")
     phi = map_fn(**params)
     closed = closed_fn(**params)
@@ -172,6 +174,10 @@ def _janowski_radius(A: float, B: float) -> RadiusEntry:
 # --- order and disc radii (parabolic class -> classical class) --------------
 
 
+# bracket of a condition that is nonzero at r = 0: no floor under tiny roots
+_FROM_ZERO = (0.0, 1.0 - 1e-9)
+
+
 def _caratheodory_radius(alpha: float) -> RadiusEntry:
     """Radius on which the class is Caratheodory of order alpha.
 
@@ -186,23 +192,34 @@ def _caratheodory_radius(alpha: float) -> RadiusEntry:
     def condition(r: float) -> float:
         return left_parabola(r).real - alpha
 
-    return RadiusEntry("caratheodory", {"alpha": alpha}, closed, condition,
+    return RadiusEntry("caratheodory", {"alpha": alpha}, closed, condition, bracket=_FROM_ZERO,
                        witness_margin=lambda: left_parabola(closed).real - alpha)
 
 
-def _disc_class_level(alpha: float) -> float:
-    # disc_class: members satisfy |z f'/f - 1| < alpha
+def _kernel_level(level: float) -> Callable[[float], float]:
+    # |k(r)| - level: exactly -level at r = 0, increasing without bound; as
+    # |z f'/f - 1| <= |k(|z|)|, its root bounds the class |w - 1| < level
+    return lambda r: kernel_modulus(r) - level
+
+
+def _disc_class_radius(alpha: float) -> RadiusEntry:
+    """Radius on which members satisfy |z f'/f - 1| < alpha: the root of
+    |k(r)| = alpha, tanh^2(pi sqrt(alpha)/(2 sqrt 2)), witnessed by
+    |L(closed) - 1| = alpha."""
     if not 0.0 < alpha <= 1.0:
         raise ParamRange("alpha must lie in (0, 1]")
-    return alpha
+    closed = _kernel_level_radius(alpha)
+    return RadiusEntry("disc_class", {"alpha": alpha}, closed, _kernel_level(alpha),
+                       bracket=_FROM_ZERO,
+                       witness_margin=lambda: abs(left_parabola(closed) - 1.0) - alpha)
 
 
-def _beta_disc_level(beta: float) -> float:
-    # beta_disc: the same disc radius stated for beta = 1 - order, dual to
-    # the caratheodory entry, whose value at 1 - beta it equals exactly
+def _beta_disc_radius(beta: float) -> RadiusEntry:
+    """The disc radius stated for beta = 1 - order: dual to the caratheodory
+    entry, whose value at alpha = 1 - beta it equals exactly."""
     if not 0.0 < beta < 1.0:
         raise ParamRange("beta must lie in (0, 1)")
-    return beta
+    return replace(_disc_class_radius(beta), entry_id="beta_disc", params={"beta": beta})
 
 
 @cache
@@ -219,8 +236,9 @@ def inner_disc_radius(target: str, **params) -> float:
 
 _SQRT2 = math.sqrt(2.0)
 
-_COROLLARY = {
-    # entry id: (closed form, target id, target params)
+COROLLARY = {
+    # entry id: (closed form, target id, target params); the level of each
+    # radius is the inner-disc constant of its target
     "r1_exp": (lambda: _tanh_sq(_PI * 0.5 * math.sqrt((math.e - 1.0) / (2.0 * math.e))),
                TargetId.ALPHA_EXP, {"alpha": 0.0}),
     "r2_sine": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(2.0 / math.sin(1.0)))),
@@ -241,39 +259,15 @@ _COROLLARY = {
         TargetId.REVERSE_LEMNISCATE, {}),
 }
 
-# the corollary entries r1..r9 and the target id whose inner-disc constant
-# is each one's level
-COROLLARY_TARGETS = {rid: row[1].value for rid, row in _COROLLARY.items()}
 
-_KERNEL_LEVEL = {
-    # entry id: (parameters with their radius-table values, level, closed
-    # form, target map), the last three functions of the parameters; the
-    # disc entries' level is their parameter, r1..r9's the inner-disc
-    # constant of the target map
-    "disc_class": ({"alpha": 1.0}, _disc_class_level, _kernel_level_radius, None),
-    "beta_disc": ({"beta": 0.5}, _beta_disc_level, _kernel_level_radius, None),
-    **{rid: ({}, partial(inner_disc_radius, target.value, **tparams), closed_fn,
-             partial(target_map, target, **tparams))
-       for rid, (closed_fn, target, tparams) in _COROLLARY.items()},
-}
-
-
-def _kernel_level_entry(entry_id: str, **params) -> RadiusEntry:
-    """Radius on which every parabolic-class member lands in another class.
-
-    Unique positive root of |k(r)| = level, that is of
-    2 log^2((1+sqrt r)/(1-sqrt r)) = level pi^2.  A parameter level has
-    the closed form tanh^2(pi sqrt(level)/(2 sqrt 2)), witnessed by
-    |L(closed) - 1| = level; an inner-disc level is reported in the notes.
-    """
-    _, level_fn, closed_fn, map_fn = _KERNEL_LEVEL[entry_id]
-    level = level_fn(*params.values())
-    closed = closed_fn(*params.values())
-    if map_fn is None:  # the level is the parameter, the closed form its root
-        fields = {"witness_margin": lambda: abs(left_parabola(closed) - 1.0) - level}
-    else:  # the level is the target's inner-disc constant
-        fields = {"target": map_fn(), "notes": f"inner-disc constant {level:.12g}"}
-    return RadiusEntry(entry_id, params, closed, lambda r: kernel_modulus(r) - level, **fields)
+def _corollary_radius(entry_id: str) -> RadiusEntry:
+    """Radius on which every parabolic-class member lies in the target's
+    class: the root of |k(r)| = its inner-disc constant, in the notes."""
+    closed_fn, target, tparams = COROLLARY[entry_id]
+    level = inner_disc_radius(target.value, **tparams)
+    return RadiusEntry(entry_id, {}, closed_fn(), _kernel_level(level), bracket=_FROM_ZERO,
+                       notes=f"inner-disc constant {level:.12g}",
+                       target=target_map(target, **tparams))
 
 
 # --- remaining radii ---------------------------------------------------------
@@ -403,33 +397,24 @@ def _peng_zhong_radius() -> RadiusEntry:
 # --- registry ----------------------------------------------------------------
 
 
-# entry id: (constructor, the parameters it takes, all of them required)
-_ENTRIES = {
-    **{cid: (partial(_circle_max_radius, cid), tuple(row[0]))
-       for cid, row in _CIRCLE_MAX.items()},
-    "janowski": (_janowski_radius, ("A", "B")),
-    "caratheodory": (_caratheodory_radius, ("alpha",)),
-    **{eid: (partial(_kernel_level_entry, eid), tuple(row[0]))
-       for eid, row in _KERNEL_LEVEL.items()},
-    "ratio": (_ratio_radius, ("A",)),
-    "mbeta": (_mbeta_radius, ("beta",)),
-    "majorization": (_majorization_radius, ()),
-    "peng_zhong": (_peng_zhong_radius, ()),
+# entry id: (builder, the radius table's parameter sets), in table order;
+# the builder requires exactly the names that each of its sets holds
+_REGISTRY = {
+    **{cid: (partial(_circle_max_radius, cid), (row[0],)) for cid, row in _CIRCLE_MAX.items()},
+    "janowski": (_janowski_radius, ({"A": 0.5, "B": -0.5},)),
+    "caratheodory": (_caratheodory_radius, ({"alpha": 0.0},)),
+    "disc_class": (_disc_class_radius, ({"alpha": 1.0},)),
+    "beta_disc": (_beta_disc_radius, ({"beta": 0.5},)),
+    **{rid: (partial(_corollary_radius, rid), ({},)) for rid in COROLLARY},
+    "ratio": (_ratio_radius, ({"A": -1.0}, {"A": 1.0})),
+    "mbeta": (_mbeta_radius, ({"beta": 1.25},)),
+    "majorization": (_majorization_radius, ({},)),
+    "peng_zhong": (_peng_zhong_radius, ({},)),
 }
 
 # the representative catalog behind the radius table, in table order:
 # (entry id, parameters) rows, each built by get_entry
-TABLE_ROWS = (
-    *((cid, dict(row[0])) for cid, row in _CIRCLE_MAX.items()),
-    ("janowski", {"A": 0.5, "B": -0.5}),
-    ("caratheodory", {"alpha": 0.0}),
-    *((eid, dict(row[0])) for eid, row in _KERNEL_LEVEL.items()),
-    ("ratio", {"A": -1.0}),
-    ("ratio", {"A": 1.0}),
-    ("mbeta", {"beta": 1.25}),
-    ("majorization", {}),
-    ("peng_zhong", {}),
-)
+TABLE_ROWS = tuple((eid, params) for eid, (_, sets) in _REGISTRY.items() for params in sets)
 
 
 def get_entry(entry_id: str, **params) -> RadiusEntry:
@@ -438,7 +423,7 @@ def get_entry(entry_id: str, **params) -> RadiusEntry:
     A missing or unexpected parameter raises ``ParamRange``.
     """
     try:
-        make, names = _ENTRIES[entry_id]
+        make, (names, *_) = _REGISTRY[entry_id]
     except KeyError:
         raise UnknownTarget(f"unknown radius entry: {entry_id!r}") from None
     extra = sorted(set(params) - set(names))

@@ -282,12 +282,12 @@ def run_all(only: str | None = None, tol: float = 1e-9, samples: int | None = No
 
     Checks are selected before any of them runs.  ``samples`` sets the
     random-member counts of the growth and certify checks (default 20
-    and 50); it must be an int of at least 1.  ``tol`` must be
-    non-negative.  ``seed`` seeds ``random.Random`` for the sampled
+    and 50); it must be an int of at least 1.  ``tol`` must be finite
+    and non-negative.  ``seed`` seeds ``random.Random`` for the sampled
     checks; it must be a non-negative int.
     """
-    if not tol >= 0.0:
-        raise ParamRange(f"tol must be non-negative, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise ParamRange(f"tol must be non-negative and finite, got {tol}")
     _check_draw(seed, "samples", 1 if samples is None else samples, 1)
     rows = [(cid, fn) for cid, fn in _checks(tol, samples, seed)
             if only is None or only in cid]

@@ -203,7 +203,7 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "seed must be a non-negative int, got -1" in err
 
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_tolerance_is_usage_error(self, tol, capsys):
         assert main(["verify", "sp", "--tol", tol]) == 2
         captured = capsys.readouterr()
@@ -306,6 +306,12 @@ class TestPlot:
         curves = {line.split(",")[0] for line in capsys.readouterr().out.splitlines()[2:]}
         assert curves == {"boundary", "tangent_plus", "tangent_minus",
                           "disc_a=0", "disc_a=1"}
+
+    def test_region_with_negative_disc_centre(self, capsys):
+        # spaced, "-20,1" would be read as an option; the = form passes it
+        assert main(["plot", "region", "--discs=-20,1", "--format", "csv"]) == 0
+        curves = {line.split(",")[0] for line in capsys.readouterr().out.splitlines()[2:]}
+        assert {"disc_a=-20", "disc_a=1"} <= curves
 
     def test_image_fills_out_to_boundary(self):
         # every boundary point in a bounded window gets approached by the

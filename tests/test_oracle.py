@@ -394,7 +394,7 @@ class TestSpeculativeRefinement:
                 assert (min_and_max(map_fn, r, functional)
                         == sequential_extremize(map_fn, r, functional))
 
-    @pytest.mark.parametrize("entry_id", list(radii._COROLLARY))
+    @pytest.mark.parametrize("entry_id", list(radii.COROLLARY))
     def test_inner_disc_minima_match_sequential(self, entry_id):
         phi = radii.get_entry(entry_id).target
 

@@ -4,13 +4,15 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parastar.errors import DomainError, ParamRange, UnknownTarget
 from parastar.maps import left_parabola, target_map
-from parastar.oracle import extremize_on_circle
+from parastar.oracle import _ABS_TOL, extremize_on_circle
 from parastar.radii import (
     RadiusEntry, default_entries, get_entry, inner_disc_radius, majorization_phi,
-    majorization_psi, oracle_root, _CIRCLE_MAX, _COROLLARY,
+    majorization_psi, oracle_root, COROLLARY, _CIRCLE_MAX, _REGISTRY,
 )
 from support import assert_quoted, min_and_max, sequential_extremize
 
@@ -135,6 +137,29 @@ class TestOrderAndDiscRadii:
         with pytest.raises(ParamRange):
             get_entry("beta_disc", beta=0.0)
 
+    @pytest.mark.parametrize("entry_id, name, in_domain", [
+        ("disc_class", "alpha", lambda v: 0.0 < v <= 1.0),
+        ("beta_disc", "beta", lambda v: 0.0 < v < 1.0),
+        ("caratheodory", "alpha", lambda v: 0.0 <= v < 1.0),
+    ], ids=["disc_class", "beta_disc", "caratheodory"])
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.floats(0.0, 1.0))
+    @example(value=1e-12)
+    @example(value=1.0 - 1e-12)
+    def test_oracle_root_over_whole_domain(self, entry_id, name, in_domain, value):
+        # each condition is nonzero at r = 0, where its bracket starts; a
+        # floor of 1e-9 lost the roots of about 1.2e-12 at the examples.  A
+        # root below the solvers' absolute tolerance may come back as 0.0
+        if not in_domain(value):
+            with pytest.raises(ParamRange):
+                get_entry(entry_id, **{name: value})
+            return
+        entry = get_entry(entry_id, **{name: value})
+        for method in ("bisect", "golden"):
+            root = oracle_root(entry, method)
+            assert abs(root - entry.closed_form) <= 1e-9, method
+            assert root > 0.0 or entry.closed_form <= _ABS_TOL, method
+
     def test_monotonicity(self):
         alphas = np.linspace(0.05, 0.95, 10)
         gammas = [get_entry("caratheodory", alpha=a).closed_form for a in alphas]
@@ -220,9 +245,9 @@ class TestHalfCircle:
         assert len(calls) == radii.size
         assert [h.value for _, h, _ in calls] == [f for _, _, f in calls]
 
-    @pytest.mark.parametrize("entry_id", list(_COROLLARY))
+    @pytest.mark.parametrize("entry_id", list(COROLLARY))
     def test_inner_disc_minimum_bit_equal(self, monkeypatch, entry_id):
-        _, target, params = _COROLLARY[entry_id]
+        _, target, params = COROLLARY[entry_id]
         calls = _half_and_full(monkeypatch)
         constant = inner_disc_radius.__wrapped__(target.value, **params)
         ((_, half, full),) = calls
@@ -286,9 +311,9 @@ class TestTieRule:
             first = sequential_extremize(phi, r, first_index=True)[1]
             assert extremize_on_circle(phi, r).value == first
 
-    @pytest.mark.parametrize("entry_id", list(_COROLLARY))
+    @pytest.mark.parametrize("entry_id", list(COROLLARY))
     def test_inner_disc_constant_as_first_index_rule(self, entry_id):
-        _, target, params = _COROLLARY[entry_id]
+        _, target, params = COROLLARY[entry_id]
         phi = get_entry(entry_id).target
         shifted = lambda z: phi(z) - 1.0
         first = sequential_extremize(shifted, 1.0, "abs", first_index=True)[0]
@@ -307,7 +332,7 @@ class TestTieRule:
         for entry in entries:
             for r in (1e-9, *np.linspace(0.1, 0.9, 9), 0.99, 1.0 - 1e-9):
                 entry.condition(r)
-        for _, target, params in _COROLLARY.values():
+        for _, target, params in COROLLARY.values():
             inner_disc_radius.__wrapped__(target.value, **params)
         counts = [len(sizes) for sizes in calls]
         assert len(counts) == 105
@@ -342,9 +367,9 @@ class TestDenseReference:
                 value = extremize_on_circle(lambda z: fn(phi(z)), r).value
                 assert np.max(fn(w)) <= value + _DENSE_TOL * max(1.0, abs(value)), (name, r)
 
-    @pytest.mark.parametrize("entry_id", list(_COROLLARY))
+    @pytest.mark.parametrize("entry_id", list(COROLLARY))
     def test_inner_disc_constants(self, entry_id):
-        _, target, params = _COROLLARY[entry_id]
+        _, target, params = COROLLARY[entry_id]
         constant = inner_disc_radius(target.value, **params)
         dense = np.min(np.abs(get_entry(entry_id).target(_DENSE_UNIT) - 1.0))
         assert dense >= constant - _DENSE_TOL * max(1.0, constant)
@@ -372,14 +397,14 @@ class TestConjugateSymmetry:
     def test_circle_max_target(self, entry_id, params):
         _assert_conjugate_symmetric(get_entry(entry_id, **params).target)
 
-    @pytest.mark.parametrize("entry_id", list(_COROLLARY))
+    @pytest.mark.parametrize("entry_id", list(COROLLARY))
     def test_corollary_target(self, entry_id):
         _assert_conjugate_symmetric(get_entry(entry_id).target)
 
     def test_rows_cover_every_target(self):
         from parastar.verify import _verification_catalog
 
-        rows = {entry_id for entry_id, _ in _CIRCLE_MAX_ROWS} | set(_COROLLARY)
+        rows = {entry_id for entry_id, _ in _CIRCLE_MAX_ROWS} | set(COROLLARY)
         with_target = {e.entry_id for e in _verification_catalog() if e.target is not None}
         assert with_target == rows
 
@@ -534,10 +559,20 @@ class TestRegistry:
     def test_default_catalog_size(self):
         assert len(default_entries()) >= 20
 
-    def test_table_rows_cover_every_entry(self):
-        from parastar.radii import _ENTRIES, TABLE_ROWS
-
-        assert set(_ENTRIES) <= {entry_id for entry_id, _ in TABLE_ROWS}
+    def test_registry_parameter_names(self):
+        # every table parameter set of an entry names the same parameters,
+        # the ones get_entry requires
+        for entry_id, (_, (params, *others)) in _REGISTRY.items():
+            assert all(set(other) == set(params) for other in others), entry_id
+            assert get_entry(entry_id, **params).params == params
+            for name in params:
+                missing = {k: v for k, v in params.items() if k != name}
+                with pytest.raises(ParamRange,
+                                   match=re.escape(f"{entry_id} needs {' and '.join(params)}")):
+                    get_entry(entry_id, **missing)
+            with pytest.raises(ParamRange, match=re.escape(
+                    f"unexpected parameters for {entry_id}: ['extra']")):
+                get_entry(entry_id, **params, extra=0.5)
 
 
 class TestOracleRoute:
