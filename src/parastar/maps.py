@@ -2,24 +2,28 @@
 
 The central map is
 
-    left_parabola(z) = 1 - (2/pi^2) * log((1 + sqrt(z)) / (1 - sqrt(z)))**2,
+    left_parabola(z) = 1 + k(z),  k(z) = -(8/pi^2) * artanh(sqrt(z))**2,
 
-which sends the open unit disc onto the horizontal parabolic region
+the same as 1 - (2/pi^2) log^2((1 + sqrt z)/(1 - sqrt z)), which sends the
+open unit disc onto the horizontal parabolic region
 {w : (Im w)^2 < 3 - 2 Re w}, vertex 3/2, opening into the left half-plane.
-Alongside it live the classical target maps (exponential, sine, cardioid,
-lemniscates, Janowski, ...) used to state membership radii.
+The kernel k is written once, in ``parabola_map``, with its two real
+restrictions beside it: ``kernel_modulus(r)`` = |k(r)| and
+``kernel_reflection(r)`` = k(-r).  Alongside them live the classical
+target maps (exponential, sine, cardioid, lemniscates, Janowski, ...)
+used to state membership radii.
 
 Branch conventions
 ------------------
-The three parabola maps share one kernel, written once in
-``parabola_map``, and take the principal square root: log^2 of the
-Moebius ratio (1+w)/(1-w) is even in w, so both roots give the same
-value, and the principal one keeps the maps conjugate-symmetric bit for
-bit, map(conj z) = conj map(z), as ``np.sqrt``, the ratio, the logarithm
-and the square each are.  The ratio stays in the closed right half-plane
-for |w| <= 1, hence the principal logarithm never meets its cut on the
-disc.  All evaluation is double precision and vectorised; every
-function is pure.
+The parabola maps take the principal square root.  artanh is odd, so
+artanh^2 is even in sqrt z and both roots give the same value; the
+principal one keeps the maps conjugate-symmetric bit for bit,
+map(conj z) = conj map(z), as ``np.sqrt``, ``np.arctanh`` and the square
+each are.  artanh's cuts lie on the real axis beyond +-1, which the
+principal root of a disc point never reaches, and artanh, unlike the
+log of a rounded ratio, keeps full relative accuracy as z -> 0 and is
+exactly real on (-1, 1).  All evaluation is double precision and
+vectorised; every function is pure.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import DomainError, ParamRange, SingularPoint, UnknownTarget
 # a huge value, keeping tests deterministic.
 SINGULAR_TOL = 1e-12
 
-_TWO_OVER_PI_SQ = 2.0 / math.pi**2
+_EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -54,31 +58,37 @@ def _disc_points(z) -> np.ndarray:
 
 
 def _ret(val: np.ndarray):
-    return val if val.ndim else complex(val)
-
-
-def _log_ratio_sq(w: np.ndarray) -> np.ndarray:
-    """log((1 + w)/(1 - w))**2 for a principal root w (Re w >= 0, so
-    |1 + w| >= 1); raises ``SingularPoint`` within ``SINGULAR_TOL`` of w = 1."""
-    plus, minus = 1.0 + w, 1.0 - w
-    if (np.abs(minus) < SINGULAR_TOL).any():
-        raise SingularPoint("evaluation within tolerance of the log singularity")
-    # the quotient overwrites 1 + w and 1 - w is dropped, as numpy's
-    # temporary elision does in the one-expression form, so the logarithm
-    # and the square hold no more arrays than that form did
-    plus /= minus
-    del minus
-    return np.log(plus) ** 2
+    # an array as it is, a 0-d result as a Python complex or float
+    return val if val.ndim else val.item()
 
 
 def parabola_map(z):
-    """Kernel -(2/pi^2) log^2((1 + sqrt z)/(1 - sqrt z)) of the parabola maps.
+    """Kernel k(z) = -(8/pi^2) artanh^2(sqrt z) of the parabola maps.
 
     Maps the unit circle onto a left-opening parabola with focus at the
-    origin; 0 at z = 0, real on (-1, 1) up to rounding, and singular only
-    at z = 1.
+    origin; 0 at z = 0, exactly real on (-1, 1), and singular only at
+    z = 1, within ``SINGULAR_TOL`` of which it raises ``SingularPoint``.
     """
-    return _ret(-_TWO_OVER_PI_SQ * _log_ratio_sq(np.sqrt(_disc_points(z))))
+    w = np.sqrt(_disc_points(z))
+    if (np.abs(1.0 - w) < SINGULAR_TOL).any():
+        raise SingularPoint("evaluation within tolerance of the log singularity")
+    return _ret(-_EIGHT_OVER_PI_SQ * np.arctanh(w) ** 2)
+
+
+def kernel_modulus(r):
+    """|k(r)| = (8/pi^2) artanh^2(sqrt r) = -min Re k on |z| = r, for 0 <= r < 1.
+
+    An array is evaluated elementwise; a scalar gives a float.
+    """
+    return _ret(_EIGHT_OVER_PI_SQ * np.arctanh(np.sqrt(r)) ** 2)
+
+
+def kernel_reflection(r):
+    """k(-r) = (8/pi^2) arctan^2(sqrt r) = max Re k on |z| = r, for 0 <= r < 1.
+
+    An array is evaluated elementwise; a scalar gives a float.
+    """
+    return _ret(_EIGHT_OVER_PI_SQ * np.arctan(np.sqrt(r)) ** 2)
 
 
 def left_parabola(z):
@@ -91,7 +101,7 @@ def left_parabola(z):
 
 
 def ronning_parabola(z):
-    """Right-opening parabolic map 1 + (2/pi^2) log^2((1+sqrt z)/(1-sqrt z)).
+    """Right-opening parabolic map 1 + (8/pi^2) artanh^2(sqrt z).
 
     1 - ``parabola_map``, the classical parabolic-starlike target; its
     image is {w : Re w > |w-1|}.

@@ -26,13 +26,12 @@ from .errors import (
     QuadratureFailure,
     SingularOnCircle,
 )
-from .maps import parabola_map, validate_janowski
+from .maps import kernel_modulus, kernel_reflection, parabola_map, validate_janowski
 from .series import PowerSeries
 
 # version of every JSON and CSV output format
 SCHEMA = 1
 
-_PI_SQ = math.pi**2
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -303,15 +302,16 @@ def extremize_on_circle(map_fn, r: float) -> ExtremeResult:
 # --- growth bounds -------------------------------------------------------
 
 # Integrands of int_0^r k(+-t)/t dt for the parabola kernel k, on arrays of
-# t; both extend analytically to t = 0, which no Gauss node reaches.
+# t: k(t) = -|k(t)| and k(-t) is its reflection; both extend analytically
+# to t = 0, which no Gauss node reaches.
 
 
 def _lower_integrand(t: np.ndarray) -> np.ndarray:
-    return -region.kernel_modulus(t) / t
+    return -kernel_modulus(t) / t
 
 
 def _upper_integrand(t: np.ndarray) -> np.ndarray:
-    return (8.0 / _PI_SQ) * np.arctan(np.sqrt(t)) ** 2 / t
+    return kernel_reflection(t) / t
 
 
 _QUAD_TARGET = 1e-10

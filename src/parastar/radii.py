@@ -37,12 +37,11 @@ from typing import Callable
 
 from . import oracle, region
 from .errors import ParamRange, UnknownTarget
-from .maps import TargetId, left_parabola, target_map, validate_janowski
-from .region import kernel_modulus
+from .maps import (TargetId, kernel_modulus, kernel_reflection, left_parabola, target_map,
+                   validate_janowski)
 from .series import extremal_upper, p0_coefficients
 
 _PI = math.pi
-_PI_SQ = math.pi**2
 
 
 def _tanh_sq(x: float) -> float:
@@ -300,7 +299,7 @@ def _mbeta_radius(beta: float) -> RadiusEntry:
     """Radius on which Re z f'/f stays below beta, for 1 < beta < 3/2.
 
     Closed form tan^2(delta/2) with delta = pi sqrt(beta-1)/sqrt 2; the
-    condition is (1-beta) pi^2 + 2 arctan^2(2 sqrt r/(1-r)) = 0.
+    condition is k(-r) = max Re k on |z| = r reaching beta - 1.
     """
     if not 1.0 < beta < 1.5:
         raise ParamRange("beta must lie in (1, 3/2)")
@@ -308,7 +307,7 @@ def _mbeta_radius(beta: float) -> RadiusEntry:
     closed = math.tan(delta / 2.0) ** 2
 
     def condition(r: float) -> float:
-        return (1.0 - beta) * _PI_SQ + 2.0 * math.atan(2.0 * math.sqrt(r) / (1.0 - r)) ** 2
+        return kernel_reflection(r) - (beta - 1.0)
 
     return RadiusEntry("mbeta", {"beta": beta}, closed, condition,
                        witness_margin=lambda: left_parabola(-closed).real - beta)
@@ -381,10 +380,10 @@ def _peng_zhong_radius() -> RadiusEntry:
     """Radius on which members satisfy |z f'(z) - f(z)| < 1/2.
 
     Smallest positive root of g(r) |k(r)| = 1/2, where g is the upper
-    growth extremal and k the parabola kernel; equivalently
-    4 g(r) log^2((1+sqrt r)/(1-sqrt r)) = pi^2.  The closed form and the
-    witness take g from its degree-64 series and |k| from the log formula,
-    the condition g from quadrature and |k| from the kernel series.
+    growth extremal and k the parabola kernel.  The closed form and the
+    witness take g from its degree-64 series and |k| from
+    ``maps.kernel_modulus``, the condition g from quadrature and |k| from
+    the kernel series.
     """
     closed = _peng_zhong_root()
     return RadiusEntry("peng_zhong", {}, closed, _peng_zhong_quadrature_condition,

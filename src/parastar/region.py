@@ -3,7 +3,8 @@
 The region is open and convex, has its vertex at w = 3/2, is symmetric
 about the real axis and lies mostly in the left half-plane.  Membership
 is exposed through a signed margin so tests can assert sign and
-magnitude rather than a bare boolean.
+magnitude rather than a bare boolean.  The sharp real-part bounds of the
+kernel k on |z| = r are its two real restrictions from ``maps``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import ArgUndefined, CenterOutsideRange, DomainError
+from .maps import kernel_modulus, kernel_reflection
 
 VERTEX = 1.5
 
@@ -26,21 +28,6 @@ def margin(w):
     return m if m.ndim else float(m)
 
 
-def log_ratio(r):
-    """log((1+sqrt r)/(1-sqrt r)), the kernel's logarithm on 0 <= r < 1.
-
-    An array is evaluated elementwise; a scalar gives a float.
-    """
-    s = np.sqrt(r)
-    out = np.log((1.0 + s) / (1.0 - s))
-    return out if out.ndim else float(out)
-
-
-def kernel_modulus(r):
-    """|k(r)| = (2/pi^2) log^2((1+sqrt r)/(1-sqrt r)) on 0 <= r < 1; r may be an array."""
-    return (2.0 / _PI_SQ) * log_ratio(r) ** 2
-
-
 # Catalan's G, Apery's zeta(3), and the growth bounds' limits at r = 1: with
 # u = sqrt t, int_0^1 atan^2(u)/u du = pi G/2 - 7 zeta(3)/8 and int_0^1
 # artanh^2(u)/u du = 7 zeta(3)/8.  The upper limit bounds |f| < 1.8727 on the
@@ -52,18 +39,16 @@ COVERED_RADIUS = math.exp(-14.0 * _ZETA3 / _PI_SQ)
 
 
 def real_part_bounds(r: float) -> tuple[float, float]:
-    """Sharp (min, max) of the real part of the parabola kernel on |z| = r.
+    """Sharp (min, max) of the real part of the parabola kernel k on |z| = r.
 
-    The minimum sits on the positive real axis,
-    -(2/pi^2) log^2((1+sqrt r)/(1-sqrt r)), the maximum on the negative
-    one, +(2/pi^2) arctan^2(2 sqrt r/(1-r)).
+    The minimum sits on the positive real axis, k(r) = -``kernel_modulus(r)``,
+    the maximum on the negative one, k(-r) = ``kernel_reflection(r)``.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError("radius must lie in [0, 1)")
     if r == 0.0:
         return 0.0, 0.0
-    hi = (2.0 / _PI_SQ) * math.atan(2.0 * math.sqrt(r) / (1.0 - r)) ** 2
-    return -kernel_modulus(r), hi
+    return -kernel_modulus(r), kernel_reflection(r)
 
 
 def inscribed_disc_radius(a: float) -> float:

@@ -190,8 +190,9 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["samples"] == 1
 
     def test_impossible_tolerance_fails(self, capsys):
-        # no refined circle-max root matches its closed form exactly
-        assert main(["verify", "--only", "radius/sp", "--tol", "0"]) == 1
+        # lune's refined circle-max root misses its closed form 5/12 by
+        # 5.3e-15, so a zero tolerance fails it
+        assert main(["verify", "--only", "radius/lune", "--tol", "0"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is False
         assert payload["gap"] > 0.0

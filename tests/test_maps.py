@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -84,12 +83,14 @@ class TestParabolaMap:
         # (left_parabola), pi to the right (ronning_parabola); both share
         # parabola_map's kernel, and the principal root of x in [0, 1) is
         # real, so no map leaves an imaginary residue there, on an array or
-        # at a scalar
+        # at a scalar; on [-1, 0), sqrt(-s^2) = i s and artanh(i s) =
+        # i atan(s) have zero real parts, so the square is real there too
         oriented = {0.0: left_parabola, PI: ronning_parabola}[theta]
         r = np.linspace(0.0, 1.0, 64, endpoint=False)
         for f in (parabola_map, oriented):
             assert (f(r).imag == 0.0).all()
-            assert all(f(float(x)).imag == 0.0 for x in r)
+            assert (f(np.linspace(-1.0, 0.0, 100_001)).imag == 0.0).all()
+            assert all(f(float(x)).imag == 0.0 for x in np.r_[-r, r])
 
     def test_right_parabola_divergence_near_one(self):
         val = ronning_parabola(1.0 - 1e-6)
@@ -107,23 +108,23 @@ class TestParabolaMap:
 
     @pytest.mark.parametrize("r", [1e-9, 0.3, 0.7, 0.99, 1.0 - 1e-9])
     def test_principal_root_exact_symmetry(self, r):
-        # log^2 is even in sqrt z, so the maps take the principal root: on
-        # the upper half circle it is the upper root, and on the first
-        # call's points there (all but theta = -pi) the values are the
-        # upper-root formula's bit for bit, at a 0-d point too; on the
-        # lower half they are the exact conjugates, as the extremizer's
-        # mirrored windows read them
+        # artanh is odd, so artanh^2 is even in sqrt z and the maps take the
+        # principal root: on the upper half circle it is the upper root, and
+        # on the first call's points there (all but theta = -pi) the values
+        # are the upper-root artanh formula's bit for bit, at a 0-d point
+        # too; on the lower half they are the exact conjugates, as the
+        # extremizer's mirrored windows read them
         from parastar import oracle
 
-        k = 2.0 / PI**2
+        k = 8.0 / PI**2
         upper = r * oracle._FIRST_UNIT[1:]
         for z in (upper, np.asarray(upper[200])):
             root = np.sqrt(z)
             root = np.where(root.imag < 0.0, -root, root)  # the Im >= 0 root
-            log_sq = np.log((1.0 + root) / (1.0 - root)) ** 2
-            for got, want in ((left_parabola(z), 1.0 - k * log_sq),
-                              (ronning_parabola(z), 1.0 + k * log_sq),
-                              (parabola_map(z), -k * log_sq)):
+            atanh_sq = np.arctanh(root) ** 2
+            for got, want in ((left_parabola(z), 1.0 - k * atanh_sq),
+                              (ronning_parabola(z), 1.0 + k * atanh_sq),
+                              (parabola_map(z), -k * atanh_sq)):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
                 assert isinstance(got, np.ndarray) == (z.ndim > 0)
         z = upper[upper.imag > 0.0]
@@ -133,6 +134,23 @@ class TestParabolaMap:
             assert w_conj.imag.tobytes() == (-w.imag).tobytes()
         with pytest.raises(SingularPoint):
             left_parabola(np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("z", [1e-4, 1e-8, 1e-12, 1e-16, 1e-20j, 1e-30])
+    def test_matches_mpmath_near_zero(self, z):
+        # k(z) = -(8/pi^2) artanh^2(sqrt z) to 40 digits or more: mpmath's
+        # complex artanh cancels about log10(1/|z|)/2 digits near 0, so it
+        # works at 80; |k(r)| and k(-r) take mpmath's real route at 40
+        import mpmath as mp
+
+        with mp.workdps(80):
+            k = -8 / mp.pi**2 * mp.atanh(mp.sqrt(mp.mpc(z))) ** 2
+        with mp.workdps(40):
+            root = mp.sqrt(mp.mpf(abs(z)))
+            modulus = 8 / mp.pi**2 * mp.atanh(root) ** 2
+            reflection = 8 / mp.pi**2 * mp.atan(root) ** 2
+            assert abs(parabola_map(z) - k) <= 5e-16 * abs(k)
+            assert abs(maps.kernel_modulus(abs(z)) - modulus) <= 5e-16 * modulus
+            assert abs(maps.kernel_reflection(abs(z)) - reflection) <= 5e-16 * reflection
 
     def test_generic_matches_specialisations(self):
         # left_parabola = 1 + kernel and ronning_parabola = 1 - kernel bit
@@ -161,17 +179,50 @@ class TestLeftParabola:
     @given(st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False))
     @settings(max_examples=150, deadline=None)
     def test_conjugation_symmetry(self, z):
-        assert cmath.isclose(left_parabola(z.conjugate()),
-                             left_parabola(z).conjugate(),
-                             rel_tol=1e-12, abs_tol=1e-12)
+        # bit for bit: np.sqrt, np.arctanh and the square are each symmetric
+        assert left_parabola(z.conjugate()) == left_parabola(z).conjugate()
 
     def test_real_on_reals(self):
-        # exactly real on [0, 1); on (-1, 0) the unit-modulus log ratio
-        # leaves rounding-level imaginary residue
+        # exactly real on [0, 1) and on (-1, 0)
         pos = left_parabola(np.linspace(0.0, 0.9, 10))
         assert np.max(np.abs(pos.imag)) == 0.0
         neg = left_parabola(np.linspace(-0.9, -0.1, 9))
-        assert np.max(np.abs(neg.imag)) < 1e-14
+        assert np.max(np.abs(neg.imag)) == 0.0
+
+
+class TestKernelRestrictions:
+    @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_accurate_to_a_few_ulps(self, r):
+        # against 40-digit mpmath, relative to the conditioning: r -> |k(r)|
+        # has condition number kappa = sqrt r/((1 - r) artanh sqrt r), 1 near
+        # 0 and unbounded as r -> 1, and the rounded sqrt r passes it on;
+        # r -> k(-r) has kappa <= 1
+        import mpmath as mp
+
+        eps = 2.0**-52
+        s = math.sqrt(r)
+        kappa = s / ((1.0 - r) * math.atanh(s))
+        modulus, reflection = maps.kernel_modulus(r), maps.kernel_reflection(r)
+        assert isinstance(modulus, float) and isinstance(reflection, float)
+        assert modulus > 0.0 and reflection > 0.0
+        with mp.workdps(40):
+            root = mp.sqrt(mp.mpf(r))
+            want_modulus = 8 / mp.pi**2 * mp.atanh(root) ** 2
+            want_reflection = 8 / mp.pi**2 * mp.atan(root) ** 2
+            assert abs(modulus - want_modulus) <= 2.0 * eps * (1.0 + kappa) * want_modulus
+            assert abs(reflection - want_reflection) <= 4.0 * eps * want_reflection
+
+    def test_arrays_match_scalars(self):
+        r = np.linspace(0.0, 0.99, 100)
+        for f in (maps.kernel_modulus, maps.kernel_reflection):
+            assert f(r).tobytes() == np.array([f(float(x)) for x in r]).tobytes()
+
+    def test_restrictions_of_the_complex_kernel(self):
+        # |k(r)| = -k(r) and k(-r) on [0, 1), to rounding of the complex route
+        r = np.linspace(0.0, 0.99, 100)
+        assert np.allclose(maps.kernel_modulus(r), -parabola_map(r).real, rtol=1e-15, atol=0)
+        assert np.allclose(maps.kernel_reflection(r), parabola_map(-r).real, rtol=1e-15, atol=0)
 
 
 class TestTargets:

@@ -3,7 +3,7 @@ verify rows.
 
 Each mutant is a text edit of a copy of ``src/`` under ``tmp_path``, and
 ``verify --all`` runs on it in a fresh interpreter, so no name bound at
-import (``from .region import kernel_modulus``) escapes the edit.  Every
+import (``from .maps import kernel_modulus``) escapes the edit.  Every
 mutant must exit 1 and fail at least the rows listed with it; the
 unmutated copy is the control and must pass all 74 rows.
 """
@@ -37,16 +37,24 @@ _L_VS_TANH_SQ_ROWS = [
 # name: (file under src/parastar, text, replacement, rows that must fail),
 # the rows as measured on the source before the mutant was added
 MUTATIONS = {
-    "kernel_modulus": (
-        "region.py", "return (2.0 / _PI_SQ) * log_ratio(r) ** 2",
-        "return (2.0 / _PI_SQ) * (1.0 + 5e-7) * log_ratio(r) ** 2",
-        [*_KERNEL_LEVEL_ROWS, "region/real_part_bounds", "growth/covered_radius",
-         "growth/series_vs_quadrature", "radius/peng_zhong"]),
-    "two_over_pi_sq": (
-        "maps.py", "_TWO_OVER_PI_SQ = 2.0 / math.pi**2",
-        "_TWO_OVER_PI_SQ = 2.0 / math.pi**2 * (1.0 + 5e-7)",
+    "parabola_map": (
+        "maps.py", "return _ret(-_EIGHT_OVER_PI_SQ * np.arctanh(w) ** 2)",
+        "return _ret(-_EIGHT_OVER_PI_SQ * (1.0 + 5e-7) * np.arctanh(w) ** 2)",
         [*_L_VS_TANH_SQ_ROWS, "radius/majorization", "region/real_part_bounds",
          "witness/mbeta(beta=1.1)", "witness/mbeta(beta=1.25)", "witness/mbeta(beta=1.4)"]),
+    "kernel_modulus": (
+        "maps.py", "return _ret(_EIGHT_OVER_PI_SQ * np.arctanh(np.sqrt(r)) ** 2)",
+        "return _ret(_EIGHT_OVER_PI_SQ * (1.0 + 5e-7) * np.arctanh(np.sqrt(r)) ** 2)",
+        [*_KERNEL_LEVEL_ROWS, "region/real_part_bounds", "growth/covered_radius",
+         "growth/series_vs_quadrature", "radius/peng_zhong"]),
+    # k(-r): the real_part_bounds maximum, the mbeta condition and the
+    # upper growth integrand
+    "kernel_reflection": (
+        "maps.py", "return _ret(_EIGHT_OVER_PI_SQ * np.arctan(np.sqrt(r)) ** 2)",
+        "return _ret(_EIGHT_OVER_PI_SQ * (1.0 + 5e-7) * np.arctan(np.sqrt(r)) ** 2)",
+        ["region/real_part_bounds", "radius/mbeta(beta=1.1)", "radius/mbeta(beta=1.25)",
+         "radius/mbeta(beta=1.4)", "growth/covering_constant", "growth/series_vs_quadrature",
+         "radius/peng_zhong"]),
     "reverse_lemniscate_eta": (
         "maps.py", "eta = _SQRT2 - 1.0", "eta = (_SQRT2 - 1.0) * (1.0 + 1e-6)",
         ["radius/r9_reverse_lemniscate"]),
@@ -66,12 +74,12 @@ MUTATIONS = {
         ["growth/series_vs_quadrature", "radius/majorization", "radius/peng_zhong",
          "series/upper_coefficients"]),
     "lower_integrand": (
-        "oracle.py", "return -region.kernel_modulus(t) / t",
-        "return -region.kernel_modulus(t) / t * (1.0 + 1e-6)",
+        "oracle.py", "return -kernel_modulus(t) / t",
+        "return -kernel_modulus(t) / t * (1.0 + 1e-6)",
         ["growth/covered_radius", "growth/series_vs_quadrature"]),
     "upper_integrand": (
-        "oracle.py", "return (8.0 / _PI_SQ) * np.arctan(np.sqrt(t)) ** 2 / t",
-        "return (8.0 / _PI_SQ) * np.arctan(np.sqrt(t)) ** 2 / t * (1.0 + 1.25e-7)",
+        "oracle.py", "return kernel_reflection(t) / t",
+        "return kernel_reflection(t) / t * (1.0 + 1.25e-7)",
         ["growth/covering_constant", "growth/series_vs_quadrature", "radius/peng_zhong"]),
     "catalan": (
         "region.py", "_CATALAN = 0.915965594177219", "_CATALAN = 0.915965594177",
