@@ -32,12 +32,11 @@ from .series import PowerSeries
 # version of every JSON and CSV output format
 SCHEMA = 1
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 # root solvers: bracket width and |f| both reach _ABS_TOL within _MAX_ITER steps
 _ABS_TOL = 1e-12
+_REL_TOL = 1e-9
 _MAX_ITER = 200
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -122,28 +121,34 @@ def bracket_root(f, lo: float, hi: float) -> float:
     more than halving alone.  Smooth roots converge superlinearly.  After
     those steps, plain regula-falsi steps go on until |f| is small too.
     Returns an evaluated end r of a bracket whose width and |f(r)| are
-    both at most ``_ABS_TOL``.  A bracket that is not finite with
-    lo < hi, or a NaN value of f, raises ``DomainError`` at once; an
-    infinite value of f makes that step a midpoint.
+    both at most ``_ABS_TOL``, and from lo = 0.0 at most ``_REL_TOL`` r
+    (or ulp(r)) wide, so tiny roots keep their digits.  A bracket that is
+    not finite with lo < hi, or a NaN value of f, raises ``DomainError``
+    at once; an infinite value of f makes that step a midpoint.
     """
     tol = _ABS_TOL
     flo, fhi, root = _end_values(f, lo, hi)
     if root is not None:
         return root
+    from_zero = lo == 0.0
     kappa = 0.2 / (hi - lo)
     n_max = max(0, math.ceil(math.log2((hi - lo) / tol))) + 1
     # the projection aims two ulps under tol, so rounded iterates still
     # bring the width to tol within n_max steps
     target = max(tol - 2.0 * math.ulp(max(abs(lo), abs(hi))), 0.5 * tol)
     for j in range(_MAX_ITER):
-        if hi - lo <= tol:
-            x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-            if abs(fx) <= tol:
-                return x
         mid = 0.5 * (lo + hi)
         x = (lo * fhi - hi * flo) / (fhi - flo)
-        step = mid - x
         delta = kappa * (hi - lo) ** 2
+        if hi - lo <= tol and min(abs(flo), abs(fhi)) <= tol:
+            end = lo if abs(flo) <= abs(fhi) else hi
+            if not from_zero or hi - lo <= max(_REL_TOL * end, math.ulp(end)):
+                return end
+            # secants that cannot underflow alternate with midpoints, geometric once lo > 0
+            x = ((math.sqrt(lo) * math.sqrt(hi) if lo else mid) if j % 2
+                 else lo + (hi - lo) * (flo / (flo - fhi)))
+            delta = 0.25 * _REL_TOL * x
+        step = mid - x
         x = x + math.copysign(delta, step) if delta <= abs(step) else mid
         if j < n_max:
             radius = max(math.ldexp(target, n_max - j - 1) - 0.5 * (hi - lo), 0.0)
@@ -343,58 +348,62 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
-def _panel_values(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half-widths of the panels [lo, hi] and fn at their Gauss nodes, in one call of fn."""
-    nodes, _ = _gauss_legendre()
-    half = 0.5 * (hi - lo)
-    t = (lo + half)[:, None] + half[:, None] * nodes
+def _node_values(fn, centre: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """fn at the Gauss nodes of the panels centre +- half, a row per panel, in one call of fn."""
+    t = centre[:, None] + half[:, None] * _gauss_legendre()[0]
     vals = np.asarray(fn(t.ravel()), dtype=np.float64).reshape(t.shape)
     if not np.isfinite(vals).all():
         raise QuadratureFailure("integrand is not finite at a quadrature node")
-    return half, vals
+    return vals
 
 
 def _quad_checked(fn, a: float, b: float) -> float:
     """Integral over [a, b] of ``fn``, which maps an array of t to values.
 
     One call of fn takes [a, b] and both halves, and most integrals end
-    there; each later round halves every open panel in one call.  The
-    halves are summed as one (2, 20) product and [a, b] as a (1, 20) one:
-    a single (3, 20) product differs in the last bits.  Raises
-    ``QuadratureFailure`` on a non-finite value, when the partition would
-    exceed 500 panels, or when the summed disagreement of the accepted
-    panels misses the 1e-10 target.
+    there; each later round halves every open panel in one call, left
+    halves first.  The bits are fixed by the nodes (lo + h) + h x for
+    h = 0.5 (hi - lo) and by the shapes of the products h (v @ w): (1, 20)
+    for [a, b], (2k, 20) per round; a (3, 20) one differs in the last bits.
+    The rest is one IEEE operation per value, so Python-float bookkeeping
+    keeps those bits.  Raises ``QuadratureFailure`` at the call of fn that
+    gives a non-finite value, past 500 panels, or when the summed
+    disagreement of the accepted panels misses the 1e-10 target.
     """
-    _, weights = _gauss_legendre()
+    weights = _gauss_legendre()[1]
     m = 0.5 * (a + b)
-    half, vals = _panel_values(fn, np.array([a, a, m]), np.array([b, m, b]))
-    (whole,) = half[:1] * (vals[:1] @ weights)
-    (scale,) = np.abs(half[:1]) * (np.abs(vals[:1]) @ weights)
-    left, right = half[1:] * (vals[1:] @ weights)
-    val = left + right
-    err = abs(val - whole)
-    if not err <= _PANEL_TOL * scale:
+    h, hl, hr = 0.5 * (b - a), 0.5 * (m - a), 0.5 * (b - m)
+    vals = _node_values(fn, np.array([a + h, a + hl, m + hr]), np.array([h, hl, hr]))
+    whole = h * (vals[:1] @ weights).item()
+    sl, sr = (vals[1:] @ weights).tolist()
+    left, right = hl * sl, hr * sr
+    accepted = [left + right]
+    err = abs(accepted[0] - whole)
+    tol = _PANEL_TOL * (abs(h) * (np.abs(vals[:1]) @ weights).item())
+    if not err <= tol:
         lo, hi, whole = np.array([a, m]), np.array([m, b]), np.array([left, right])
         accepted, err = [], 0.0
-        while lo.size:
-            mid = 0.5 * (lo + hi)
-            half, vals = _panel_values(fn, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
-            left, right = np.split(half * (vals @ weights), 2)
-            pair = left + right
+        while True:
+            ends = np.concatenate((lo, 0.5 * (lo + hi), hi))
+            starts, stops = ends[:2 * lo.size], ends[lo.size:]
+            half = 0.5 * (stops - starts)
+            sums = half * (_node_values(fn, starts + half, half) @ weights)
+            pair = sums[:lo.size] + sums[lo.size:]
             diff = np.abs(pair - whole)
-            ok = diff <= _PANEL_TOL * scale
-            accepted.extend(pair[ok].tolist())
-            err += float(np.sum(diff[ok]))
-            split = ~ok
-            lo = np.concatenate((lo[split], mid[split]))
-            hi = np.concatenate((mid[split], hi[split]))
-            whole = np.concatenate((left[split], right[split]))
+            ok = diff <= tol
+            done = ok.all()
+            accepted.extend((pair if done else pair[ok]).tolist())
+            err += float((diff if done else diff[ok]).sum())
+            if done:
+                break
+            split = np.concatenate((~ok, ~ok))
+            lo, hi, whole = starts[split], stops[split], sums[split]
             if len(accepted) + lo.size > _MAX_PANELS:
                 raise QuadratureFailure(f"quadrature needs more than {_MAX_PANELS} panels")
-        val = math.fsum(accepted)
+    val = math.fsum(accepted)
     if err > _QUAD_TARGET * (1.0 + abs(val)):
         raise QuadratureFailure(f"quadrature error estimate {err:.3e} too large")
-    return float(val)
+    return val
 
 
 def _growth(integrand, r: float) -> float:

@@ -299,7 +299,8 @@ def _mbeta_radius(beta: float) -> RadiusEntry:
     """Radius on which Re z f'/f stays below beta, for 1 < beta < 3/2.
 
     Closed form tan^2(delta/2) with delta = pi sqrt(beta-1)/sqrt 2; the
-    condition is k(-r) = max Re k on |z| = r reaching beta - 1.
+    condition is k(-r) = max Re k on |z| = r reaching beta - 1, on the
+    bracket [0, 1]: k(-1) = 1/2 > beta - 1, so roots near 1 are found too.
     """
     if not 1.0 < beta < 1.5:
         raise ParamRange("beta must lie in (1, 3/2)")
@@ -309,7 +310,7 @@ def _mbeta_radius(beta: float) -> RadiusEntry:
     def condition(r: float) -> float:
         return kernel_reflection(r) - (beta - 1.0)
 
-    return RadiusEntry("mbeta", {"beta": beta}, closed, condition,
+    return RadiusEntry("mbeta", {"beta": beta}, closed, condition, bracket=(0.0, 1.0),
                        witness_margin=lambda: left_parabola(-closed).real - beta)
 
 

@@ -119,6 +119,17 @@ class TestRadius:
         assert main(["radius", "sp", "--alpha", "0.3"]) == 2
         assert "unexpected parameters for sp: ['alpha']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["mbeta", "--beta", "1.000000000001"], ["mbeta", "--beta", "1.499999999999"],
+        ["disc_class", "--alpha", "1e-30"], ["beta_disc", "--beta", "1e-30"]])
+    def test_roots_at_the_domain_ends(self, args, capsys):
+        # mbeta's roots near 0 and near 1, and kernel-level roots far below
+        # the solvers' absolute tolerance, come back positive and to 1e-9
+        assert main(["radius", *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 0.0 < payload["oracle_root"]
+        assert payload["gap"] <= 1e-9 * payload["closed_form"]
+
     @pytest.mark.parametrize("entry_id", ["sp", "r7_nephroid"])
     def test_parameter_free_entries(self, entry_id, capsys):
         assert main(["radius", entry_id]) == 0

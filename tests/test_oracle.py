@@ -646,6 +646,86 @@ class TestQuadrature:
         assert all(ours == ref for ours, ref, _ in seen)
         assert any(n > 1 for *_, n in seen)
 
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["polynomial", "sqrt_end", "near_pole", "member"]),
+           data=st.data())
+    def test_bit_equal_property(self, kind, data):
+        # any finite a != b, reversed intervals too: one round for polynomials
+        # of degree <= 39, several for a square root at an end, a pole just
+        # beyond an end or a member integrand.  The driver returns the
+        # reference's bits, or raises as it does, in one call of fn per round
+        # where the reference spends one more on [a, b] alone
+        bound = 0.999 if kind == "member" else 1e6
+        a = data.draw(st.floats(-bound, bound), label="a")
+        b = data.draw(st.floats(-bound, bound).filter(lambda v: v != a), label="b")
+        if kind == "polynomial":
+            coeffs = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40))
+            fn = lambda t: np.polynomial.polynomial.polyval(t, coeffs)
+        elif kind == "sqrt_end":
+            fn = lambda t: np.sqrt(np.abs(t - a))
+        elif kind == "near_pole":
+            c = max(a, b) + abs(b - a) * 10.0 ** -data.draw(st.integers(0, 6), label="k")
+            fn = lambda t: 1.0 / (c - t)
+        else:
+            w_fn, _ = sample_schwarz_function(np.random.default_rng(data.draw(
+                st.integers(0, 2**32 - 1), label="seed")))
+            fn = lambda t: (parabola_map(w_fn(t)) / t).real
+
+        def outcome(driver):
+            calls = []
+            try:
+                val = driver(lambda t: calls.append(t.size) or fn(t), a, b).hex()
+            except QuadratureFailure as exc:
+                val = f"QuadratureFailure: {exc}"
+            return val, len(calls)
+
+        with np.errstate(all="ignore"):
+            ours, n_ours = outcome(oracle._quad_checked)
+            ref, n_ref = outcome(reference_quad_checked)
+        assert ours == ref
+        if not ours.startswith("QuadratureFailure"):
+            assert n_ours == n_ref - 1
+
+    def test_non_finite_in_a_later_round_raises_at_that_call(self):
+        # the first round's nodes all lie above 1e-3; the square root keeps
+        # halving the panel at 0 until its nodes reach below 1e-4
+        calls = []
+
+        def fn(t):
+            calls.append(t.min())
+            return np.where(t < 1e-4, np.nan, np.sqrt(t))
+
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            oracle._quad_checked(fn, 0.0, 1.0)
+        assert len(calls) >= 2 and calls[-1] < 1e-4 <= min(calls[:-1])
+
+    def test_exact_call_and_node_counts(self, monkeypatch):
+        # a timing-free regression signal: a driver that returns the same
+        # bits takes every adaptive decision the same way, so the totals of
+        # integrand calls and nodes must not move (60 nodes in a first call,
+        # 40 per open panel in each later round)
+        quad = oracle._quad_checked
+        calls = nodes = 0
+
+        def counted(fn, a, b):
+            def g(t):
+                nonlocal calls, nodes
+                calls, nodes = calls + 1, nodes + t.size
+                return fn(t)
+            return quad(g, a, b)
+
+        monkeypatch.setattr(oracle, "_quad_checked", counted)
+        for k in range(1, 51):
+            growth_bounds(k / 50)
+        assert (calls, nodes) == (150, 10000)
+        calls = nodes = 0
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            w_fn, _ = sample_schwarz_function(rng)
+            for r in (0.3, 0.6, 0.9, 0.95):
+                member_growth_modulus(w_fn, r)
+        assert (calls, nodes) == (223, 13840)
+
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6, 1.0 - 2.0**-30,
                                    1.0 - 2.0**-48])

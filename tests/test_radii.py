@@ -137,19 +137,31 @@ class TestOrderAndDiscRadii:
         with pytest.raises(ParamRange):
             get_entry("beta_disc", beta=0.0)
 
-    @pytest.mark.parametrize("entry_id, name, in_domain", [
-        ("disc_class", "alpha", lambda v: 0.0 < v <= 1.0),
-        ("beta_disc", "beta", lambda v: 0.0 < v < 1.0),
-        ("caratheodory", "alpha", lambda v: 0.0 <= v < 1.0),
-    ], ids=["disc_class", "beta_disc", "caratheodory"])
-    @settings(max_examples=100, deadline=None)
-    @given(value=st.floats(0.0, 1.0))
+    @pytest.mark.parametrize("entry_id, name, in_domain, level", [
+        ("disc_class", "alpha", lambda v: 0.0 < v <= 1.0, lambda v: v),
+        ("beta_disc", "beta", lambda v: 0.0 < v < 1.0, lambda v: v),
+        ("caratheodory", "alpha", lambda v: 0.0 <= v < 1.0, None),
+        ("mbeta", "beta", lambda v: 1.0 < v < 1.5, lambda v: v - 1.0),
+    ], ids=["disc_class", "beta_disc", "caratheodory", "mbeta"])
+    @settings(max_examples=150, deadline=None)
+    @given(value=st.floats(0.0, 1.5))
     @example(value=1e-12)
     @example(value=1.0 - 1e-12)
-    def test_oracle_root_over_whole_domain(self, entry_id, name, in_domain, value):
+    @example(value=1e-30)
+    @example(value=1e-300)
+    @example(value=1.0 + 2.0**-52)
+    @example(value=1.0 + 1e-12)
+    @example(value=1.5 - 1e-12)
+    @example(value=math.nextafter(1.5, 0.0))
+    def test_oracle_root_over_whole_domain(self, entry_id, name, in_domain, level, value):
         # each condition is nonzero at r = 0, where its bracket starts; a
-        # floor of 1e-9 lost the roots of about 1.2e-12 at the examples.  A
-        # root below the solvers' absolute tolerance may come back as 0.0
+        # floor of 1e-9 lost the roots of about 1.2e-12 at the examples.
+        # mbeta's bracket ends at 1.0, where k(-1) = 1/2 > beta - 1, so its
+        # roots just below 1 are found too.  ITP narrows a bracket from 0.0
+        # to 1e-9 of its root, so the kernel-level roots (disc_class,
+        # beta_disc, mbeta) keep their digits down to a level of 1e-300;
+        # caratheodory's condition 1 - |k(r)| - alpha cancels near alpha = 1,
+        # and golden's root below the absolute tolerance may be 0.0
         if not in_domain(value):
             with pytest.raises(ParamRange):
                 get_entry(entry_id, **{name: value})
@@ -159,6 +171,8 @@ class TestOrderAndDiscRadii:
             root = oracle_root(entry, method)
             assert abs(root - entry.closed_form) <= 1e-9, method
             assert root > 0.0 or entry.closed_form <= _ABS_TOL, method
+            if method == "bisect" and level and level(value) >= 1e-300:
+                assert 0.0 < root and abs(root - entry.closed_form) <= 1e-9 * entry.closed_form
 
     def test_monotonicity(self):
         alphas = np.linspace(0.05, 0.95, 10)
