@@ -128,12 +128,6 @@ class TargetId(str, enum.Enum):
     LEFT_PARABOLA = "left_parabola"              # the region's own map
 
 
-def validate_janowski(A: float, B: float) -> None:
-    """Check -1 <= B < A <= 1 for the Janowski parameters."""
-    if not (-1.0 <= B < A <= 1.0):
-        raise ParamRange("Janowski parameters require -1 <= B < A <= 1")
-
-
 def _check_alpha(alpha) -> None:
     if alpha is None or not 0.0 <= alpha < 1.0:
         raise ParamRange("alpha must lie in [0, 1)")
@@ -142,7 +136,8 @@ def _check_alpha(alpha) -> None:
 def _check_janowski(A, B) -> None:
     if A is None or B is None:
         raise ParamRange("janowski target needs A and B")
-    validate_janowski(A, B)
+    if not -1.0 <= B < A <= 1.0:
+        raise ParamRange("Janowski parameters require -1 <= B < A <= 1")
 
 
 def _janowski(z, A, B):

@@ -26,7 +26,7 @@ from .errors import (
     QuadratureFailure,
     SingularOnCircle,
 )
-from .maps import kernel_modulus, kernel_reflection, parabola_map, validate_janowski
+from .maps import kernel_modulus, kernel_reflection, parabola_map
 from .series import PowerSeries
 
 # version of every JSON and CSV output format
@@ -598,23 +598,6 @@ def certify_sufficient_condition(f: PowerSeries, t: float) -> VerificationReport
                   f"region {region_margin:.3e}")
     return VerificationReport.from_pair("certify", bound, sup, 0.0, samples=z.size,
                                         notes=notes, passed=passed)
-
-
-# --- disc bounds for Carathéodory-type functions --------------------------
-
-
-def janowski_disc_bound(A: float, B: float, r: float) -> tuple[float, float]:
-    """Center and radius of the value disc of p subordinate to
-    (1+Az)/(1+Bz), on |z| = r.
-
-    Returns ((1 - A B r^2)/(1 - B^2 r^2), |A - B| r/(1 - B^2 r^2)).
-    """
-    validate_janowski(A, B)
-    if not 0.0 <= r < 1.0:
-        raise ParamRange("radius must lie in [0, 1)")
-    r2 = r ** 2
-    den = 1.0 - B * B * r2
-    return (1.0 - A * B * r2) / den, abs(A - B) * r / den
 
 
 # --- random class members --------------------------------------------------

@@ -14,8 +14,9 @@ One ordered registry, ``_REGISTRY``, maps each entry id to its builder
 and its radius-table parameter sets; ``TABLE_ROWS`` and the parameter
 names each entry requires are read from it.  Two data tables feed it:
 
-* ``_CIRCLE_MAX``: every member of a classical class (sine, lune, ...)
-  is parabolic on |z| < r, up to max Re phi on |z| = r reaching 3/2;
+* ``_CIRCLE_MAX``: every member of a classical class (sine, lune,
+  Janowski, ...) is parabolic on |z| < r, up to max Re phi on |z| = r
+  reaching 3/2; each row holds its admissible parameters;
 * ``COROLLARY``: every parabolic-class member lies in the class of r1..r9
   up to |k(r)| reaching that class's inner-disc constant min |phi - 1|
   on |z| = 1.  disc_class and beta_disc solve |k(r)| = their parameter.
@@ -37,8 +38,8 @@ from typing import Callable
 
 from . import oracle, region
 from .errors import ParamRange, UnknownTarget
-from .maps import (TargetId, kernel_modulus, kernel_reflection, left_parabola, target_map,
-                   validate_janowski)
+from .maps import (TargetId, kernel_modulus, kernel_reflection, left_parabola, parabola_map,
+                   target_map)
 from .series import extremal_upper, p0_coefficients
 
 _PI = math.pi
@@ -114,25 +115,32 @@ def _cardioid_root() -> float:
     return oracle.bracket_root(lambda r: r * math.exp(r) - 0.5, 0.0, 1.0)
 
 
+# the admissible alpha of a one-parameter row: (test, the range it names)
+_UNIT_ALPHA = (lambda alpha: 0.0 <= alpha < 1.0, "alpha in [0, 1)")
+
 _CIRCLE_MAX = {
     # class id: (parameters with their radius-table values, closed form,
-    # target map whose max Re on |z| = r reaches 3/2, report note); the
-    # closed form and the map are functions of the parameters, each an
-    # alpha in [0, 1)
+    # target map whose max Re on |z| = r reaches 3/2, report note, admissible
+    # parameters as (test, range) or None); the closed form and the map are
+    # functions of the parameters
     "sp": ({}, lambda: _tanh_sq(_PI / 4.0),
-           partial(target_map, TargetId.RONNING_PARABOLA), ""),
-    "sine": ({}, lambda: _PI / 6.0, partial(target_map, TargetId.SINE), ""),
-    "lune": ({}, lambda: 5.0 / 12.0, partial(target_map, TargetId.LUNE), ""),
+           partial(target_map, TargetId.RONNING_PARABOLA), "", None),
+    "sine": ({}, lambda: _PI / 6.0, partial(target_map, TargetId.SINE), "", None),
+    "lune": ({}, lambda: 5.0 / 12.0, partial(target_map, TargetId.LUNE), "", None),
     "cosh_sqrt": ({}, lambda: math.acosh(1.5) ** 2,
-                  partial(target_map, TargetId.COSH_SQRT), ""),
-    "asinh": ({}, lambda: math.sinh(0.5), partial(target_map, TargetId.ASINH), ""),
+                  partial(target_map, TargetId.COSH_SQRT), "", None),
+    "asinh": ({}, lambda: math.sinh(0.5), partial(target_map, TargetId.ASINH), "", None),
     "cardioid": ({}, _cardioid_root, partial(target_map, TargetId.CARDIOID),
-                 "no closed form; memoized root of r e^r = 1/2"),
+                 "no closed form; memoized root of r e^r = 1/2", None),
     "bs": ({"alpha": 0.5},
            lambda alpha: 1.0 / (1.0 + math.sqrt(1.0 + alpha)),
-           lambda alpha: lambda z: 1.0 + z / (1.0 - alpha * z * z), ""),
+           lambda alpha: lambda z: 1.0 + z / (1.0 - alpha * z * z), "", _UNIT_ALPHA),
     "alpha_exp": ({"alpha": 0.0}, lambda alpha: math.log(1.0 - 1.0 / (2.0 * (alpha - 1.0))),
-                  partial(target_map, TargetId.ALPHA_EXP), ""),
+                  partial(target_map, TargetId.ALPHA_EXP), "", _UNIT_ALPHA),
+    # max Re (1 + Az)/(1 + Bz) on |z| = r is at z = r, (1 + Ar)/(1 + Br)
+    "janowski": ({"A": 0.5, "B": -0.5}, lambda A, B: 1.0 / max(2.0 * A - 3.0 * B, 1.0),
+                 partial(target_map, TargetId.JANOWSKI), "",
+                 (lambda A, B: -1.0 < B < A <= 1.0, "-1 < B < A <= 1")),
 }
 
 
@@ -140,10 +148,9 @@ def _circle_max_radius(class_id: str, **params) -> RadiusEntry:
     """Radius on which the class lies in the parabolic class: max Re phi on
     |z| = r reaching the vertex 3/2, witnessed by the region margin of phi
     at the closed form.  A closed form >= 1 caps it at 1, with no witness."""
-    _, closed_fn, map_fn, notes = _CIRCLE_MAX[class_id]
-    for name, value in params.items():
-        if not 0.0 <= value < 1.0:
-            raise ParamRange(f"{class_id} needs {name} in [0, 1)")
+    _, closed_fn, map_fn, notes, admissible = _CIRCLE_MAX[class_id]
+    if admissible is not None and not admissible[0](**params):
+        raise ParamRange(f"{class_id} needs {admissible[1]}")
     phi = map_fn(**params)
     closed = closed_fn(**params)
     capped = closed >= 1.0
@@ -151,23 +158,6 @@ def _circle_max_radius(class_id: str, **params) -> RadiusEntry:
                        lambda r: oracle.extremize_on_circle(phi, r).value - 1.5,
                        witness_margin=None if capped else _vertex_witness(phi, closed),
                        capped=capped, notes=notes, target=phi)
-
-
-def _janowski_radius(A: float, B: float) -> RadiusEntry:
-    validate_janowski(A, B)
-    if not -1.0 < B:
-        raise ParamRange("janowski radius needs -1 < B")
-
-    def condition(r: float) -> float:
-        # rightmost point of the Janowski value disc on |z| = r against 3/2
-        return sum(oracle.janowski_disc_bound(A, B, r)) - 1.5
-
-    capped = 2.0 * A - 3.0 * B <= 1.0
-    closed = 1.0 if capped else 1.0 / (2.0 * A - 3.0 * B)
-    phi = target_map(TargetId.JANOWSKI, A=A, B=B)
-    return RadiusEntry("janowski", {"A": A, "B": B}, closed, condition,
-                       witness_margin=None if capped else _vertex_witness(phi, closed),
-                       capped=capped)
 
 
 # --- order and disc radii (parabolic class -> classical class) --------------
@@ -189,7 +179,9 @@ def _caratheodory_radius(alpha: float) -> RadiusEntry:
     closed = _kernel_level_radius(1.0 - alpha)
 
     def condition(r: float) -> float:
-        return left_parabola(r).real - alpha
+        # k(r) + (1 - alpha): 1 - alpha is exact and k(r) keeps full relative
+        # accuracy, so the root keeps its digits as alpha -> 1
+        return parabola_map(r).real + (1.0 - alpha)
 
     return RadiusEntry("caratheodory", {"alpha": alpha}, closed, condition, bracket=_FROM_ZERO,
                        witness_margin=lambda: left_parabola(closed).real - alpha)
@@ -401,7 +393,6 @@ def _peng_zhong_radius() -> RadiusEntry:
 # the builder requires exactly the names that each of its sets holds
 _REGISTRY = {
     **{cid: (partial(_circle_max_radius, cid), (row[0],)) for cid, row in _CIRCLE_MAX.items()},
-    "janowski": (_janowski_radius, ({"A": 0.5, "B": -0.5},)),
     "caratheodory": (_caratheodory_radius, ({"alpha": 0.0},)),
     "disc_class": (_disc_class_radius, ({"alpha": 1.0},)),
     "beta_disc": (_beta_disc_radius, ({"beta": 0.5},)),

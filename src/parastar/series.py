@@ -1,10 +1,10 @@
 """Finite-degree complex power series and the growth-extremal series.
 
-Series arithmetic between two operands truncates to the shorter degree,
-so the error budget of a computation is always the caller's requested
-headroom.  The module also builds, purely by the exp-of-integral
-recurrence, the two extremal members of the parabolic class: the one of
-slowest modulus growth and its reflection of fastest growth.
+A ``PowerSeries`` holds coefficients and evaluates them; products and
+sums of coefficient arrays are left to numpy (``np.convolve``).  The
+module also builds, purely by the exp-of-integral recurrence, the two
+extremal members of the parabolic class: the one of slowest modulus
+growth and its reflection of fastest growth.
 """
 
 from __future__ import annotations
@@ -60,41 +60,6 @@ class PowerSeries:
             return PowerSeries([0.0])
         n = np.arange(1, self.degree + 1)
         return PowerSeries(self.coeffs[1:] * n)
-
-    def z_times_derivative(self) -> "PowerSeries":
-        """Series of z * d/dz applied to this series (same degree)."""
-        return PowerSeries(self.coeffs * np.arange(self.degree + 1))
-
-    def _coerce(self, other):
-        if isinstance(other, PowerSeries):
-            return other
-        if np.isscalar(other) or isinstance(other, (int, float, complex)):
-            return None
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            out = self.coeffs.copy()
-            out[0] += other
-            return PowerSeries(out)
-        n = min(self.degree, o.degree) + 1
-        return PowerSeries(self.coeffs[:n] + o.coeffs[:n])
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            return PowerSeries(self.coeffs * other)
-        n = min(self.degree, o.degree) + 1
-        return PowerSeries(np.convolve(self.coeffs[:n], o.coeffs[:n])[:n])
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[:4])

@@ -72,12 +72,12 @@ def _upper_coefficients(check_id):
 
 
 def _defining_ode(check_id):
+    # n a_n against the Cauchy product of f and 1 + k, through z^31
     n_max = 32
-    f = extremal_lower(n_max)
-    lp = p0_coefficients(n_max) + 1.0
-    lhs = f.z_times_derivative()
-    rhs = f * lp
-    resid = float(np.max(np.abs(lhs.coeffs[: n_max] - rhs.coeffs[: n_max])))
+    f = extremal_lower(n_max).coeffs
+    lp = p0_coefficients(n_max).coeffs
+    lp[0] = 1.0
+    resid = float(np.max(np.abs(f[:n_max] * np.arange(n_max) - np.convolve(f, lp)[:n_max])))
     return VerificationReport.from_pair(check_id, 0.0, resid, 1e-12,
                                         notes="z f' = f * map series, coefficientwise")
 

