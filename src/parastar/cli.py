@@ -12,7 +12,7 @@ import sys
 
 from . import radii, verify
 from .errors import ParamRange, ParastarError
-from .maps import TargetId, target_map
+from .maps import TARGETS, target_map
 from .oracle import SCHEMA, certify_sufficient_condition
 from .series import PowerSeries, extremal_lower, extremal_upper, p0_coefficients
 
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a target map at a point")
-    pe.add_argument("--target", required=True, choices=[t.value for t in TargetId])
+    pe.add_argument("--target", required=True, choices=list(TARGETS))
     pe.add_argument("--z", required=True, type=complex, help="complex point, e.g. 0.3+0.1j")
     pe.add_argument("--alpha", type=float)
     pe.add_argument("--A", type=float)

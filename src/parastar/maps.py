@@ -9,9 +9,10 @@ open unit disc onto the horizontal parabolic region
 {w : (Im w)^2 < 3 - 2 Re w}, vertex 3/2, opening into the left half-plane.
 The kernel k is written once, in ``parabola_map``, with its two real
 restrictions beside it: ``kernel_modulus(r)`` = |k(r)| and
-``kernel_reflection(r)`` = k(-r).  Alongside them live the classical
-target maps (exponential, sine, cardioid, lemniscates, Janowski, ...)
-used to state membership radii.
+``kernel_reflection(r)`` = k(-r).  ``TARGETS`` names the two parabola maps and
+the twelve classical target maps (exponential, sine, cardioid,
+lemniscates, Janowski, ...) used to state membership radii, once each;
+``target_map`` looks them up by name.
 
 Branch conventions
 ------------------
@@ -28,7 +29,6 @@ vectorised; every function is pure.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -109,25 +109,6 @@ def ronning_parabola(z):
     return 1.0 - parabola_map(z)
 
 
-class TargetId(str, enum.Enum):
-    """Closed enumeration of the supported target maps."""
-
-    ALPHA_EXP = "alpha_exp"                      # alpha + (1-alpha) e^z
-    ALPHA_SQRT = "alpha_sqrt"                    # alpha + (1-alpha) sqrt(1+z)
-    CARDIOID = "cardioid"                        # 1 + z e^z
-    SIGMOID = "sigmoid"                          # 2 / (1 + e^{-z})
-    SINE = "sine"                                # 1 + sin z
-    ASINH = "asinh"                              # 1 + arcsinh z
-    COSH_SQRT = "cosh_sqrt"                      # cosh sqrt(z)
-    LUNE = "lune"                                # z + sqrt(1 + z^2)
-    LEMNISCATE = "lemniscate"                    # sqrt(1 + z)
-    JANOWSKI = "janowski"                        # (1 + A z) / (1 + B z)
-    NEPHROID = "nephroid"                        # 1 + z - z^3/3
-    RONNING_PARABOLA = "ronning_parabola"        # right-opening parabola
-    REVERSE_LEMNISCATE = "reverse_lemniscate"    # sqrt2-(sqrt2-1)sqrt((1-z)/(1+2(sqrt2-1)z))
-    LEFT_PARABOLA = "left_parabola"              # the region's own map
-
-
 def _check_alpha(alpha) -> None:
     if alpha is None or not 0.0 <= alpha < 1.0:
         raise ParamRange("alpha must lie in [0, 1)")
@@ -153,25 +134,27 @@ def _reverse_lemniscate(z):
     return _SQRT2 - eta * np.sqrt((1.0 - z) / (1.0 + 2.0 * eta * z))
 
 
-_TARGETS = {
-    # target: (formula in z and the parameters, parameter names, parameter check);
-    # the two parabola maps check their own input and are returned as they are
-    TargetId.ALPHA_EXP: (lambda z, alpha: alpha + (1.0 - alpha) * np.exp(z),
-                         ("alpha",), _check_alpha),
-    TargetId.ALPHA_SQRT: (lambda z, alpha: alpha + (1.0 - alpha) * np.sqrt(1.0 + z),
-                          ("alpha",), _check_alpha),
-    TargetId.JANOWSKI: (_janowski, ("A", "B"), _check_janowski),
-    TargetId.CARDIOID: (lambda z: 1.0 + z * np.exp(z), (), None),
-    TargetId.SIGMOID: (lambda z: 2.0 / (1.0 + np.exp(-z)), (), None),
-    TargetId.SINE: (lambda z: 1.0 + np.sin(z), (), None),
-    TargetId.ASINH: (lambda z: 1.0 + np.arcsinh(z), (), None),
-    TargetId.COSH_SQRT: (lambda z: np.cosh(np.sqrt(z)), (), None),  # cosh is even
-    TargetId.LUNE: (lambda z: z + np.sqrt(1.0 + z * z), (), None),
-    TargetId.LEMNISCATE: (lambda z: np.sqrt(1.0 + z), (), None),
-    TargetId.NEPHROID: (lambda z: 1.0 + z - z**3 / 3.0, (), None),
-    TargetId.REVERSE_LEMNISCATE: (_reverse_lemniscate, (), None),
-    TargetId.RONNING_PARABOLA: (ronning_parabola, None, None),
-    TargetId.LEFT_PARABOLA: (left_parabola, None, None),
+TARGETS = {
+    # name: (formula in z and the parameters, parameter names, parameter check),
+    # in the order of ``eval --target``'s choices; the two parabola maps check
+    # their own input and are returned as they are
+    "alpha_exp": (lambda z, alpha: alpha + (1.0 - alpha) * np.exp(z),
+                  ("alpha",), _check_alpha),
+    "alpha_sqrt": (lambda z, alpha: alpha + (1.0 - alpha) * np.sqrt(1.0 + z),
+                   ("alpha",), _check_alpha),
+    "cardioid": (lambda z: 1.0 + z * np.exp(z), (), None),
+    "sigmoid": (lambda z: 2.0 / (1.0 + np.exp(-z)), (), None),
+    "sine": (lambda z: 1.0 + np.sin(z), (), None),
+    "asinh": (lambda z: 1.0 + np.arcsinh(z), (), None),
+    "cosh_sqrt": (lambda z: np.cosh(np.sqrt(z)), (), None),  # cosh is even
+    "lune": (lambda z: z + np.sqrt(1.0 + z * z), (), None),
+    "lemniscate": (lambda z: np.sqrt(1.0 + z), (), None),
+    "janowski": (_janowski, ("A", "B"), _check_janowski),  # (1 + A z) / (1 + B z)
+    "nephroid": (lambda z: 1.0 + z - z**3 / 3.0, (), None),
+    "ronning_parabola": (ronning_parabola, None, None),  # right-opening parabola
+    # sqrt2 - (sqrt2 - 1) sqrt((1 - z)/(1 + 2(sqrt2 - 1) z))
+    "reverse_lemniscate": (_reverse_lemniscate, (), None),
+    "left_parabola": (left_parabola, None, None),  # the region's own map
 }
 
 
@@ -183,16 +166,15 @@ def target_map(target, **params):
     ``UnknownTarget``; spurious parameters raise ``ParamRange``.
     """
     try:
-        tid = TargetId(target)
-    except ValueError:
+        formula, names, check = TARGETS[target]
+    except (KeyError, TypeError):
         raise UnknownTarget(f"unknown target map: {target!r}") from None
-    formula, names, check = _TARGETS[tid]
     params = dict(params)
     args = tuple(params.pop(name, None) for name in names or ())
     if check is not None:
         check(*args)
     if params:
-        raise ParamRange(f"unexpected parameters for {tid.value}: {sorted(params)}")
+        raise ParamRange(f"unexpected parameters for {target}: {sorted(params)}")
     if names is None:
         return formula
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -70,21 +70,10 @@ class VerificationReport:
                    passed=bool(gap <= tolerance if passed is None else passed),
                    notes=notes)
 
-    def as_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "id": self.check_id,
-            "closed_form": self.closed_form,
-            "oracle_value": self.oracle_value,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        fields = asdict(self)
+        fields["id"] = fields.pop("check_id")
+        return json.dumps({"schema": SCHEMA, **fields}, sort_keys=True)
 
 
 def _value(f, x: float) -> float:

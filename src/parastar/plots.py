@@ -65,7 +65,7 @@ def corollary_figure(entry_id: str = "r7_nephroid", samples: int = 256) -> list[
     zb = np.exp(1j * _circle_angles(samples))
     entry = radii.get_entry(entry_id)
     r = entry.closed_form
-    return [Curve(f"{radii.COROLLARY[entry_id][1].value}_boundary", np.asarray(entry.target(zb))),
+    return [Curve(f"{radii.COROLLARY[entry_id][1]}_boundary", np.asarray(entry.target(zb))),
             Curve(f"image_r={r:.6f}", np.asarray(left_parabola(r * zb)))]
 
 

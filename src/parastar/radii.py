@@ -38,8 +38,7 @@ from typing import Callable
 
 from . import oracle, region
 from .errors import ParamRange, UnknownTarget
-from .maps import (TargetId, kernel_modulus, kernel_reflection, left_parabola, parabola_map,
-                   target_map)
+from .maps import kernel_modulus, kernel_reflection, left_parabola, parabola_map, target_map
 from .series import extremal_upper, p0_coefficients
 
 _PI = math.pi
@@ -123,23 +122,21 @@ _CIRCLE_MAX = {
     # target map whose max Re on |z| = r reaches 3/2, report note, admissible
     # parameters as (test, range) or None); the closed form and the map are
     # functions of the parameters
-    "sp": ({}, lambda: _tanh_sq(_PI / 4.0),
-           partial(target_map, TargetId.RONNING_PARABOLA), "", None),
-    "sine": ({}, lambda: _PI / 6.0, partial(target_map, TargetId.SINE), "", None),
-    "lune": ({}, lambda: 5.0 / 12.0, partial(target_map, TargetId.LUNE), "", None),
-    "cosh_sqrt": ({}, lambda: math.acosh(1.5) ** 2,
-                  partial(target_map, TargetId.COSH_SQRT), "", None),
-    "asinh": ({}, lambda: math.sinh(0.5), partial(target_map, TargetId.ASINH), "", None),
-    "cardioid": ({}, _cardioid_root, partial(target_map, TargetId.CARDIOID),
+    "sp": ({}, lambda: _tanh_sq(_PI / 4.0), partial(target_map, "ronning_parabola"), "", None),
+    "sine": ({}, lambda: _PI / 6.0, partial(target_map, "sine"), "", None),
+    "lune": ({}, lambda: 5.0 / 12.0, partial(target_map, "lune"), "", None),
+    "cosh_sqrt": ({}, lambda: math.acosh(1.5) ** 2, partial(target_map, "cosh_sqrt"), "", None),
+    "asinh": ({}, lambda: math.sinh(0.5), partial(target_map, "asinh"), "", None),
+    "cardioid": ({}, _cardioid_root, partial(target_map, "cardioid"),
                  "no closed form; memoized root of r e^r = 1/2", None),
     "bs": ({"alpha": 0.5},
            lambda alpha: 1.0 / (1.0 + math.sqrt(1.0 + alpha)),
            lambda alpha: lambda z: 1.0 + z / (1.0 - alpha * z * z), "", _UNIT_ALPHA),
     "alpha_exp": ({"alpha": 0.0}, lambda alpha: math.log(1.0 - 1.0 / (2.0 * (alpha - 1.0))),
-                  partial(target_map, TargetId.ALPHA_EXP), "", _UNIT_ALPHA),
+                  partial(target_map, "alpha_exp"), "", _UNIT_ALPHA),
     # max Re (1 + Az)/(1 + Bz) on |z| = r is at z = r, (1 + Ar)/(1 + Br)
     "janowski": ({"A": 0.5, "B": -0.5}, lambda A, B: 1.0 / max(2.0 * A - 3.0 * B, 1.0),
-                 partial(target_map, TargetId.JANOWSKI), "",
+                 partial(target_map, "janowski"), "",
                  (lambda A, B: -1.0 < B < A <= 1.0, "-1 < B < A <= 1")),
 }
 
@@ -228,26 +225,22 @@ def inner_disc_radius(target: str, **params) -> float:
 _SQRT2 = math.sqrt(2.0)
 
 COROLLARY = {
-    # entry id: (closed form, target id, target params); the level of each
+    # entry id: (closed form, target name, target params); the level of each
     # radius is the inner-disc constant of its target
     "r1_exp": (lambda: _tanh_sq(_PI * 0.5 * math.sqrt((math.e - 1.0) / (2.0 * math.e))),
-               TargetId.ALPHA_EXP, {"alpha": 0.0}),
-    "r2_sine": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(2.0 / math.sin(1.0)))),
-                TargetId.SINE, {}),
-    "r3_cosh_sqrt": (lambda: _tanh_sq(_PI * math.sin(0.5) / 2.0), TargetId.COSH_SQRT, {}),
-    "r4_cardioid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(2.0 * math.e))),
-                    TargetId.CARDIOID, {}),
-    "r5_asinh": (lambda: _tanh_sq(_PI * math.sqrt(0.5 * math.asinh(1.0)) / 2.0),
-                 TargetId.ASINH, {}),
-    "r6_sigmoid": (lambda: _kernel_level_radius((math.e - 1.0) / (math.e + 1.0)),
-                   TargetId.SIGMOID, {}),
-    "r7_nephroid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(3.0))), TargetId.NEPHROID, {}),
-    "r8_lemniscate": (lambda: _kernel_level_radius(_SQRT2 - 1.0), TargetId.LEMNISCATE, {}),
+               "alpha_exp", {"alpha": 0.0}),
+    "r2_sine": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(2.0 / math.sin(1.0)))), "sine", {}),
+    "r3_cosh_sqrt": (lambda: _tanh_sq(_PI * math.sin(0.5) / 2.0), "cosh_sqrt", {}),
+    "r4_cardioid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(2.0 * math.e))), "cardioid", {}),
+    "r5_asinh": (lambda: _tanh_sq(_PI * math.sqrt(0.5 * math.asinh(1.0)) / 2.0), "asinh", {}),
+    "r6_sigmoid": (lambda: _kernel_level_radius((math.e - 1.0) / (math.e + 1.0)), "sigmoid", {}),
+    "r7_nephroid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(3.0))), "nephroid", {}),
+    "r8_lemniscate": (lambda: _kernel_level_radius(_SQRT2 - 1.0), "lemniscate", {}),
     "r9_reverse_lemniscate": (
         lambda: _tanh_sq(_PI * (math.sqrt(2.0 * (_SQRT2 - 1.0))
                                 * (1.0 - math.sqrt(2.0 * (_SQRT2 - 1.0)))) ** 0.25
                          / (2.0 * math.sqrt(2.0))),
-        TargetId.REVERSE_LEMNISCATE, {}),
+        "reverse_lemniscate", {}),
 }
 
 
@@ -255,7 +248,7 @@ def _corollary_radius(entry_id: str) -> RadiusEntry:
     """Radius on which every parabolic-class member lies in the target's
     class: the root of |k(r)| = its inner-disc constant, in the notes."""
     closed_fn, target, tparams = COROLLARY[entry_id]
-    level = inner_disc_radius(target.value, **tparams)
+    level = inner_disc_radius(target, **tparams)
     return RadiusEntry(entry_id, {}, closed_fn(), _kernel_level(level), bracket=_FROM_ZERO,
                        notes=f"inner-disc constant {level:.12g}",
                        target=target_map(target, **tparams))

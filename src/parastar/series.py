@@ -2,9 +2,9 @@
 
 A ``PowerSeries`` holds coefficients and evaluates them; products and
 sums of coefficient arrays are left to numpy (``np.convolve``).  The
-module also builds, purely by the exp-of-integral recurrence, the two
-extremal members of the parabolic class: the one of slowest modulus
-growth and its reflection of fastest growth.
+module also builds, by the exp-of-integral recurrence, the extremal
+member of the parabolic class of slowest modulus growth, and from its
+coefficients its reflection -f(-z) of fastest growth.
 """
 
 from __future__ import annotations
@@ -110,36 +110,23 @@ def integrate_over_t(s: PowerSeries) -> PowerSeries:
     return PowerSeries(out)
 
 
-def _kernel_series(n_max: int, reflected: bool) -> PowerSeries:
-    p = p0_coefficients(n_max)
-    coeffs = p.coeffs
-    if reflected:
-        coeffs = coeffs.copy()
-        coeffs[1::2] *= -1.0  # kernel evaluated at -t
-    return PowerSeries(coeffs)
-
-
-def _extremal(n_max: int, reflected: bool) -> PowerSeries:
-    if n_max < 1:
-        raise ParamRange("n_max must be at least 1")
-    e = series_exp(integrate_over_t(_kernel_series(n_max, reflected)))
-    coeffs = np.concatenate([[0.0], e.coeffs[:n_max]])
-    return PowerSeries(coeffs)
-
-
 def extremal_lower(n_max: int) -> PowerSeries:
     """Series of z exp(int_0^z k(t)/t dt) for the parabola kernel k.
 
     This member attains the lower growth bound of the class; its leading
     coefficient is 1 and all coefficients are real.
     """
-    return _extremal(n_max, reflected=False)
+    e = series_exp(integrate_over_t(p0_coefficients(n_max)))
+    return PowerSeries(np.concatenate([[0.0], e.coeffs[:n_max]]))
 
 
 def extremal_upper(n_max: int) -> PowerSeries:
-    """Series of z exp(int_0^z k(-t)/t dt): the fastest-growing member.
+    """Series of z exp(int_0^z k(-t)/t dt) = -f(-z) for the lower extremal f.
 
-    Identical to -f(-z) for the lower extremal f, so coefficients agree
-    up to alternating signs.  Starts z + (8/pi^2) z^2 + ...
+    The fastest-growing member: f's coefficients with alternating signs,
+    z + (8/pi^2) z^2 + ...  Only the real parts of the even-index
+    coefficients are negated, so the imaginary parts stay +0.0.
     """
-    return _extremal(n_max, reflected=True)
+    f = extremal_lower(n_max)
+    f.coeffs.real[2::2] *= -1.0
+    return f

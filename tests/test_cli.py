@@ -34,6 +34,15 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["value"]["re"] - 3.0) < 1e-12
 
+    def test_target_choices_in_catalog_order(self, capsys):
+        # the choices and their order, as `eval --help` lists them
+        names = ["alpha_exp", "alpha_sqrt", "cardioid", "sigmoid", "sine", "asinh",
+                 "cosh_sqrt", "lune", "lemniscate", "janowski", "nephroid",
+                 "ronning_parabola", "reverse_lemniscate", "left_parabola"]
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        assert "--target {" + ",".join(names) + "}" in capsys.readouterr().out
+
     def test_singular_point_is_usage_error(self, capsys):
         assert main(["eval", "--target", "left_parabola", "--z", "1"]) == 2
 
@@ -61,8 +70,8 @@ class TestEval:
         ["plot", "discs"],
     ], ids=["parabola", "--tau", "--theta", "plot-discs"])
     def test_removed_paths_are_usage_errors(self, argv, capsys):
-        # --target takes exactly the TargetId values, there are no rotation
-        # flags, and discs are drawn by `plot region --discs`
+        # --target takes exactly the names in maps.TARGETS, there are no
+        # rotation flags, and discs are drawn by `plot region --discs`
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

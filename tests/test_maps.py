@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from parastar import maps
 from parastar.errors import DomainError, ParamRange, SingularPoint, UnknownTarget
-from parastar.maps import TargetId, left_parabola, parabola_map, ronning_parabola, target_map
+from parastar.maps import left_parabola, parabola_map, ronning_parabola, target_map
 
 PI = math.pi
 
@@ -227,60 +227,63 @@ class TestKernelRestrictions:
 
 class TestTargets:
     @pytest.mark.parametrize("target,params", [
-        (TargetId.ALPHA_EXP, {"alpha": 0.3}),
-        (TargetId.ALPHA_SQRT, {"alpha": 0.3}),
-        (TargetId.CARDIOID, {}),
-        (TargetId.SIGMOID, {}),
-        (TargetId.SINE, {}),
-        (TargetId.ASINH, {}),
-        (TargetId.COSH_SQRT, {}),
-        (TargetId.LUNE, {}),
-        (TargetId.LEMNISCATE, {}),
-        (TargetId.JANOWSKI, {"A": 0.5, "B": -0.5}),
-        (TargetId.NEPHROID, {}),
-        (TargetId.RONNING_PARABOLA, {}),
-        (TargetId.REVERSE_LEMNISCATE, {}),
-        (TargetId.LEFT_PARABOLA, {}),
+        ("alpha_exp", {"alpha": 0.3}),
+        ("alpha_sqrt", {"alpha": 0.3}),
+        ("cardioid", {}),
+        ("sigmoid", {}),
+        ("sine", {}),
+        ("asinh", {}),
+        ("cosh_sqrt", {}),
+        ("lune", {}),
+        ("lemniscate", {}),
+        ("janowski", {"A": 0.5, "B": -0.5}),
+        ("nephroid", {}),
+        ("ronning_parabola", {}),
+        ("reverse_lemniscate", {}),
+        ("left_parabola", {}),
     ])
     def test_normalised_at_zero(self, target, params):
         assert abs(target_map(target, **params)(0.0) - 1.0) <= 1e-15
 
     def test_sine_real_on_reals(self):
         for r in (0.1, 0.4, 0.9):
-            val = target_map(TargetId.SINE)(r)
+            val = target_map("sine")(r)
             assert val.imag == 0.0
             assert val.real == 1.0 + math.sin(r)
 
     def test_janowski_moebius_identity(self):
         # (1 + 0.5)/(1 - 0.5) = 3
-        assert abs(target_map(TargetId.JANOWSKI, A=1.0, B=-1.0)(0.5) - 3.0) < 1e-14
+        assert abs(target_map("janowski", A=1.0, B=-1.0)(0.5) - 3.0) < 1e-14
 
     def test_janowski_pole_flagged(self):
         # B = -1 puts the pole at z = 1 on the closed disc
         with pytest.raises(SingularPoint):
-            target_map(TargetId.JANOWSKI, A=1.0, B=-1.0)(1.0)
+            target_map("janowski", A=1.0, B=-1.0)(1.0)
 
     def test_janowski_param_validation(self):
         with pytest.raises(ParamRange):
-            target_map(TargetId.JANOWSKI, A=-0.5, B=0.5)
+            target_map("janowski", A=-0.5, B=0.5)
 
     def test_unknown_target(self):
-        with pytest.raises(UnknownTarget):
-            target_map("spiral")
+        # names are exact strings: no case folding, and an unhashable key is
+        # unknown too, not a TypeError
+        for target in ("spiral", "nope", "SINE", 3, None, ["sine"]):
+            with pytest.raises(UnknownTarget, match="unknown target map"):
+                target_map(target)
 
     def test_alpha_validation(self):
         with pytest.raises(ParamRange):
-            target_map(TargetId.ALPHA_EXP, alpha=1.0)
+            target_map("alpha_exp", alpha=1.0)
         with pytest.raises(ParamRange):
-            target_map(TargetId.SINE, alpha=0.5)
+            target_map("sine", alpha=0.5)
 
     def test_lune_explicit_value(self):
         # 5/12 + sqrt(1 + 25/144) = 5/12 + 13/12 = 3/2
-        val = target_map(TargetId.LUNE)(5.0 / 12.0)
+        val = target_map("lune")(5.0 / 12.0)
         assert abs(val - 1.5) < 1e-15
 
     def test_reverse_lemniscate_endpoints(self):
         # z = 1 gives sqrt(2); z = -1 gives 0
         s2 = math.sqrt(2.0)
-        assert abs(target_map(TargetId.REVERSE_LEMNISCATE)(1.0) - s2) < 1e-14
-        assert abs(target_map(TargetId.REVERSE_LEMNISCATE)(-1.0)) < 1e-14
+        assert abs(target_map("reverse_lemniscate")(1.0) - s2) < 1e-14
+        assert abs(target_map("reverse_lemniscate")(-1.0)) < 1e-14

@@ -33,6 +33,14 @@ _L_VS_TANH_SQ_ROWS = [
     "radius/caratheodory(alpha=0.5)", "witness/caratheodory(alpha=0)",
     "witness/caratheodory(alpha=0.5)", "witness/disc_class(alpha=1)",
     "witness/disc_class(alpha=0.5)", "witness/beta_disc(beta=0.5)"]
+# witnesses of the circle-max and ratio rows: the region margin at the
+# extremal's value, which sits on the vertex 3/2
+_VERTEX_WITNESS_ROWS = [
+    "witness/sp", "witness/sine", "witness/lune", "witness/cosh_sqrt", "witness/asinh",
+    "witness/cardioid", "witness/bs(alpha=0.5)", "witness/bs(alpha=0.25)",
+    "witness/alpha_exp(alpha=0)", "witness/alpha_exp(alpha=0.3)",
+    "witness/janowski(A=0.5;B=-0.5)", "witness/janowski(A=1;B=-0.9)",
+    "witness/ratio(A=-1)", "witness/ratio(A=1)", "witness/ratio(A=0)"]
 
 # name: (file under src/parastar, text, replacement, rows that must fail),
 # the rows as measured on the source before the mutant was added
@@ -85,6 +93,22 @@ MUTATIONS = {
     "catalan": (
         "region.py", "_CATALAN = 0.915965594177219", "_CATALAN = 0.915965594177",
         ["growth/covering_constant"]),
+    # the region's vertex: every witness whose margin vanishes at the vertex
+    "region_vertex": (
+        "region.py", "m = 3.0 - 2.0 * w.real - w.imag**2",
+        "m = 3.000001 - 2.0 * w.real - w.imag**2", _VERTEX_WITNESS_ROWS),
+    # the parabola's width: every catalog image first meets it at the vertex,
+    # so only the off-axis probes see it
+    "parabola_width": (
+        "region.py", "m = 3.0 - 2.0 * w.real - w.imag**2",
+        "m = 3.0 - 2.0 * w.real - 1.01 * w.imag**2", ["region/inscribed_disc_probes"]),
+    "sine_target": (
+        "maps.py", "1.0 + np.sin(z)", "1.0 + np.sin(z) + 1e-7 * z * z",
+        ["radius/sine", "radius/r2_sine", "witness/sine"]),
+    # the exp recurrence past its third term
+    "series_exp": (
+        "series.py", "rev[n_max - n + 1 :]) / n",
+        "rev[n_max - n + 1 :]) / n * (1.0 + 1e-7 * (n > 3))", ["series/defining_ode"]),
     "inscribed_disc_radius": (
         "region.py", "return math.sqrt(2.0 - 2.0 * a) if a <= 0.5",
         "return math.sqrt(2.0 - 2.0 * a) * (1.0 + 1e-5) if a <= 0.5",

@@ -12,7 +12,7 @@ from parastar.errors import (
     DerivativeVanishes, DomainError, MaxIterExceeded, NoSignChange, ParamRange,
     QuadratureFailure, SingularOnCircle,
 )
-from parastar.maps import TargetId, left_parabola, parabola_map, target_map
+from parastar.maps import TARGETS, left_parabola, parabola_map, target_map
 from parastar.oracle import (
     bracket_root, certify_sufficient_condition, check_subordination_inclusion,
     covering_constant, extremize_on_circle, golden_bracket_root, growth_bounds,
@@ -408,7 +408,7 @@ class TestSpeculativeRefinement:
 _MIRROR_PARAMS = {"alpha_exp": {"alpha": 0.3}, "alpha_sqrt": {"alpha": 0.3},
                   "janowski": {"A": 0.5, "B": -0.5}}
 _MIRROR_MAPS = [
-    *((t.value, target_map(t, **_MIRROR_PARAMS.get(t.value, {}))) for t in TargetId),
+    *((t, target_map(t, **_MIRROR_PARAMS.get(t, {}))) for t in TARGETS),
     *((f"bs({a})", radii.get_entry("bs", alpha=a).target) for a in (0.0, 0.3, 0.6, 0.9)),
 ]
 

@@ -271,7 +271,7 @@ class TestHalfCircle:
     def test_inner_disc_minimum_bit_equal(self, monkeypatch, entry_id):
         _, target, params = COROLLARY[entry_id]
         calls = _half_and_full(monkeypatch)
-        constant = inner_disc_radius.__wrapped__(target.value, **params)
+        constant = inner_disc_radius.__wrapped__(target, **params)
         ((_, half, full),) = calls
         assert constant == -half.value == -full
 
@@ -339,7 +339,7 @@ class TestTieRule:
         phi = get_entry(entry_id).target
         shifted = lambda z: phi(z) - 1.0
         first = sequential_extremize(shifted, 1.0, "abs", first_index=True)[0]
-        assert inner_disc_radius.__wrapped__(target.value, **params) == first
+        assert inner_disc_radius.__wrapped__(target, **params) == first
 
     def test_map_call_count(self, monkeypatch):
         # every circle-max condition of the default catalog at fixed radii,
@@ -357,7 +357,7 @@ class TestTieRule:
             for r in (1e-9, *np.linspace(0.1, 0.9, 9), 0.99, 1.0 - 1e-9):
                 entry.condition(r)
         for _, target, params in COROLLARY.values():
-            inner_disc_radius.__wrapped__(target.value, **params)
+            inner_disc_radius.__wrapped__(target, **params)
         counts = [len(sizes) for sizes in calls]
         assert len(counts) == 117
         assert sum(counts) <= 152
@@ -394,7 +394,7 @@ class TestDenseReference:
     @pytest.mark.parametrize("entry_id", list(COROLLARY))
     def test_inner_disc_constants(self, entry_id):
         _, target, params = COROLLARY[entry_id]
-        constant = inner_disc_radius(target.value, **params)
+        constant = inner_disc_radius(target, **params)
         dense = np.min(np.abs(get_entry(entry_id).target(_DENSE_UNIT) - 1.0))
         assert dense >= constant - _DENSE_TOL * max(1.0, constant)
 

@@ -39,8 +39,10 @@ class TestKernelCoefficients:
         assert np.all(c.real < 0.0)
 
     def test_rejects_zero_degree(self):
-        with pytest.raises(ParamRange):
-            p0_coefficients(0)
+        # the extremals take their degree check from the kernel series
+        for build in (p0_coefficients, extremal_lower, extremal_upper):
+            with pytest.raises(ParamRange, match="n_max must be at least 1"):
+                build(0)
 
 
 class TestSeriesOps:
@@ -90,11 +92,15 @@ class TestExtremals:
         assert abs(g[3] - (-8.0 * (PI**2 - 12.0) / (3.0 * PI**4))) < 1e-15
         assert abs(g[4] - 8.0 * (1440.0 - 360.0 * PI**2 + 23.0 * PI**4) / (135.0 * PI**6)) < 1e-15
 
-    def test_upper_is_reflected_lower(self):
-        f = extremal_lower(12).coeffs
-        g = extremal_upper(12).coeffs
-        signs = (-1.0) ** (np.arange(13) + 1)
-        assert np.max(np.abs(g - f * signs)) < 1e-15
+    def test_upper_matches_reflected_kernel_route(self):
+        # the upper extremal is built from the lower one's coefficients; the
+        # exp-of-integral route through the kernel at -t gives the same bits
+        for n in (1, 2, 3, 8, 64, 256, 300, 1000, 4096):
+            kernel = p0_coefficients(n).coeffs
+            kernel[1::2] *= -1.0
+            e = series_exp(integrate_over_t(PowerSeries(kernel)))
+            route = np.concatenate([[0.0], e.coeffs[:n]])
+            assert extremal_upper(n).coeffs.tobytes() == route.tobytes(), n
 
     def test_defining_ode_coefficientwise(self):
         # z f' = f * (1 + kernel), coefficient by coefficient
