@@ -10,23 +10,29 @@ memoized-root radius (cardioid, majorization, peng_zhong) is reached by
 another route.  Every condition is solved by ITP
 (``oracle.bracket_root``); golden-section shrinking is the cross-check.
 
-One ordered registry, ``_REGISTRY``, maps each entry id to its builder
-and its radius-table parameter sets; ``TABLE_ROWS`` and the parameter
-names each entry requires are read from it.  Two data tables feed it:
+One ordered registry, ``_REGISTRY``, maps each entry id to its builder,
+its radius-table parameter sets and its admissible parameters;
+``TABLE_ROWS`` and the parameter names each entry requires are read from
+it.  Two data tables feed it:
 
 * ``_CIRCLE_MAX``: every member of a classical class (sine, lune,
   Janowski, ...) is parabolic on |z| < r, up to max Re phi on |z| = r
   reaching 3/2; each row holds its admissible parameters;
 * ``COROLLARY``: every parabolic-class member lies in the class of r1..r9
-  up to |k(r)| reaching that class's inner-disc constant min |phi - 1|
-  on |z| = 1.  disc_class and beta_disc solve |k(r)| = their parameter.
+  up to |k(r)| reaching that class's inner-disc constant c = min |phi - 1|
+  on |z| = 1, stated as 1 - 1/e, sin 1, 1 - cos 1, 1/e, asinh 1,
+  (e - 1)/(e + 1), 2/3, sqrt 2 - 1 and sqrt(eta (1 - eta)), eta =
+  sqrt(2 (sqrt 2 - 1)).  The root of |k(r)| = c (these, 1/2 for sp,
+  1 - alpha for caratheodory, the parameter of disc_class and beta_disc)
+  is written once, in ``_kernel_level_radius``.
 
 ``entry.target`` is the phi that such a condition samples (None where
 it samples none), extremized by ``oracle.extremize_on_circle`` as
 max Re phi or -max(-|phi - 1|).  Every target has real Taylor
 coefficients, so it is conjugate-symmetric as that extremizer requires.
-:func:`get_entry` is the one way to build an entry, and
-:func:`default_entries` builds the ``TABLE_ROWS`` catalog with it.
+:func:`get_entry` is the one way to build an entry and the one parameter
+gate (``ParamRange("<id> needs <range>")``); :func:`default_entries`
+builds the ``TABLE_ROWS`` catalog with it.
 """
 
 from __future__ import annotations
@@ -44,13 +50,9 @@ from .series import extremal_upper, p0_coefficients
 _PI = math.pi
 
 
-def _tanh_sq(x: float) -> float:
-    return math.tanh(x) ** 2
-
-
-def _kernel_level_radius(x: float) -> float:
-    """tanh^2(pi sqrt(x)/(2 sqrt 2)), the root of |k(r)| = x."""
-    return _tanh_sq(_PI * math.sqrt(x) / (2.0 * math.sqrt(2.0)))
+def _kernel_level_radius(c: float) -> float:
+    """tanh^2(pi sqrt(c)/(2 sqrt 2)), the root of |k(r)| = c."""
+    return math.tanh(_PI * math.sqrt(c) / (2.0 * math.sqrt(2.0))) ** 2
 
 
 @dataclass
@@ -122,7 +124,8 @@ _CIRCLE_MAX = {
     # target map whose max Re on |z| = r reaches 3/2, report note, admissible
     # parameters as (test, range) or None); the closed form and the map are
     # functions of the parameters
-    "sp": ({}, lambda: _tanh_sq(_PI / 4.0), partial(target_map, "ronning_parabola"), "", None),
+    "sp": ({}, lambda: _kernel_level_radius(0.5), partial(target_map, "ronning_parabola"),
+           "", None),
     "sine": ({}, lambda: _PI / 6.0, partial(target_map, "sine"), "", None),
     "lune": ({}, lambda: 5.0 / 12.0, partial(target_map, "lune"), "", None),
     "cosh_sqrt": ({}, lambda: math.acosh(1.5) ** 2, partial(target_map, "cosh_sqrt"), "", None),
@@ -144,13 +147,12 @@ _CIRCLE_MAX = {
 def _circle_max_radius(class_id: str, **params) -> RadiusEntry:
     """Radius on which the class lies in the parabolic class: max Re phi on
     |z| = r reaching the vertex 3/2, witnessed by the region margin of phi
-    at the closed form.  A closed form >= 1 caps it at 1, with no witness."""
-    _, closed_fn, map_fn, notes, admissible = _CIRCLE_MAX[class_id]
-    if admissible is not None and not admissible[0](**params):
-        raise ParamRange(f"{class_id} needs {admissible[1]}")
+    at the closed form.  A closed form at or past the bracket's end caps it
+    at 1, with no witness: no sign change is left in the bracket."""
+    _, closed_fn, map_fn, notes, _ = _CIRCLE_MAX[class_id]
     phi = map_fn(**params)
     closed = closed_fn(**params)
-    capped = closed >= 1.0
+    capped = closed >= RadiusEntry.bracket[1]
     return RadiusEntry(class_id, params, 1.0 if capped else closed,
                        lambda r: oracle.extremize_on_circle(phi, r).value - 1.5,
                        witness_margin=None if capped else _vertex_witness(phi, closed),
@@ -171,8 +173,6 @@ def _caratheodory_radius(alpha: float) -> RadiusEntry:
     decreases through alpha exactly there.  alpha = 0 is the radius of
     starlikeness (and univalence) of the class.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ParamRange("alpha must lie in [0, 1)")
     closed = _kernel_level_radius(1.0 - alpha)
 
     def condition(r: float) -> float:
@@ -194,8 +194,6 @@ def _disc_class_radius(alpha: float) -> RadiusEntry:
     """Radius on which members satisfy |z f'/f - 1| < alpha: the root of
     |k(r)| = alpha, tanh^2(pi sqrt(alpha)/(2 sqrt 2)), witnessed by
     |L(closed) - 1| = alpha."""
-    if not 0.0 < alpha <= 1.0:
-        raise ParamRange("alpha must lie in (0, 1]")
     closed = _kernel_level_radius(alpha)
     return RadiusEntry("disc_class", {"alpha": alpha}, closed, _kernel_level(alpha),
                        bracket=_FROM_ZERO,
@@ -205,8 +203,6 @@ def _disc_class_radius(alpha: float) -> RadiusEntry:
 def _beta_disc_radius(beta: float) -> RadiusEntry:
     """The disc radius stated for beta = 1 - order: dual to the caratheodory
     entry, whose value at alpha = 1 - beta it equals exactly."""
-    if not 0.0 < beta < 1.0:
-        raise ParamRange("beta must lie in (0, 1)")
     return replace(_disc_class_radius(beta), entry_id="beta_disc", params={"beta": beta})
 
 
@@ -225,32 +221,30 @@ def inner_disc_radius(target: str, **params) -> float:
 _SQRT2 = math.sqrt(2.0)
 
 COROLLARY = {
-    # entry id: (closed form, target name, target params); the level of each
-    # radius is the inner-disc constant of its target
-    "r1_exp": (lambda: _tanh_sq(_PI * 0.5 * math.sqrt((math.e - 1.0) / (2.0 * math.e))),
-               "alpha_exp", {"alpha": 0.0}),
-    "r2_sine": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(2.0 / math.sin(1.0)))), "sine", {}),
-    "r3_cosh_sqrt": (lambda: _tanh_sq(_PI * math.sin(0.5) / 2.0), "cosh_sqrt", {}),
-    "r4_cardioid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(2.0 * math.e))), "cardioid", {}),
-    "r5_asinh": (lambda: _tanh_sq(_PI * math.sqrt(0.5 * math.asinh(1.0)) / 2.0), "asinh", {}),
-    "r6_sigmoid": (lambda: _kernel_level_radius((math.e - 1.0) / (math.e + 1.0)), "sigmoid", {}),
-    "r7_nephroid": (lambda: _tanh_sq(_PI / (2.0 * math.sqrt(3.0))), "nephroid", {}),
-    "r8_lemniscate": (lambda: _kernel_level_radius(_SQRT2 - 1.0), "lemniscate", {}),
+    # entry id: (the target's inner-disc constant c in closed form, target
+    # name, target params); the radius is the root of |k(r)| = c
+    "r1_exp": (1.0 - 1.0 / math.e, "alpha_exp", {"alpha": 0.0}),
+    "r2_sine": (math.sin(1.0), "sine", {}),
+    "r3_cosh_sqrt": (1.0 - math.cos(1.0), "cosh_sqrt", {}),
+    "r4_cardioid": (1.0 / math.e, "cardioid", {}),
+    "r5_asinh": (math.asinh(1.0), "asinh", {}),
+    "r6_sigmoid": ((math.e - 1.0) / (math.e + 1.0), "sigmoid", {}),
+    "r7_nephroid": (2.0 / 3.0, "nephroid", {}),
+    "r8_lemniscate": (_SQRT2 - 1.0, "lemniscate", {}),
     "r9_reverse_lemniscate": (
-        lambda: _tanh_sq(_PI * (math.sqrt(2.0 * (_SQRT2 - 1.0))
-                                * (1.0 - math.sqrt(2.0 * (_SQRT2 - 1.0)))) ** 0.25
-                         / (2.0 * math.sqrt(2.0))),
+        math.sqrt(math.sqrt(2.0 * (_SQRT2 - 1.0)) * (1.0 - math.sqrt(2.0 * (_SQRT2 - 1.0)))),
         "reverse_lemniscate", {}),
 }
 
 
 def _corollary_radius(entry_id: str) -> RadiusEntry:
     """Radius on which every parabolic-class member lies in the target's
-    class: the root of |k(r)| = its inner-disc constant, in the notes."""
-    closed_fn, target, tparams = COROLLARY[entry_id]
+    class: |k(r)| = its inner-disc constant, stated in ``COROLLARY`` for the
+    closed form and re-derived on the circle for the condition (notes)."""
+    c, target, tparams = COROLLARY[entry_id]
     level = inner_disc_radius(target, **tparams)
-    return RadiusEntry(entry_id, {}, closed_fn(), _kernel_level(level), bracket=_FROM_ZERO,
-                       notes=f"inner-disc constant {level:.12g}",
+    return RadiusEntry(entry_id, {}, _kernel_level_radius(c), _kernel_level(level),
+                       bracket=_FROM_ZERO, notes=f"inner-disc constant {level:.12g}",
                        target=target_map(target, **tparams))
 
 
@@ -264,8 +258,6 @@ def _ratio_radius(A: float) -> RadiusEntry:
     the condition compares the aggregated value-disc reach
     (5+A) r/(1-r^2) with the room 3/2 - (1+A r^2)/(1-r^2).
     """
-    if not -1.0 <= A <= 1.0:
-        raise ParamRange("A must lie in [-1, 1]")
     closed = (math.sqrt(A * A + 12.0 * A + 28.0) - (5.0 + A)) / (2.0 * A + 3.0)
 
     def condition(r: float) -> float:
@@ -287,8 +279,6 @@ def _mbeta_radius(beta: float) -> RadiusEntry:
     condition is k(-r) = max Re k on |z| = r reaching beta - 1, on the
     bracket [0, 1]: k(-1) = 1/2 > beta - 1, so roots near 1 are found too.
     """
-    if not 1.0 < beta < 1.5:
-        raise ParamRange("beta must lie in (1, 3/2)")
     delta = _PI * math.sqrt(beta - 1.0) / math.sqrt(2.0)
     closed = math.tan(delta / 2.0) ** 2
 
@@ -382,32 +372,37 @@ def _peng_zhong_radius() -> RadiusEntry:
 # --- registry ----------------------------------------------------------------
 
 
-# entry id: (builder, the radius table's parameter sets), in table order;
-# the builder requires exactly the names that each of its sets holds
+# entry id: (builder, radius-table parameter sets, admissible parameters as
+# (test, range) or None) in table order; each set names the builder's parameters
 _REGISTRY = {
-    **{cid: (partial(_circle_max_radius, cid), (row[0],)) for cid, row in _CIRCLE_MAX.items()},
-    "caratheodory": (_caratheodory_radius, ({"alpha": 0.0},)),
-    "disc_class": (_disc_class_radius, ({"alpha": 1.0},)),
-    "beta_disc": (_beta_disc_radius, ({"beta": 0.5},)),
-    **{rid: (partial(_corollary_radius, rid), ({},)) for rid in COROLLARY},
-    "ratio": (_ratio_radius, ({"A": -1.0}, {"A": 1.0})),
-    "mbeta": (_mbeta_radius, ({"beta": 1.25},)),
-    "majorization": (_majorization_radius, ({},)),
-    "peng_zhong": (_peng_zhong_radius, ({},)),
+    **{cid: (partial(_circle_max_radius, cid), (row[0],), row[4])
+       for cid, row in _CIRCLE_MAX.items()},
+    "caratheodory": (_caratheodory_radius, ({"alpha": 0.0},), _UNIT_ALPHA),
+    "disc_class": (_disc_class_radius, ({"alpha": 1.0},),
+                   (lambda alpha: 0.0 < alpha <= 1.0, "alpha in (0, 1]")),
+    "beta_disc": (_beta_disc_radius, ({"beta": 0.5},),
+                  (lambda beta: 0.0 < beta < 1.0, "beta in (0, 1)")),
+    **{rid: (partial(_corollary_radius, rid), ({},), None) for rid in COROLLARY},
+    "ratio": (_ratio_radius, ({"A": -1.0}, {"A": 1.0}),
+              (lambda A: -1.0 <= A <= 1.0, "A in [-1, 1]")),
+    "mbeta": (_mbeta_radius, ({"beta": 1.25},),
+              (lambda beta: 1.0 < beta < 1.5, "beta in (1, 3/2)")),
+    "majorization": (_majorization_radius, ({},), None),
+    "peng_zhong": (_peng_zhong_radius, ({},), None),
 }
 
 # the representative catalog behind the radius table, in table order:
 # (entry id, parameters) rows, each built by get_entry
-TABLE_ROWS = tuple((eid, params) for eid, (_, sets) in _REGISTRY.items() for params in sets)
+TABLE_ROWS = tuple((eid, params) for eid, (_, sets, _) in _REGISTRY.items() for params in sets)
 
 
 def get_entry(entry_id: str, **params) -> RadiusEntry:
     """Look up any catalog entry by id, with class parameters as needed.
 
-    A missing or unexpected parameter raises ``ParamRange``.
+    A missing, unexpected or out-of-range parameter raises ``ParamRange``.
     """
     try:
-        make, (names, *_) = _REGISTRY[entry_id]
+        make, (names, *_), admissible = _REGISTRY[entry_id]
     except KeyError:
         raise UnknownTarget(f"unknown radius entry: {entry_id!r}") from None
     extra = sorted(set(params) - set(names))
@@ -415,6 +410,8 @@ def get_entry(entry_id: str, **params) -> RadiusEntry:
         raise ParamRange(f"unexpected parameters for {entry_id}: {extra}")
     if set(names) - set(params):
         raise ParamRange(f"{entry_id} needs {' and '.join(names)}")
+    if admissible is not None and not admissible[0](**params):
+        raise ParamRange(f"{entry_id} needs {admissible[1]}")
     return make(**params)
 
 

@@ -159,7 +159,7 @@ def _random_members(check_id, samples, seed):
 
 def _covering_constant(check_id):
     return VerificationReport.from_pair(
-        check_id, region.GROWTH_UPPER_LIMIT, oracle.covering_constant().value, 1e-12,
+        check_id, region.GROWTH_UPPER_LIMIT, oracle.growth_upper_bound(1.0), 1e-12,
         notes="upper growth bound at r = 1: |f| below it on the disc")
 
 

@@ -124,6 +124,19 @@ class TestRadius:
         assert main(["radius", entry_id]) == 2
         assert f"{entry_id} needs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["caratheodory", "--alpha", "1"], "caratheodory needs alpha in [0, 1)"),
+        (["disc_class", "--alpha", "0"], "disc_class needs alpha in (0, 1]"),
+        (["beta_disc", "--beta", "1"], "beta_disc needs beta in (0, 1)"),
+        (["ratio", "--A", "1.5"], "ratio needs A in [-1, 1]"),
+        (["mbeta", "--beta", "1.5"], "mbeta needs beta in (1, 3/2)"),
+        (["bs", "--alpha", "1"], "bs needs alpha in [0, 1)"),
+        (["janowski", "--A", "0.5", "--B", "0.5"], "janowski needs -1 < B < A <= 1"),
+    ])
+    def test_parameter_outside_range_is_usage_error(self, args, message, capsys):
+        assert main(["radius", *args]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unexpected_parameter_is_usage_error(self, capsys):
         assert main(["radius", "sp", "--alpha", "0.3"]) == 2
         assert "unexpected parameters for sp: ['alpha']" in capsys.readouterr().err

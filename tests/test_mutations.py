@@ -74,9 +74,19 @@ MUTATIONS = {
         "maps.py", "return (1.0 + A * z) / den", "return (1.0 + A * z) / den * (1.0 + 1e-6)",
         ["radius/janowski(A=0.5;B=-0.5)", "witness/janowski(A=0.5;B=-0.5)",
          "radius/janowski(A=1;B=-0.9)", "witness/janowski(A=1;B=-0.9)"]),
+    # the one tanh^2(pi sqrt(c)/(2 sqrt 2)) of every kernel-level closed form
     "tanh_sq": (
-        "radii.py", "return math.tanh(x) ** 2", "return math.tanh(x) ** 2 * (1.0 + 1e-8)",
+        "radii.py", "return math.tanh(_PI * math.sqrt(c) / (2.0 * math.sqrt(2.0))) ** 2",
+        "return math.tanh(_PI * math.sqrt(c) / (2.0 * math.sqrt(2.0))) ** 2 * (1.0 + 1e-8)",
         [*_KERNEL_LEVEL_ROWS, *_L_VS_TANH_SQ_ROWS]),
+    # a stated inner-disc constant moves its closed form alone: the condition
+    # re-derives the constant on the circle
+    "r2_sine_constant": (
+        "radii.py", '"r2_sine": (math.sin(1.0),', '"r2_sine": (math.sin(1.0) * (1.0 + 1e-7),',
+        ["radius/r2_sine"]),
+    "r7_nephroid_constant": (
+        "radii.py", '"r7_nephroid": (2.0 / 3.0,', '"r7_nephroid": (2.0 / 3.0 * (1.0 + 1e-7),',
+        ["radius/r7_nephroid"]),
     "p0_coefficients": (
         "series.py", "coeffs[1:] = -(8.0 / math.pi**2) * odd_sums / n",
         "coeffs[1:] = -(8.0 / math.pi**2) * (1.0 + 1.25e-7) * odd_sums / n",

@@ -12,7 +12,7 @@ from parastar.maps import left_parabola, target_map
 from parastar.oracle import _ABS_TOL, extremize_on_circle
 from parastar.radii import (
     RadiusEntry, default_entries, get_entry, inner_disc_radius, majorization_phi,
-    majorization_psi, oracle_root, COROLLARY, _CIRCLE_MAX, _REGISTRY,
+    majorization_psi, oracle_root, COROLLARY, TABLE_ROWS, _CIRCLE_MAX, _REGISTRY,
 )
 from support import assert_quoted, min_and_max, sequential_extremize
 
@@ -191,9 +191,31 @@ class TestOrderAndDiscRadii:
         assert all(b < a for a, b in zip(bs, bs[1:]))
 
 
+# the corollary closed forms as tanh^2 expressions, each simplified by hand
+# from tanh^2(pi sqrt(c)/(2 sqrt 2)) at its inner-disc constant c
+_ETA = math.sqrt(2.0 * (SQRT2 - 1.0))
+_PRINTED_COROLLARY = {
+    "r1_exp": tanh_sq(PI * 0.5 * math.sqrt((math.e - 1.0) / (2.0 * math.e))),
+    "r2_sine": tanh_sq(PI / (2.0 * math.sqrt(2.0 / math.sin(1.0)))),
+    "r3_cosh_sqrt": tanh_sq(PI * math.sin(0.5) / 2.0),
+    "r4_cardioid": tanh_sq(PI / (2.0 * math.sqrt(2.0 * math.e))),
+    "r5_asinh": tanh_sq(PI * math.sqrt(0.5 * math.asinh(1.0)) / 2.0),
+    "r6_sigmoid": tanh_sq(PI * math.sqrt((math.e - 1.0) / (math.e + 1.0)) / (2.0 * SQRT2)),
+    "r7_nephroid": tanh_sq(PI / (2.0 * math.sqrt(3.0))),
+    "r8_lemniscate": tanh_sq(PI * math.sqrt(SQRT2 - 1.0) / (2.0 * SQRT2)),
+    "r9_reverse_lemniscate": tanh_sq(PI * (_ETA * (1.0 - _ETA)) ** 0.25 / (2.0 * SQRT2)),
+}
+
+
 class TestCorollaryRadii:
-    def test_r7_closed_form(self):
-        assert get_entry("r7_nephroid").closed_form == tanh_sq(PI / (2.0 * math.sqrt(3.0)))
+    def test_closed_forms_near_printed_forms(self):
+        # each closed form is tanh^2(pi sqrt(c)/(2 sqrt 2)) at its stated c,
+        # so it may round apart from the printed form: by 3 ulps at most as
+        # measured (r3_cosh_sqrt, r7_nephroid), by none for r4, r5, r6, r8, r9
+        assert list(_PRINTED_COROLLARY) == list(COROLLARY)
+        for entry_id, printed in _PRINTED_COROLLARY.items():
+            closed = get_entry(entry_id).closed_form
+            assert abs(closed - printed) <= 4 * math.ulp(printed), entry_id
 
     def test_r8_r9_quoted_truncated(self):
         assert_quoted(get_entry("r8_lemniscate").closed_form, 0.376,
@@ -215,11 +237,14 @@ class TestCorollaryRadii:
         ("sigmoid", {}, (math.e - 1.0) / (math.e + 1.0)),
         ("nephroid", {}, 2.0 / 3.0),
         ("lemniscate", {}, SQRT2 - 1.0),
-        ("reverse_lemniscate", {},
-         math.sqrt(math.sqrt(2.0 * (SQRT2 - 1.0)) * (1.0 - math.sqrt(2.0 * (SQRT2 - 1.0))))),
+        ("reverse_lemniscate", {}, math.sqrt(_ETA * (1.0 - _ETA))),
     ])
     def test_inner_disc_constants(self, target, params, expected):
-        assert abs(inner_disc_radius(target, **params) - expected) < 1e-10
+        # the COROLLARY row states the constant c, and c is min |phi - 1| on
+        # the unit circle to 2 ulps of 1/2 at most (r8_lemniscate, measured)
+        (c,) = [c for c, t, p in COROLLARY.values() if (t, p) == (target, params)]
+        assert c == expected
+        assert abs(inner_disc_radius(target, **params) - c) <= 4.4e-16
 
     def test_unknown_id(self):
         with pytest.raises(UnknownTarget):
@@ -552,6 +577,22 @@ class TestRootOnlyRadii:
         assert abs(get_entry("peng_zhong").closed_form - dense_root) < 1e-10
 
 
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+# entry id: (the range get_entry names, parameter sets on the range's closed
+# ends, parameter sets just outside it)
+_GATE = {
+    "bs": ("alpha in [0, 1)", [{"alpha": 0.0}], [{"alpha": 1.0}]),
+    "alpha_exp": ("alpha in [0, 1)", [{"alpha": 0.0}], [{"alpha": 1.0}]),
+    "janowski": ("-1 < B < A <= 1", [{"A": 1.0, "B": -0.5}],
+                 [{"A": 0.5, "B": -1.0}, {"A": 0.5, "B": 0.5}, {"A": _ABOVE_ONE, "B": 0.0}]),
+    "caratheodory": ("alpha in [0, 1)", [{"alpha": 0.0}], [{"alpha": 1.0}, {"alpha": -1e-300}]),
+    "disc_class": ("alpha in (0, 1]", [{"alpha": 1.0}], [{"alpha": 0.0}, {"alpha": _ABOVE_ONE}]),
+    "beta_disc": ("beta in (0, 1)", [], [{"beta": 0.0}, {"beta": 1.0}]),
+    "ratio": ("A in [-1, 1]", [{"A": -1.0}, {"A": 1.0}], [{"A": -_ABOVE_ONE}, {"A": _ABOVE_ONE}]),
+    "mbeta": ("beta in (1, 3/2)", [], [{"beta": 1.0}, {"beta": 1.5}]),
+}
+
+
 class TestRegistry:
     def test_get_entry_round_trip(self):
         assert get_entry("sp").entry_id == "sp"
@@ -585,8 +626,14 @@ class TestRegistry:
 
     def test_registry_parameter_names(self):
         # every table parameter set of an entry names the same parameters,
-        # the ones get_entry requires
-        for entry_id, (_, (params, *others)) in _REGISTRY.items():
+        # the ones get_entry requires, and every table and verify row lies
+        # inside its entry's range
+        from parastar.verify import _EXTRA_ROWS
+
+        for entry_id, params in TABLE_ROWS + _EXTRA_ROWS:
+            admissible = _REGISTRY[entry_id][2]
+            assert admissible is None or admissible[0](**params), (entry_id, params)
+        for entry_id, (_, (params, *others), _) in _REGISTRY.items():
             assert all(set(other) == set(params) for other in others), entry_id
             assert get_entry(entry_id, **params).params == params
             for name in params:
@@ -597,6 +644,50 @@ class TestRegistry:
             with pytest.raises(ParamRange, match=re.escape(
                     f"unexpected parameters for {entry_id}: ['extra']")):
                 get_entry(entry_id, **params, extra=0.5)
+
+    @pytest.mark.parametrize("entry_id", [
+        eid for eid, (_, (params, *_), _) in _REGISTRY.items() if params])
+    def test_parameter_gate(self, entry_id):
+        # the sets on the range's closed ends build and solve; get_entry
+        # refuses the sets just outside it, and NaN in place of each
+        # parameter, naming the range
+        text, inside, outside = _GATE[entry_id]
+        for params in inside:
+            entry = get_entry(entry_id, **params)
+            assert abs(oracle_root(entry) - entry.closed_form) <= 1e-9, params
+        table = _REGISTRY[entry_id][1][0]
+        for params in (*outside, *({**table, name: math.nan} for name in table)):
+            with pytest.raises(ParamRange, match=re.escape(f"{entry_id} needs {text}")):
+                get_entry(entry_id, **params)
+
+
+# alpha_exp is capped from 1 - 1/(2(e - 1)) on, where its closed form reaches 1
+_EXP_THRESHOLD = 1.0 - 1.0 / (2.0 * (math.e - 1.0))
+
+
+class TestDomainEdges:
+    # the families at the ends of their ranges.  An entry must be capped
+    # exactly when its condition is already negative at the bracket's end,
+    # or the solver finds no sign change: a closed form in (1 - 1e-9, 1),
+    # as alpha_exp's 1e-10 below its threshold and janowski's where
+    # 2A - 3B rounds to 1 + 2^-52, was not capped and raised NoSignChange
+
+    @pytest.mark.parametrize("entry_id, params", [
+        ("alpha_exp", {"alpha": _EXP_THRESHOLD - 1e-9}),
+        ("alpha_exp", {"alpha": _EXP_THRESHOLD - 1e-10}),
+        ("alpha_exp", {"alpha": _EXP_THRESHOLD}),
+        ("alpha_exp", {"alpha": _EXP_THRESHOLD + 1e-9}),
+        *(("janowski", {"A": (1.0 + 3.0 * B) / 2.0, "B": B})
+          for B in np.linspace(-0.99, 1.0 / 3.0, 23).tolist()),
+        ("janowski", {"A": -0.3773028202844947, "B": -0.5848685468563298}),
+        ("bs", {"alpha": 1e-12}),
+        ("ratio", {"A": -1.0}),
+        ("ratio", {"A": 1.0}),
+    ])
+    def test_closed_form_and_cap(self, entry_id, params):
+        entry = get_entry(entry_id, **params)
+        assert entry.capped == (entry.condition(entry.bracket[1]) < 0.0)
+        assert abs(entry.closed_form - oracle_root(entry)) <= 1e-9
 
 
 class TestOracleRoute:
